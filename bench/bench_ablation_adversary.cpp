@@ -24,10 +24,8 @@
 // drops target-CID success below 50%; with defenses on success returns
 // to 100% with median TTFB within 2x the unattacked baseline; the
 // capped Sybil run keeps every bucket's adversarial occupancy within the
-// cap while the uncapped run exceeds it; the flash crowd coalesces to a
-// single upstream retrieval; and a reduced-scale replay of the defended
-// eclipse workload is byte-identical across the timer-wheel and
-// binary-heap scheduler backends. Any failure exits non-zero.
+// cap while the uncapped run exceeds it; and the flash crowd coalesces
+// to a single upstream retrieval. Any failure exits non-zero.
 //
 // Writes a JSONL artifact (one sample per line) for plotting; path
 // overridable via IPFS_BENCH_ARTIFACT.
@@ -35,7 +33,6 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -47,7 +44,6 @@
 #include "merkledag/merkledag.h"
 #include "node/ipfs_node.h"
 #include "routing/router.h"
-#include "stats/jsonl.h"
 #include "stats/stats.h"
 
 using namespace ipfs;
@@ -84,9 +80,7 @@ struct ArmResult {
 };
 
 ArmResult run_retrieval_arm(bool attacked, bool defended, std::uint64_t seed,
-                            std::size_t honest_peers, int rounds,
-                            sim::SchedulerBackend backend,
-                            std::string* trace_dump = nullptr) {
+                            std::size_t honest_peers, int rounds) {
   // The eclipse target must be known at build time, so the object is
   // hashed through a scratch store first.
   const auto content = deterministic_bytes(64 * 1024, seed ^ 0xAD5A);
@@ -97,9 +91,7 @@ ArmResult run_retrieval_arm(bool attacked, bool defended, std::uint64_t seed,
   builder.peers(honest_peers)
       .seed(seed)
       .single_region(20.0)
-      .scheduler(backend)
       .dht_servers(true);
-  if (trace_dump != nullptr) builder.trace_capacity(400'000);
   if (defended)
     builder.indexers(1)
         .indexer_config(
@@ -184,11 +176,6 @@ ArmResult run_retrieval_arm(bool attacked, bool defended, std::uint64_t seed,
     arm.poisoned_served = s.attack()->counters().poisoned_records_served;
     s.attack()->disarm();
     s.attack()->detach();
-  }
-  if (trace_dump != nullptr) {
-    std::ostringstream dump;
-    stats::export_registry_jsonl(s.network().metrics(), dump);
-    *trace_dump = dump.str();
   }
   return arm;
 }
@@ -346,14 +333,13 @@ int main() {
   const std::size_t honest_peers =
       bench::env_size("IPFS_BENCH_PEERS", bench::scaled(64, 32));
   const int rounds = static_cast<int>(bench::scaled(8, 4));
-  const auto wheel = sim::SchedulerBackend::kTimerWheel;
 
   const ArmResult baseline =
-      run_retrieval_arm(false, true, seed, honest_peers, rounds, wheel);
+      run_retrieval_arm(false, true, seed, honest_peers, rounds);
   const ArmResult eclipse_off =
-      run_retrieval_arm(true, false, seed, honest_peers, rounds, wheel);
+      run_retrieval_arm(true, false, seed, honest_peers, rounds);
   const ArmResult eclipse_on =
-      run_retrieval_arm(true, true, seed, honest_peers, rounds, wheel);
+      run_retrieval_arm(true, true, seed, honest_peers, rounds);
 
   std::printf("world: %zu honest dht servers, %d retrieval rounds/arm, "
               "eclipse attackers=%zu min_cpl=%d\n\n",
@@ -444,18 +430,6 @@ int main() {
            flash.p2p_requests == flash.coalesced + 1,
        "flash crowd fully served through one upstream P2P retrieval");
 
-  // ---- Determinism probe ---------------------------------------------------
-  // Replays a reduced defended-eclipse workload under both scheduler
-  // backends and compares the full exported trace streams byte-for-byte.
-  std::string dumps[2];
-  run_retrieval_arm(true, true, seed, 24, 2,
-                    sim::SchedulerBackend::kTimerWheel, &dumps[0]);
-  run_retrieval_arm(true, true, seed, 24, 2,
-                    sim::SchedulerBackend::kBinaryHeap, &dumps[1]);
-  const bool deterministic = !dumps[0].empty() && dumps[0] == dumps[1];
-  std::printf("determinism probe (wheel vs heap trace bytes): %s\n",
-              deterministic ? "identical" : "MISMATCH");
-
   std::printf("artifact: %s\n", artifact_path.c_str());
-  return pass && deterministic ? 0 : 1;
+  return pass ? 0 : 1;
 }

@@ -14,8 +14,7 @@
 //      log-structured store (one group fsync per batch, wall-clock).
 //   D. Acked-put durability: a >= 300-seed crash sweep over the
 //      write-behind queue (every acked put readable after a seeded
-//      power cut) plus a wheel-vs-heap scheduler probe on persist-store
-//      simfuzz schedules, whose traces must be byte-identical.
+//      power cut).
 //
 // The bench self-gates: any failed leg prints FAIL and exits nonzero.
 #include <chrono>
@@ -33,7 +32,6 @@
 #include "common.h"
 #include "merkledag/merkledag.h"
 #include "sim/faults.h"
-#include "sim/fuzz_harness.h"
 
 using namespace ipfs;
 
@@ -63,8 +61,7 @@ int main() {
   bench::print_header(
       "Ablation: Bitswap 1.2.0 data plane + persistent async blockstore",
       "gates: 8-peer session >= 3x serial fetch; completes at 5% loss; "
-      "write-behind >= 5x fsync-per-put; 300-seed acked-crash sweep + "
-      "byte-identical wheel/heap traces");
+      "write-behind >= 5x fsync-per-put; 300-seed acked-crash sweep");
 
   const char* artifact_env = std::getenv("IPFS_BENCH_ARTIFACT");
   const std::string artifact_path =
@@ -277,7 +274,7 @@ int main() {
            << ",\"sync_s\":" << sync_seconds << ",\"async_s\":"
            << async_seconds << ",\"ratio\":" << put_ratio << "}\n";
 
-  // --- Leg D1: >= 300-seed acked-put crash sweep --------------------------
+  // --- Leg D: >= 300-seed acked-put crash sweep ---------------------------
   // The async store's durability line, hammered: random interleavings of
   // put / flush / crash over MemStorage; after every crash each block
   // acked (flushed after its put) must still be readable.
@@ -328,52 +325,13 @@ int main() {
       }
     }
   }
-  std::printf("\nleg D1: acked-put crash sweep\n");
+  std::printf("\nleg D: acked-put crash sweep\n");
   std::printf("  %zu seeds, %zu crashes, %zu acked reads verified — "
               "no acked put lost\n",
               sweep_seeds, sweep_crashes, sweep_acked_checked);
   artifact << "{\"leg\":\"crash_sweep\",\"seeds\":" << sweep_seeds
            << ",\"crashes\":" << sweep_crashes << ",\"acked_checked\":"
            << sweep_acked_checked << "}\n";
-
-  // --- Leg D2: wheel vs heap trace determinism on persist schedules -------
-  // Full simfuzz schedules with the persistent data plane forced on,
-  // replayed under both scheduler backends; fingerprints and captured
-  // traces must match byte for byte.
-  const std::size_t probe_schedules = bench::scaled(6, 3);
-  std::size_t probe_ok = 0;
-  for (std::size_t s = 0; s < probe_schedules; ++s) {
-    simfuzz::ScheduleParams params =
-        simfuzz::make_schedule(bench::run_seed() + 7000 + s);
-    params.persist_stores = true;
-    params.capture_trace = true;
-    params.scheduler = sim::SchedulerBackend::kTimerWheel;
-    const simfuzz::ScheduleReport wheel = simfuzz::run_schedule(params);
-    params.scheduler = sim::SchedulerBackend::kBinaryHeap;
-    const simfuzz::ScheduleReport heap = simfuzz::run_schedule(params);
-    if (!wheel.ok() || !heap.ok()) {
-      std::printf("FAIL: persist schedule seed %llu violated invariants\n%s%s",
-                  static_cast<unsigned long long>(params.seed),
-                  wheel.failure_summary().c_str(),
-                  heap.failure_summary().c_str());
-      pass = false;
-      continue;
-    }
-    if (wheel.stats.fingerprint() != heap.stats.fingerprint() ||
-        wheel.trace_jsonl != heap.trace_jsonl) {
-      std::printf(
-          "FAIL: wheel/heap divergence on persist schedule seed %llu\n",
-          static_cast<unsigned long long>(params.seed));
-      pass = false;
-      continue;
-    }
-    ++probe_ok;
-  }
-  std::printf("\nleg D2: wheel vs heap on persist-store schedules\n");
-  std::printf("  %zu/%zu schedules byte-identical across backends\n",
-              probe_ok, probe_schedules);
-  artifact << "{\"leg\":\"backend_probe\",\"schedules\":" << probe_schedules
-           << ",\"identical\":" << probe_ok << "}\n";
 
   artifact << "{\"summary\":{\"speedup\":" << speedup
            << ",\"write_behind_ratio\":" << put_ratio

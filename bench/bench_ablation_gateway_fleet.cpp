@@ -16,34 +16,22 @@
 // (the paper's combined-cache bound); per-replica tier shares stay
 // within 15 points of the fleet aggregate (consistent hashing splits
 // the catalog evenly); per-replica labeled counters sum exactly to the
-// aggregate instruments; removing a replica moves at most ~1/N of the
-// key space and only keys the removed replica owned; and a reduced
-// fleet replay produces byte-identical trace streams under the
-// timer-wheel and binary-heap schedulers.
+// aggregate instruments; and removing a replica moves at most ~1/N of
+// the key space and only keys the removed replica owned.
 //
 // Writes a JSONL artifact (one sample per line); path overridable via
 // IPFS_BENCH_ARTIFACT.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "gateway_common.h"
-#include "stats/jsonl.h"
 
 using namespace ipfs;
 
 namespace {
-
-std::vector<std::uint8_t> deterministic_bytes(std::size_t n,
-                                              std::uint64_t seed) {
-  sim::Rng rng(seed);
-  std::vector<std::uint8_t> bytes(n);
-  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next() & 0xff);
-  return bytes;
-}
 
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -122,71 +110,6 @@ RebalancePanel run_rebalance_panel(std::size_t replicas, std::size_t vnodes,
   return panel;
 }
 
-// ---- Backend determinism probe --------------------------------------------
-// A reduced fleet replay on the proven-deterministic Scenario fabric:
-// two replicas via the .gateway_fleet() knob, a publisher, pinned and
-// P2P-fetched objects, staggered GETs. Exports the full registry (trace
-// stream included) for byte comparison across scheduler backends.
-std::string run_determinism_probe(std::uint64_t seed,
-                                  sim::SchedulerBackend backend) {
-  gateway::FleetConfig fleet_config;
-  fleet_config.replicas = 2;
-  fleet_config.vnodes = 16;
-  fleet_config.replica.node.identity_seed = 0x6A7E;
-  fleet_config.replica.node.provide_after_fetch = false;
-  fleet_config.replica.nginx_cache_bytes = 4ull * 1024 * 1024;
-  fleet_config.origin_cache_bytes = 8ull * 1024 * 1024;
-
-  scenario::Scenario s = scenario::ScenarioBuilder()
-                             .peers(24)
-                             .seed(seed)
-                             .single_region(25.0)
-                             .scheduler(backend)
-                             .trace_capacity(200'000)
-                             .dht_servers(true)
-                             .gateway_fleet(fleet_config)
-                             .build();
-  gateway::GatewayFleet& fleet = *s.gateway_fleet();
-
-  node::IpfsNodeConfig publisher_config;
-  publisher_config.identity_seed = 0x9AB;
-  publisher_config.provide_after_fetch = false;
-  node::IpfsNode publisher(s.network(), publisher_config);
-
-  std::vector<dht::PeerRef> seeds;
-  for (std::size_t i = 0; i < 6; ++i) seeds.push_back(s.ref(i));
-  fleet.bootstrap(seeds, [](bool) {});
-  publisher.bootstrap(seeds, [](bool) {});
-  s.simulator().run();
-
-  std::vector<multiformats::Cid> cids;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    const auto content =
-        deterministic_bytes(32 * 1024 + 8 * 1024 * i, seed ^ (0xFEE7 + i));
-    if (i % 2 == 0) {
-      cids.push_back(fleet.pin_object(content));
-    } else {
-      publisher.publish(content, [&](node::PublishTrace trace) {
-        if (trace.ok) cids.push_back(trace.cid);
-      });
-      s.simulator().run();
-    }
-  }
-
-  for (std::size_t k = 0; k < 32; ++k) {
-    s.simulator().schedule_after(
-        sim::milliseconds(250.0 * static_cast<double>(k)), [&fleet, &cids, k] {
-          fleet.handle_get(cids[k % cids.size()],
-                           [](gateway::GatewayResponse) {});
-        });
-  }
-  s.simulator().run();
-
-  std::ostringstream dump;
-  stats::export_registry_jsonl(s.network().metrics(), dump);
-  return dump.str();
-}
-
 }  // namespace
 
 int main() {
@@ -196,7 +119,6 @@ int main() {
       "Table 5 tiers per replica at 10x traffic; Balduf et al.: the "
       "fleet absorbs the load, deepening gateway centralization");
 
-  const std::uint64_t seed = bench::run_seed();
   const std::size_t replicas = bench::env_size("IPFS_BENCH_REPLICAS", 4);
   const std::size_t world_peers =
       bench::env_size("IPFS_BENCH_PEERS", bench::scaled(1000, 250));
@@ -304,7 +226,7 @@ int main() {
               "(P2P sees %.1f%%)\n",
               100.0 * absorbed_share, 100.0 * (1.0 - absorbed_share));
 
-  // ---- Rebalance + determinism panels --------------------------------------
+  // ---- Rebalance panel -----------------------------------------------------
   const RebalancePanel rebalance =
       run_rebalance_panel(replicas, 64, 20'000);
   std::printf("\nrebalance: removing 1 of %zu replicas moved %zu/%zu keys "
@@ -315,13 +237,6 @@ int main() {
                   static_cast<double>(rebalance.keys),
               100.0 * rebalance.removed_share, rebalance.illegal_moves,
               rebalance.restored ? "yes" : "NO");
-
-  std::string dumps[2];
-  dumps[0] = run_determinism_probe(seed, sim::SchedulerBackend::kTimerWheel);
-  dumps[1] = run_determinism_probe(seed, sim::SchedulerBackend::kBinaryHeap);
-  const bool deterministic = !dumps[0].empty() && dumps[0] == dumps[1];
-  std::printf("determinism probe (wheel vs heap trace bytes): %s\n",
-              deterministic ? "identical" : "MISMATCH");
 
   // ---- Artifact ------------------------------------------------------------
   const char* artifact_env = std::getenv("IPFS_BENCH_ARTIFACT");
@@ -347,8 +262,7 @@ int main() {
            << ",\"spills\":" << fleet_spills
            << ",\"admission_rejections\":" << admission_rejections
            << ",\"rebalance_moved\":" << rebalance.moved
-           << ",\"rebalance_keys\":" << rebalance.keys
-           << ",\"deterministic\":" << (deterministic ? 1 : 0) << "}\n";
+           << ",\"rebalance_keys\":" << rebalance.keys << "}\n";
 
   // ---- Gates ---------------------------------------------------------------
   bool pass = true;
@@ -394,8 +308,6 @@ int main() {
        "replica");
   gate(rebalance.restored, "re-adding the replica restores the exact "
        "pre-removal assignment");
-  gate(deterministic,
-       "wheel and heap schedulers produce byte-identical fleet traces");
 
   std::printf("artifact: %s\n", artifact_path.c_str());
   return pass ? 0 : 1;

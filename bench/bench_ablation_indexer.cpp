@@ -18,17 +18,14 @@
 // and race arms: the race must succeed at least as often as DHT-only.
 //
 // Acceptance gates: indexer and race median TTFB at least 3x below the
-// DHT-only median; degraded-race successes >= DHT-only successes. A
-// reduced-scale determinism probe additionally replays a racing
-// workload under both scheduler backends and requires byte-identical
-// trace streams. Any failure exits non-zero.
+// DHT-only median; degraded-race successes >= DHT-only successes. Any
+// failure exits non-zero.
 //
 // Writes a JSONL artifact (one sample per line) for plotting; path
 // overridable via IPFS_BENCH_ARTIFACT.
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,54 +33,11 @@
 #include "indexer/indexer.h"
 #include "node/ipfs_node.h"
 #include "routing/router.h"
-#include "stats/jsonl.h"
 #include "stats/stats.h"
 
 using namespace ipfs;
 
 namespace {
-
-// Replays a reduced-scale race workload (DHT walk vs indexer query,
-// loser cancelled) under the timer-wheel and the legacy binary-heap
-// scheduler and compares the full exported trace streams byte-for-byte.
-bool backend_determinism_probe(std::uint64_t seed) {
-  std::string dumps[2];
-  const sim::SchedulerBackend backends[2] = {
-      sim::SchedulerBackend::kTimerWheel, sim::SchedulerBackend::kBinaryHeap};
-  for (int b = 0; b < 2; ++b) {
-    auto swarm = scenario::ScenarioBuilder()
-                     .peers(24)
-                     .seed(seed)
-                     .single_region(25.0)
-                     .scheduler(backends[b])
-                     .trace_capacity(200'000)
-                     .dht_servers(true)
-                     .indexers(2)
-                     .indexer_config(indexer::IndexerConfig().with_ingest_lag(
-                         sim::seconds(1)))
-                     .routing(routing::RoutingConfig::Mode::kRace)
-                     .build();
-    const dht::Key key =
-        dht::Key::hash_of(std::vector<std::uint8_t>{0xDE, 0x1E});
-    swarm.dht(0).provide(key, [](dht::DhtNode::ProvideResult) {});
-    swarm.simulator().run();
-    routing::advertise_to_indexers(swarm.dht(0).transport(),
-                                   swarm.routing_config(), key, swarm.ref(0));
-    swarm.simulator().run_until(swarm.simulator().now() + sim::seconds(5));
-
-    std::vector<std::unique_ptr<routing::RaceRouter>> routers;
-    for (const std::size_t i : {3u, 9u, 15u}) {
-      routers.push_back(std::make_unique<routing::RaceRouter>(
-          swarm.dht(i).transport(), swarm.dht(i), swarm.routing_config()));
-      routers.back()->find_providers(key, [](routing::FindResult) {}, 0);
-    }
-    swarm.simulator().run();
-    std::ostringstream dump;
-    stats::export_registry_jsonl(swarm.network().metrics(), dump);
-    dumps[b] = dump.str();
-  }
-  return !dumps[0].empty() && dumps[0] == dumps[1];
-}
 
 // One measurement arm: per-round TTFB samples plus the winning-source
 // split (which path actually resolved the provider).
@@ -317,10 +271,5 @@ int main() {
     }
   }
   std::printf("artifact: %s\n", artifact_path.c_str());
-
-  const bool deterministic = backend_determinism_probe(bench::run_seed());
-  std::printf("determinism probe (wheel vs heap trace bytes): %s\n",
-              deterministic ? "identical" : "MISMATCH");
-
-  return pass && deterministic ? 0 : 1;
+  return pass ? 0 : 1;
 }

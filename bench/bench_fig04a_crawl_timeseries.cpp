@@ -8,7 +8,6 @@
 //   IPFS_BENCH_PEERS=100000 IPFS_BENCH_ROUNDS=1 ./bench_fig04a_crawl_timeseries
 //   IPFS_BENCH_TRIALS=8 IPFS_BENCH_THREADS=8 ...   # multi-trial fold
 //   IPFS_BENCH_WALL_BUDGET_S=60 ...                # fail if wall-clock exceeds
-//   IPFS_BENCH_SHARDS=4 ...                        # sharded event core
 //   IPFS_BENCH_ARTIFACT=census.jsonl ...           # per-phase JSONL dump
 #include <chrono>
 #include <cstdio>
@@ -132,7 +131,6 @@ int main() {
                 cdf.percentile(50) * 100.0, cdf.percentile(90) * 100.0);
   }
 
-  const std::size_t shards = bench::env_shards();
   double build_seconds = 0.0, event_seconds = 0.0;
   std::uint64_t events_executed = 0;
   for (const auto& trial : results) {
@@ -141,8 +139,8 @@ int main() {
     events_executed += trial.result.events_executed;
   }
   std::printf("\ncensus: %zu peers, %zu round(s), %zu trial(s), "
-              "%zu shard(s), wall-clock %.1f s\n",
-              peers, rounds, trials, shards, wall_seconds);
+              "wall-clock %.1f s\n",
+              peers, rounds, trials, wall_seconds);
   std::printf("phases: build %.1f s, events %.1f s "
               "(%llu events, %.0f events/s)\n",
               build_seconds, event_seconds,
@@ -156,7 +154,6 @@ int main() {
     std::ofstream artifact(artifact_env, std::ios::trunc);
     artifact << "{\"bench\":\"fig04a_census\",\"peers\":" << peers
              << ",\"rounds\":" << rounds << ",\"trials\":" << trials
-             << ",\"shards\":" << shards
              << ",\"build_s\":" << build_seconds
              << ",\"event_s\":" << event_seconds
              << ",\"events\":" << events_executed

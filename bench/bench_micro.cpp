@@ -9,7 +9,6 @@
 #include "multiformats/cid.h"
 #include "multiformats/multiaddr.h"
 #include "scenario/scenario.h"
-#include "sim/parallel/shard_engine.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "world/world.h"
@@ -111,22 +110,16 @@ void BM_ChunkAndBuildDag(benchmark::State& state) {
 }
 BENCHMARK(BM_ChunkAndBuildDag);
 
-// --- scheduler backends: timer wheel vs. reference binary heap -------
+// --- event core -----------------------------------------------------
 //
 // The three workloads that dominate simulation runs: pure scheduling
 // throughput, schedule-then-cancel churn (every network timeout that
-// never fires), and full drain in timestamp order. Arg(1) selects the
-// backend: 0 = timer wheel, 1 = binary heap.
-
-sim::SchedulerBackend backend_arg(const benchmark::State& state) {
-  return state.range(1) == 0 ? sim::SchedulerBackend::kTimerWheel
-                             : sim::SchedulerBackend::kBinaryHeap;
-}
+// never fires), and full drain in timestamp order.
 
 void BM_SchedulerSchedule(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    sim::Simulator simulator(backend_arg(state));
+    sim::Simulator simulator;
     sim::Rng rng(11);
     for (std::size_t i = 0; i < n; ++i) {
       simulator.schedule_after(
@@ -138,8 +131,7 @@ void BM_SchedulerSchedule(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SchedulerSchedule)
-    ->Args({100'000, 0})
-    ->Args({100'000, 1})
+    ->Arg(100'000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SchedulerCancel(benchmark::State& state) {
@@ -147,7 +139,7 @@ void BM_SchedulerCancel(benchmark::State& state) {
   std::vector<sim::Timer> timers;
   timers.reserve(n);
   for (auto _ : state) {
-    sim::Simulator simulator(backend_arg(state));
+    sim::Simulator simulator;
     sim::Rng rng(12);
     timers.clear();
     for (std::size_t i = 0; i < n; ++i) {
@@ -161,14 +153,13 @@ void BM_SchedulerCancel(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SchedulerCancel)
-    ->Args({100'000, 0})
-    ->Args({100'000, 1})
+    ->Arg(100'000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SchedulerDrain(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    sim::Simulator simulator(backend_arg(state));
+    sim::Simulator simulator;
     sim::Rng rng(13);
     for (std::size_t i = 0; i < n; ++i) {
       simulator.schedule_after(
@@ -180,52 +171,7 @@ void BM_SchedulerDrain(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SchedulerDrain)
-    ->Args({100'000, 0})
-    ->Args({100'000, 1})
-    ->Unit(benchmark::kMillisecond);
-
-// --- sharded parallel event core (src/sim/parallel) ------------------
-//
-// Drain throughput of the sharded engine at 1/2/4/8 shards against the
-// legacy Simulator (Arg 0). Same synthetic workload as the scheduler
-// drain: events spread over 1024 origins and a 30 s horizon, each a
-// trivial callback, so the number measures pure event-core overhead
-// (slab allocation, heap merge, window barriers).
-
-void BM_ShardEngineDrain(benchmark::State& state) {
-  constexpr std::size_t kEvents = 100'000;
-  constexpr std::uint32_t kOrigins = 1024;
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    sim::Rng rng(14);
-    if (shards == 0) {
-      sim::Simulator simulator;
-      for (std::size_t i = 0; i < kEvents; ++i) {
-        simulator.schedule_after(
-            sim::milliseconds(rng.uniform(0.0, 30'000.0)), [] {});
-      }
-      benchmark::DoNotOptimize(simulator.run());
-    } else {
-      sim::parallel::ShardEngine engine(shards, sim::milliseconds(15),
-                                        nullptr);
-      for (std::size_t i = 0; i < kEvents; ++i) {
-        const auto origin = static_cast<std::uint32_t>(i % kOrigins);
-        engine.post(origin, origin % shards,
-                    sim::milliseconds(rng.uniform(0.0, 30'000.0)),
-                    /*daemon=*/false, [] {});
-      }
-      benchmark::DoNotOptimize(engine.run());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kEvents));
-}
-BENCHMARK(BM_ShardEngineDrain)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
+    ->Arg(100'000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_WorldConstruction(benchmark::State& state) {

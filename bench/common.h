@@ -43,11 +43,6 @@ inline std::size_t env_size(const char* name, std::size_t fallback) {
   return fallback;
 }
 
-// Shard count for the parallel event core (IPFS_BENCH_SHARDS); 0 keeps
-// the sequential Simulator. Applied by scenario_builder(), so every
-// bench picks the engine up without its own plumbing.
-inline std::size_t env_shards() { return env_size("IPFS_BENCH_SHARDS", 0); }
-
 inline void print_header(const std::string& experiment,
                          const std::string& paper_summary) {
   std::printf("==================================================================\n");
@@ -84,7 +79,7 @@ inline crawler::CrawlResult crawl_world(world::World& world) {
 inline scenario::ScenarioBuilder scenario_builder(std::size_t peers,
                                                   std::uint64_t seed) {
   scenario::ScenarioBuilder builder;
-  builder.peers(peers).seed(seed).shards(env_shards());
+  builder.peers(peers).seed(seed);
   return builder;
 }
 

@@ -195,8 +195,8 @@ void AttackPlan::arm() {
           storm_rng_, storm.start, storm.start + storm.window);
       const sim::Duration downtime = uniform_duration(
           storm_rng_, storm.min_downtime, storm.max_downtime);
-      storm_timers_.push_back(network_.schedule_daemon_for(
-          storm_managed_[i], crash_at, [this, i, downtime] {
+      storm_timers_.push_back(network_.schedule_daemon_after(
+          crash_at, [this, i, downtime] {
             const sim::NodeId node = storm_managed_[i];
             // Another fault source (an overlapping FaultPlan) may already
             // hold the node down; leave its bookkeeping alone.
@@ -206,16 +206,15 @@ void AttackPlan::arm() {
             ++counters_.storm_crashes;
             notify(node, false);
             storm_timers_.push_back(
-                network_.schedule_daemon_for(
-                    node, downtime, [this, i] {
-                      if (!storm_down_[i]) return;
-                      storm_down_[i] = false;
-                      const sim::NodeId restored = storm_managed_[i];
-                      if (network_.online(restored)) return;
-                      network_.set_online(restored, true);
-                      ++counters_.storm_restarts;
-                      notify(restored, true);
-                    }));
+                network_.schedule_daemon_after(downtime, [this, i] {
+                  if (!storm_down_[i]) return;
+                  storm_down_[i] = false;
+                  const sim::NodeId restored = storm_managed_[i];
+                  if (network_.online(restored)) return;
+                  network_.set_online(restored, true);
+                  ++counters_.storm_restarts;
+                  notify(restored, true);
+                }));
           }));
     }
   }

@@ -25,8 +25,8 @@ void UptimeProber::schedule_probe(std::size_t index) {
         network_.now() - entry.session_start;
     interval = std::clamp(uptime / 2, kMinProbeInterval, kMaxProbeInterval);
   }
-  entry.timer = network_.schedule_daemon_for(
-      self_, interval, [this, index] { probe(index); });
+  entry.timer = network_.schedule_daemon_after(
+      interval, [this, index] { probe(index); });
 }
 
 void UptimeProber::probe(std::size_t index) {

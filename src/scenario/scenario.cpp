@@ -34,16 +34,6 @@ ScenarioBuilder& ScenarioBuilder::seed(std::uint64_t s) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::scheduler(sim::SchedulerBackend backend) {
-  scheduler_ = backend;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::shards(std::size_t n) {
-  shards_ = n;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::regions(
     std::vector<std::vector<double>> one_way_ms, double jitter_low,
     double jitter_high) {
@@ -219,14 +209,13 @@ transport::Transport& Scenario::transport(std::size_t i) {
 
 Scenario ScenarioBuilder::build() const {
   Scenario scenario;
-  scenario.simulator_ = std::make_unique<sim::Simulator>(scheduler_);
+  scenario.simulator_ = std::make_unique<sim::Simulator>();
   scenario.latency_ = std::make_unique<sim::LatencyModel>(
       world_geography_
           ? world::default_latency_model()
           : sim::LatencyModel(latency_matrix_, jitter_low_, jitter_high_));
   scenario.network_ = std::make_unique<sim::Network>(
       *scenario.simulator_, *scenario.latency_, seed_);
-  scenario.network_->enable_sharding(shards_);
   if (trace_capacity_ > 0)
     scenario.network_->metrics().set_trace_capacity(trace_capacity_);
 
@@ -351,8 +340,6 @@ world::WorldConfig ScenarioBuilder::world_config() const {
   if (undialable_fraction_)
     config.population.undialable_share = *undialable_fraction_;
   config.seed = seed_;
-  config.scheduler = scheduler_;
-  config.shards = shards_;
   config.enable_churn = enable_churn_;
   config.bootstrap_count = bootstrap_count_;
   config.max_routing_entries = max_routing_entries_;

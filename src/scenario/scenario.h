@@ -28,9 +28,7 @@
 //
 // Both modes are deterministic functions of seed(): the builder never
 // consults global state, so a Scenario rebuilt from the same chain is
-// bit-identical, including under the legacy heap scheduler selected via
-// scheduler() (the old-vs-new determinism proof in sim_test relies on
-// this).
+// bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -150,14 +148,6 @@ class ScenarioBuilder {
   // ------------------------------------------------------ shared knobs
   ScenarioBuilder& peers(std::size_t n);
   ScenarioBuilder& seed(std::uint64_t s);
-  ScenarioBuilder& scheduler(sim::SchedulerBackend backend);
-
-  // Sharded parallel event core (src/sim/parallel): 0 keeps the
-  // sequential Simulator, N >= 1 partitions the fabric into N per-shard
-  // event queues synchronized by the latency-floor lookahead. The merge
-  // order is shard-count invariant, so any N replays the 1-shard trace
-  // byte-identically (docs/SCALING.md, "Sharded core").
-  ScenarioBuilder& shards(std::size_t n);
 
   // ------------------------------------------------------- swarm knobs
   // Latency geography for build(): an explicit one-way-ms matrix (with
@@ -259,8 +249,6 @@ class ScenarioBuilder {
 
   std::size_t peers_ = 0;
   std::uint64_t seed_ = 42;
-  sim::SchedulerBackend scheduler_ = sim::SchedulerBackend::kTimerWheel;
-  std::size_t shards_ = 0;
 
   std::vector<std::vector<double>> latency_matrix_{{20.0}};
   double jitter_low_ = 1.0;

@@ -2,9 +2,8 @@
 
 namespace ipfs::sim {
 
-ChurnProcess::ChurnProcess(Simulator& simulator, Network& network,
-                           std::uint64_t seed)
-    : simulator_(simulator), network_(network), rng_(Rng(seed).fork("churn")) {}
+ChurnProcess::ChurnProcess(Network& network, std::uint64_t seed)
+    : network_(network), rng_(Rng(seed).fork("churn")) {}
 
 void ChurnProcess::manage(NodeId node, DurationSampler session_length,
                           DurationSampler offline_length) {
@@ -30,10 +29,9 @@ void ChurnProcess::schedule_next(std::size_t index, bool currently_online,
                                    rng_.uniform());
     if (length < seconds(1)) length = seconds(1);
   }
-  network_.schedule_daemon_for(managed.node, length,
-                               [this, index, currently_online] {
-                                 transition(index, !currently_online);
-                               });
+  network_.schedule_daemon_after(length, [this, index, currently_online] {
+    transition(index, !currently_online);
+  });
 }
 
 void ChurnProcess::transition(std::size_t index, bool go_online) {

@@ -8,7 +8,6 @@
 
 #include "sim/network.h"
 #include "sim/rng.h"
-#include "sim/simulator.h"
 
 namespace ipfs::sim {
 
@@ -18,7 +17,7 @@ class ChurnProcess {
   // Notified after the network state has been updated.
   using Listener = std::function<void(NodeId, bool online)>;
 
-  ChurnProcess(Simulator& simulator, Network& network, std::uint64_t seed);
+  ChurnProcess(Network& network, std::uint64_t seed);
 
   // Puts `node` under churn management. The node starts in its current
   // network state; the first transition is scheduled from a uniformly
@@ -41,7 +40,6 @@ class ChurnProcess {
                      bool stationary_start);
   void transition(std::size_t index, bool go_online);
 
-  Simulator& simulator_;
   Network& network_;
   Rng rng_;
   std::vector<Managed> managed_;

@@ -167,8 +167,8 @@ void FaultPlan::schedule_reset() {
 }
 
 void FaultPlan::schedule_crash(std::size_t index) {
-  crash_timers_[index] = network_.schedule_daemon_for(
-      managed_[index], poisson_wait(proc_rng_, config_.crashes_per_hour_per_node),
+  crash_timers_[index] = network_.schedule_daemon_after(
+      poisson_wait(proc_rng_, config_.crashes_per_hour_per_node),
       [this, index] {
         if (!armed_) return;
         const NodeId node = managed_[index];
@@ -184,8 +184,8 @@ void FaultPlan::schedule_crash(std::size_t index) {
         const Duration downtime = static_cast<Duration>(proc_rng_.uniform(
             static_cast<double>(config_.min_downtime),
             static_cast<double>(config_.max_downtime)));
-        crash_timers_[index] = network_.schedule_daemon_for(
-            node, downtime, [this, index] { restart(index); });
+        crash_timers_[index] = network_.schedule_daemon_after(
+            downtime, [this, index] { restart(index); });
       });
 }
 

@@ -256,7 +256,6 @@ std::string ScheduleParams::describe() const {
       << " persist_stores=" << (persist_stores ? 1 : 0)
       << " persist_flush_batch=" << persist_flush_batch
       << " persist_flush_interval_us=" << persist_flush_interval_us
-      << " shards=" << shards
       << " attack=" << attack_name(attack)
       << " diversity_cap=" << diversity_cap
       << " provider_quorum=" << provider_quorum
@@ -358,8 +357,6 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
   scenario::Scenario fabric =
       scenario::ScenarioBuilder()
           .seed(params.seed)
-          .scheduler(params.scheduler)
-          .shards(params.shards)
           .regions(fuzz_latency_matrix())
           .trace_capacity(200'000)
           .indexers(params.indexer_count)
@@ -1257,6 +1254,8 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
 
   if (attack) attack->detach();  // before plan.detach(): reverse arm order
   plan.detach();
+
+  report.trace_dropped = network.metrics().trace_dropped();
 
   // Any violation dumps the schedule's flight recording: every counter,
   // histogram, and span/instant event the run produced, keyed by the

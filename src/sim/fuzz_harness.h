@@ -80,20 +80,9 @@ namespace ipfs::simfuzz {
 struct ScheduleParams {
   std::uint64_t seed = 0;
 
-  // Event scheduler backend; the legacy binary heap stays selectable so
-  // a schedule can be replayed under both and fingerprint-compared.
-  sim::SchedulerBackend scheduler = sim::SchedulerBackend::kTimerWheel;
-
-  // Sharded parallel engine (src/sim/parallel): 0 keeps the sequential
-  // Simulator; N >= 1 partitions the fabric into N per-shard event
-  // queues with lookahead windows. The shard-determinism test replays
-  // every schedule at shards=1 vs shards=4 and asserts byte-identical
-  // fingerprints and (par.*-stripped) trace streams.
-  std::size_t shards = 0;
-
   // Serialize the trace stream into ScheduleReport::trace_jsonl even on
   // clean runs (normally only violations pay the serialization cost).
-  // The backend-determinism test compares these byte-for-byte.
+  // The pinned-digest determinism test hashes these.
   bool capture_trace = false;
 
   // World shape.
@@ -208,8 +197,8 @@ struct ScheduleStats {
   std::uint64_t events_executed = 0;
   sim::FaultPlan::Counters faults;
 
-  // Pubsub workload totals (part of the fingerprint, so backend and
-  // replay determinism cover the gossip overlay too).
+  // Pubsub workload totals (part of the fingerprint, so the pinned-digest
+  // and replay determinism checks cover the gossip overlay too).
   std::uint64_t pubsub_publishes = 0;    // publish calls that fired
   std::uint64_t pubsub_deliveries = 0;   // subscriber callbacks invoked
   std::uint64_t pubsub_duplicates = 0;   // dedup-cache suppressions
@@ -249,6 +238,10 @@ struct ScheduleReport {
   // directory) so a failing CI run leaves an artifact.
   std::string trace_jsonl;
   std::string trace_dump_path;
+  // Trace events the registry counted but did not store: the stream keeps
+  // only the first trace_capacity events of a run. A determinism check
+  // over trace_jsonl covers the whole run only when this is 0.
+  std::size_t trace_dropped = 0;
 
   bool ok() const { return violations.empty(); }
   // Violations plus the replay info; suitable as a gtest failure message.

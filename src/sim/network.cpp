@@ -49,71 +49,6 @@ Network::Network(Simulator& simulator, const LatencyModel& latency,
       rng_(Rng(seed).fork("network")),
       metrics_([this] { return now(); }) {}
 
-void Network::enable_sharding(std::size_t shards) {
-  if (shards == 0) return;  // 0 = legacy sequential scheduler
-  assert(engine_ == nullptr && "sharding already enabled");
-  assert(simulator_.now() == 0 && simulator_.pending_events() == 0 &&
-         "enable_sharding must precede any scheduling");
-  // Conservative lookahead: no sampled one-way latency is below the
-  // matrix floor times the jitter floor. A zero floor (tests with
-  // zero-latency matrices) leaves no safe window, so fall back to a
-  // single shard — still the engine, but with no cross-shard traffic.
-  const Duration floor =
-      milliseconds(latency_.min_base_ms() * latency_.jitter_low());
-  if (floor <= 0) shards = 1;
-  engine_ = std::make_unique<parallel::ShardEngine>(
-      shards, std::max<Duration>(floor, 1), &metrics_);
-}
-
-Timer Network::schedule_for(NodeId node, Duration delay,
-                            std::function<void()> fn) {
-  if (engine_)
-    return engine_->schedule(node, shard_of(node), engine_->now() + delay,
-                             /*daemon=*/false, std::move(fn));
-  return simulator_.schedule_after(delay, std::move(fn));
-}
-
-Timer Network::schedule_daemon_for(NodeId node, Duration delay,
-                                   std::function<void()> fn) {
-  if (engine_)
-    return engine_->schedule(node, shard_of(node), engine_->now() + delay,
-                             /*daemon=*/true, std::move(fn));
-  return simulator_.schedule_daemon_after(delay, std::move(fn));
-}
-
-Timer Network::schedule_daemon_at_for(NodeId node, Time when,
-                                      std::function<void()> fn) {
-  if (engine_)
-    return engine_->schedule(node, shard_of(node), when, /*daemon=*/true,
-                             std::move(fn));
-  return simulator_.schedule_daemon_at(when, std::move(fn));
-}
-
-Timer Network::schedule_at(Time when, std::function<void()> fn) {
-  if (engine_)
-    return engine_->schedule(parallel::kVirtualOrigin,
-                             engine_->current_shard(), when,
-                             /*daemon=*/false, std::move(fn));
-  return simulator_.schedule_at(when, std::move(fn));
-}
-
-Timer Network::schedule_after(Duration delay, std::function<void()> fn) {
-  return schedule_at(now() + delay, std::move(fn));
-}
-
-Timer Network::schedule_daemon_at(Time when, std::function<void()> fn) {
-  if (engine_)
-    return engine_->schedule(parallel::kVirtualOrigin,
-                             engine_->current_shard(), when,
-                             /*daemon=*/true, std::move(fn));
-  return simulator_.schedule_daemon_at(when, std::move(fn));
-}
-
-Timer Network::schedule_daemon_after(Duration delay,
-                                     std::function<void()> fn) {
-  return schedule_daemon_at(now() + delay, std::move(fn));
-}
-
 NodeId Network::add_node(const NodeConfig& config) {
   assert(config.region >= 0 && config.region < latency_.regions());
   NodeId id;
@@ -253,22 +188,21 @@ void Network::connect(NodeId from, NodeId to, DialCallback cb) {
     // latency differs. Model both as a connection after the setup time,
     // with an extra round of coordination when the punch succeeds.
     const Duration setup = via_relay + (upgraded ? one_way(from, to) * 2 : 0);
-    post_for(from, from,
-        setup, [this, from, to, epoch, cb, start, dial_span] {
-          // The dial outcome is real telemetry even when the requester has
-          // since churned out, so the span ends before the liveness check.
-          const bool ok = online_[to] != 0;
-          metrics_.end_span(dial_span, ok);
-          if (!callback_alive(from, epoch)) return;
-          if (!ok) {
-            ++dials_failed_;
-            hot_counter(c_dials_failed_, "net.dials_failed").inc();
-            cb(false, now() - start);
-            return;
-          }
-          link(from, to);
-          cb(true, now() - start);
-        });
+    simulator_.post(setup, [this, from, to, epoch, cb, start, dial_span] {
+      // The dial outcome is real telemetry even when the requester has
+      // since churned out, so the span ends before the liveness check.
+      const bool ok = online_[to] != 0;
+      metrics_.end_span(dial_span, ok);
+      if (!callback_alive(from, epoch)) return;
+      if (!ok) {
+        ++dials_failed_;
+        hot_counter(c_dials_failed_, "net.dials_failed").inc();
+        cb(false, now() - start);
+        return;
+      }
+      link(from, to);
+      cb(true, now() - start);
+    });
     return;
   }
 
@@ -288,32 +222,30 @@ void Network::connect(NodeId from, NodeId to, DialCallback cb) {
         rng_.chance(kFastFailProbability)) {
       fail_after = one_way(from, to) * 2;  // one round trip to the RST
     }
-    post_for(from, from, fail_after,
-             [this, from, epoch, cb, start, dial_span] {
-               metrics_.end_span(dial_span, false);
-               if (!callback_alive(from, epoch)) return;
-               cb(false, now() - start);
-             });
+    simulator_.post(fail_after, [this, from, epoch, cb, start, dial_span] {
+      metrics_.end_span(dial_span, false);
+      if (!callback_alive(from, epoch)) return;
+      cb(false, now() - start);
+    });
     return;
   }
 
   const Duration rtt = one_way(from, to) * 2;
   const Duration handshake = rtt * handshake_round_trips(transport);
-  post_for(from, from,
-      handshake, [this, from, to, epoch, cb, start, dial_span] {
-        const bool ok = online_[to] != 0;
-        metrics_.end_span(dial_span, ok);
-        if (!callback_alive(from, epoch)) return;
-        if (!ok) {
-          // Peer churned out mid-handshake; surface as a (slow) failure.
-          ++dials_failed_;
-          hot_counter(c_dials_failed_, "net.dials_failed").inc();
-          cb(false, now() - start);
-          return;
-        }
-        link(from, to);
-        cb(true, now() - start);
-      });
+  simulator_.post(handshake, [this, from, to, epoch, cb, start, dial_span] {
+    const bool ok = online_[to] != 0;
+    metrics_.end_span(dial_span, ok);
+    if (!callback_alive(from, epoch)) return;
+    if (!ok) {
+      // Peer churned out mid-handshake; surface as a (slow) failure.
+      ++dials_failed_;
+      hot_counter(c_dials_failed_, "net.dials_failed").inc();
+      cb(false, now() - start);
+      return;
+    }
+    link(from, to);
+    cb(true, now() - start);
+  });
 }
 
 void Network::disconnect(NodeId from, NodeId to) { unlink(from, to); }
@@ -345,8 +277,8 @@ void Network::send(NodeId from, NodeId to, MessagePtr message,
     hot_counter(c_rx_bytes_, "transport.rx.bytes").inc(bytes);
     if (message_handlers_[to]) message_handlers_[to](from, message);
   };
-  if (duplicate) post_for(from, to, delay + milliseconds(1), deliver);
-  post_for(from, to, delay, std::move(deliver));
+  if (duplicate) simulator_.post(delay + milliseconds(1), deliver);
+  simulator_.post(delay, std::move(deliver));
 }
 
 void Network::request(NodeId from, NodeId to, MessagePtr request,
@@ -373,7 +305,7 @@ void Network::request(NodeId from, NodeId to, MessagePtr request,
   pending.cb = std::move(cb);
   pending.span = metrics_.begin_span("net.rpc", from, {}, 0, to);
   pending.timeout_timer =
-      schedule_for(from, timeout, [this, request_id] {
+      simulator_.schedule_after(timeout, [this, request_id] {
         const auto it = pending_.find(request_id);
         if (it == pending_.end()) return;
         PendingRequest entry = std::move(it->second);
@@ -417,19 +349,19 @@ void Network::request(NodeId from, NodeId to, MessagePtr request,
       Duration back =
           one_way(to, from) + queued_transfer_delay(to, from, bytes);
       if (injector_ != nullptr) back += injector_->reorder_delay(to, from);
-      post_for(to, from,
-          back, [this, request_id, bytes, response = std::move(response)] {
-            const auto it = pending_.find(request_id);
-            if (it == pending_.end()) return;  // already timed out
-            hot_counter(c_rx_messages_, "transport.rx.messages").inc();
-            hot_counter(c_rx_bytes_, "transport.rx.bytes").inc(bytes);
-            PendingRequest entry = std::move(it->second);
-            pending_.erase(it);
-            entry.timeout_timer.cancel();
-            metrics_.end_span(entry.span, true);
-            if (!callback_alive(entry.from, entry.from_epoch)) return;
-            entry.cb(RpcStatus::kOk, response);
-          });
+      simulator_.post(back, [this, request_id, bytes,
+                             response = std::move(response)] {
+        const auto it = pending_.find(request_id);
+        if (it == pending_.end()) return;  // already timed out
+        hot_counter(c_rx_messages_, "transport.rx.messages").inc();
+        hot_counter(c_rx_bytes_, "transport.rx.bytes").inc(bytes);
+        PendingRequest entry = std::move(it->second);
+        pending_.erase(it);
+        entry.timeout_timer.cancel();
+        metrics_.end_span(entry.span, true);
+        if (!callback_alive(entry.from, entry.from_epoch)) return;
+        entry.cb(RpcStatus::kOk, response);
+      });
     };
     request_handlers_[to](from, request, std::move(respond));
   };
@@ -437,8 +369,8 @@ void Network::request(NodeId from, NodeId to, MessagePtr request,
   // finds the pending entry consumed and is ignored, but the responder's
   // side effects (ledger counts, record stores) happen twice — exactly
   // the at-least-once delivery real retransmissions produce.
-  if (duplicate) post_for(from, to, delay + milliseconds(1), deliver);
-  post_for(from, to, delay, std::move(deliver));
+  if (duplicate) simulator_.post(delay + milliseconds(1), deliver);
+  simulator_.post(delay, std::move(deliver));
 }
 
 void Network::reset_connection(NodeId a, NodeId b) {
@@ -459,7 +391,7 @@ void Network::reset_connection(NodeId a, NodeId b) {
     entry.timeout_timer.cancel();
     hot_counter(c_rpc_resets_, "net.rpc_resets").inc();
     metrics_.end_span(entry.span, false);
-    post_for(entry.to, entry.from, 0, [this, entry]() {
+    simulator_.post(0, [this, entry]() {
       if (!callback_alive(entry.from, entry.from_epoch)) return;
       entry.cb(RpcStatus::kReset, nullptr);
     });

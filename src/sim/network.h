@@ -15,7 +15,6 @@
 // cycles neither fragment the heap nor grow the id space without bound.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -25,7 +24,6 @@
 
 #include "metrics/metrics.h"
 #include "sim/message_kind.h"
-#include "sim/parallel/shard_engine.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -160,15 +158,6 @@ class LatencyModel {
 
   int regions() const { return regions_; }
 
-  // Smallest matrix entry (diagonal included) and the jitter floor: no
-  // sampled one-way latency is ever below min_base_ms() * jitter_low(),
-  // because milliseconds() truncation is monotonic. The sharded engine
-  // derives its conservative lookahead window from this bound.
-  double min_base_ms() const {
-    return *std::min_element(flat_.begin(), flat_.end());
-  }
-  double jitter_low() const { return jitter_low_; }
-
  private:
   std::vector<double> flat_;  // row-major regions_ x regions_ matrix
   int regions_;
@@ -283,58 +272,29 @@ class Network {
   Simulator& simulator() { return simulator_; }
   Rng& rng() { return rng_; }
 
-  // --- Sharded execution ---------------------------------------------------
-  //
-  // enable_sharding(n) swaps the fabric's scheduler for the sharded
-  // parallel engine (src/sim/parallel): peers map to shards by id
-  // (node % n), and the lookahead window is derived from the latency
-  // matrix floor. Must be called before any event is scheduled. With a
-  // zero-latency matrix there is no safe lookahead, so the engine falls
-  // back to a single shard. n == 0 keeps the legacy sequential
-  // Simulator (the default; simulator() keeps driving the run).
-  //
-  // Once sharded, the fabric schedules through the engine, so drivers
-  // must use the now()/run()/run_until()/schedule_* dispatchers below
-  // instead of talking to simulator() directly.
-  void enable_sharding(std::size_t shards);
-  bool sharded() const { return engine_ != nullptr; }
-  std::size_t shard_count() const {
-    return engine_ ? engine_->shard_count() : 1;
-  }
-  std::size_t shard_of(NodeId id) const {
-    return engine_ ? id % engine_->shard_count() : 0;
-  }
-  parallel::ShardEngine* engine() { return engine_.get(); }
-
-  // Scheduler dispatchers: route to the sharded engine when enabled,
-  // the sequential Simulator otherwise. The *_for variants attribute the
-  // event to `node` (its shard's queue and its id in the merge order);
-  // the node-less variants run on the currently executing shard under a
-  // virtual origin that sorts after all real nodes.
-  Time now() const { return engine_ ? engine_->now() : simulator_.now(); }
-  std::uint64_t run() {
-    return engine_ ? engine_->run() : simulator_.run();
-  }
+  // Scheduler forwards, so drivers holding only the fabric can run and
+  // schedule the simulation.
+  Time now() const { return simulator_.now(); }
+  std::uint64_t run() { return simulator_.run(); }
   std::uint64_t run_until(Time deadline) {
-    return engine_ ? engine_->run_until(deadline)
-                   : simulator_.run_until(deadline);
+    return simulator_.run_until(deadline);
   }
   std::size_t foreground_pending() const {
-    return engine_ ? engine_->foreground_pending()
-                   : simulator_.foreground_pending();
+    return simulator_.foreground_pending();
   }
-  std::size_t pending_events() const {
-    return engine_ ? engine_->pending_events() : simulator_.pending_events();
+  std::size_t pending_events() const { return simulator_.pending_events(); }
+  Timer schedule_at(Time when, std::function<void()> fn) {
+    return simulator_.schedule_at(when, std::move(fn));
   }
-  Timer schedule_for(NodeId node, Duration delay, std::function<void()> fn);
-  Timer schedule_daemon_for(NodeId node, Duration delay,
-                            std::function<void()> fn);
-  Timer schedule_daemon_at_for(NodeId node, Time when,
-                               std::function<void()> fn);
-  Timer schedule_at(Time when, std::function<void()> fn);
-  Timer schedule_after(Duration delay, std::function<void()> fn);
-  Timer schedule_daemon_at(Time when, std::function<void()> fn);
-  Timer schedule_daemon_after(Duration delay, std::function<void()> fn);
+  Timer schedule_after(Duration delay, std::function<void()> fn) {
+    return simulator_.schedule_after(delay, std::move(fn));
+  }
+  Timer schedule_daemon_at(Time when, std::function<void()> fn) {
+    return simulator_.schedule_daemon_at(when, std::move(fn));
+  }
+  Timer schedule_daemon_after(Duration delay, std::function<void()> fn) {
+    return simulator_.schedule_daemon_after(delay, std::move(fn));
+  }
 
   // Per-simulation observability substrate. The fabric instruments its own
   // dials/RPCs here, and every component holding a Network reference uses
@@ -371,21 +331,6 @@ class Network {
 
   Duration one_way(NodeId a, NodeId b);
 
-  // Fire-and-forget foreground event attributed to `origin`, executing
-  // on `dest`'s shard. The fabric's hot path: under the engine this
-  // costs a slab slot, not a shared_ptr control block + std::function
-  // heap closure.
-  template <typename F>
-  void post_for(NodeId origin, NodeId dest, Duration delay, F&& fn) {
-    if (engine_) {
-      engine_->post(origin, dest % engine_->shard_count(),
-                    engine_->now() + delay, /*daemon=*/false,
-                    std::forward<F>(fn));
-    } else {
-      simulator_.schedule_after(delay, std::forward<F>(fn));
-    }
-  }
-
   // Lazily cached counter handle: first use creates the map entry (so
   // exports look exactly as before), later uses skip the by-name lookup
   // that used to dominate the per-message metrics cost.
@@ -399,7 +344,6 @@ class Network {
   Rng rng_;
   metrics::Registry metrics_;
   FaultInjector* injector_ = nullptr;
-  std::unique_ptr<parallel::ShardEngine> engine_;
 
   // Hot-path counter handles (see hot_counter()).
   metrics::Counter* c_messages_sent_ = nullptr;

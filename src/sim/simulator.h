@@ -1,31 +1,69 @@
 // Discrete-event scheduler driving all simulated IPFS activity.
+//
+// One event core. Events live in a chunked slab arena of recycled slots
+// (stable addresses: an event never moves once scheduled) and are ordered
+// by a binary min-heap of 24-byte (when, seq, slot) records, where seq is
+// a global insertion counter, so events with equal timestamps run in the
+// order they were scheduled. Every seeded output of the repo comes from
+// this total order.
+//
+// Per event, the core stores the callback in place (InlineTask) instead
+// of in a std::function, and allocates a shared Timer::State only for
+// events scheduled through schedule_*, whose Timer a caller may keep.
+// post() events are fire-and-forget and allocate nothing in the steady
+// state.
 #pragma once
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
-#include "sim/event.h"
 #include "sim/time.h"
-#include "sim/timer_wheel.h"
 
 namespace ipfs::sim {
 
-// Event-queue backend. The hierarchical timer wheel is the default;
-// the binary heap is the reference implementation, kept selectable so
-// determinism tests can assert both produce identical seeded traces.
-enum class SchedulerBackend {
-  kTimerWheel,
-  kBinaryHeap,
+// Handle for cancelling a scheduled event.
+//
+// Cancellation semantics (relied on by the fault-injection harness):
+//   - cancel() before the event fires guarantees the callback never runs,
+//     under run() and run_until() alike.
+//   - cancel() after the event fired (or on a default-constructed handle)
+//     is a no-op; active() is false in both cases.
+//   - Cancelling a foreground event may let run() return earlier, since
+//     run() only waits for live non-daemon events.
+class Timer {
+ public:
+  Timer() = default;
+
+  void cancel();
+  bool active() const;
+
+ private:
+  friend class Simulator;
+  struct State {
+    bool alive = true;
+    bool daemon = false;
+    // The owning Simulator's live-foreground-event count, decremented
+    // when a non-daemon event is cancelled.
+    std::size_t* foreground_pending = nullptr;
+  };
+  explicit Timer(std::shared_ptr<State> state) : state_(std::move(state)) {}
+  std::shared_ptr<State> state_;
 };
 
 class Simulator {
  public:
-  explicit Simulator(SchedulerBackend backend = SchedulerBackend::kTimerWheel)
-      : backend_(backend) {}
+  Simulator() = default;
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   Time now() const { return now_; }
-  SchedulerBackend backend() const { return backend_; }
 
   Timer schedule_at(Time when, std::function<void()> fn);
   Timer schedule_after(Duration delay, std::function<void()> fn);
@@ -36,40 +74,102 @@ class Simulator {
   Timer schedule_daemon_at(Time when, std::function<void()> fn);
   Timer schedule_daemon_after(Duration delay, std::function<void()> fn);
 
+  // Fire-and-forget foreground event: no Timer handle, so no
+  // Timer::State. The fabric's hot path (message and dial deliveries).
+  template <typename F>
+  void post(Duration delay, F&& fn) {
+    at(enqueue(now_ + delay, /*daemon=*/false))
+        .task.bind(std::forward<F>(fn));
+  }
+
   // Runs until no live non-daemon event remains. Returns events executed.
   std::uint64_t run();
 
-  // Runs every event (daemons included) up to `deadline`, then advances
-  // the clock to it.
+  // Runs every event (daemons included) up to `deadline` inclusive, then
+  // advances the clock to it.
   std::uint64_t run_until(Time deadline);
 
-  // Executes the single next event; false if the queue is empty.
-  bool step();
-
   // Queued entries, including cancelled ones not yet lazily pruned.
-  std::size_t pending_events() const {
-    return backend_ == SchedulerBackend::kTimerWheel ? wheel_.size()
-                                                     : heap_.size();
-  }
+  std::size_t pending_events() const { return heap_.size(); }
 
   // Live (non-cancelled) non-daemon events still queued. Zero after a
   // drained run(); the fuzz harness checks this to detect leaked events.
   std::size_t foreground_pending() const { return foreground_pending_; }
 
  private:
-  friend class Timer;
+  // Move-free callable with in-place storage. Events never move once
+  // slotted, so only invoke and destroy are needed. Captures larger than
+  // the buffer fall back to one heap allocation.
+  class InlineTask {
+   public:
+    static constexpr std::size_t kInlineBytes = 80;
+
+    InlineTask() = default;
+    InlineTask(const InlineTask&) = delete;
+    InlineTask& operator=(const InlineTask&) = delete;
+    ~InlineTask() { reset(); }
+
+    template <typename F>
+    void bind(F&& fn) {
+      reset();
+      using Fn = std::decay_t<F>;
+      if constexpr (sizeof(Fn) <= kInlineBytes &&
+                    alignof(Fn) <= alignof(std::max_align_t)) {
+        ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+        invoke_ = [](void* p) { (*std::launder(static_cast<Fn*>(p)))(); };
+        destroy_ = [](void* p) { std::launder(static_cast<Fn*>(p))->~Fn(); };
+      } else {
+        ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(fn)));
+        invoke_ = [](void* p) { (**std::launder(static_cast<Fn**>(p)))(); };
+        destroy_ = [](void* p) { delete *std::launder(static_cast<Fn**>(p)); };
+      }
+    }
+
+    void operator()() { invoke_(buf_); }
+
+    void reset() {
+      if (destroy_ != nullptr) destroy_(buf_);
+      invoke_ = nullptr;
+      destroy_ = nullptr;
+    }
+
+   private:
+    void (*invoke_)(void*) = nullptr;
+    void (*destroy_)(void*) = nullptr;
+    alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+  };
+
+  struct Event {
+    InlineTask task;
+    // Null for post()ed events, which are always foreground.
+    std::shared_ptr<Timer::State> state;
+  };
+  // Heap record: everything the ordering needs without touching the slab.
+  struct Item {
+    Time when;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  static constexpr std::size_t kChunkShift = 9;  // 512 events per chunk
+  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
 
   Timer schedule_event(Time when, std::function<void()> fn, bool daemon);
-  // Next live event in (when, sequence) order; prunes cancelled entries.
-  Event* peek_next();
-  Event pop_next();
+  // Takes a free slot, files it in the heap at `when`, returns its index.
+  std::uint32_t enqueue(Time when, bool daemon);
+  void release(std::uint32_t slot);
+  Event& at(std::uint32_t slot) {
+    return slab_[slot >> kChunkShift][slot & (kChunkSize - 1)];
+  }
+  // Pops cancelled entries off the heap top; false once the heap is empty.
+  bool has_live_event();
+  void execute_next();
 
-  SchedulerBackend backend_;
   Time now_ = 0;
-  std::uint64_t next_sequence_ = 0;
+  std::uint64_t next_seq_ = 0;
   std::size_t foreground_pending_ = 0;
-  TimerWheel wheel_;
-  EventHeap heap_;
+  std::vector<Item> heap_;                       // min-heap by (when, seq)
+  std::vector<std::unique_ptr<Event[]>> slab_;   // stable-address chunks
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace ipfs::sim

@@ -20,17 +20,17 @@ Timer wrap(sim::Timer timer) {
 
 Timer SimTransport::schedule_after(sim::Duration delay,
                                    std::function<void()> fn) {
-  return wrap(network_.schedule_for(node_, delay, std::move(fn)));
+  return wrap(network_.schedule_after(delay, std::move(fn)));
 }
 
 Timer SimTransport::schedule_daemon_after(sim::Duration delay,
                                           std::function<void()> fn) {
-  return wrap(network_.schedule_daemon_for(node_, delay, std::move(fn)));
+  return wrap(network_.schedule_daemon_after(delay, std::move(fn)));
 }
 
 Timer SimTransport::schedule_daemon_at(sim::Time when,
                                        std::function<void()> fn) {
-  return wrap(network_.schedule_daemon_at_for(node_, when, std::move(fn)));
+  return wrap(network_.schedule_daemon_at(when, std::move(fn)));
 }
 
 }  // namespace ipfs::transport

@@ -20,15 +20,12 @@ multiformats::PeerId synthetic_peer_id(std::uint64_t n) {
 
 World::World(const WorldConfig& config)
     : config_(config),
-      simulator_(config.scheduler),
       latency_(default_latency_model()),
       population_(generate_population(config.population,
                                       sim::Rng(config.seed).fork("population"))),
       rng_(sim::Rng(config.seed).fork("world")) {
   network_ = std::make_unique<sim::Network>(simulator_, latency_, config.seed);
-  network_->enable_sharding(config.shards);
-  churn_ = std::make_unique<sim::ChurnProcess>(simulator_, *network_,
-                                               config.seed);
+  churn_ = std::make_unique<sim::ChurnProcess>(*network_, config.seed);
   // Designate the first bootstrap_count peers as the canonical bootstrap
   // nodes: stable, dialable, well provisioned, spread across regions.
   const int bootstrap_regions[] = {kUsEast, kEuCentral, kUsWest,

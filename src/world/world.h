@@ -19,14 +19,6 @@ namespace ipfs::world {
 struct WorldConfig {
   PopulationConfig population;
   std::uint64_t seed = 42;
-  // Event scheduler for the world's simulator; the legacy binary heap is
-  // kept selectable for determinism cross-checks.
-  sim::SchedulerBackend scheduler = sim::SchedulerBackend::kTimerWheel;
-  // Sharded parallel event core (src/sim/parallel): 0 keeps the
-  // sequential Simulator, N >= 1 partitions the world into N per-shard
-  // event queues with latency-floor lookahead windows. Execution order
-  // is shard-count invariant (docs/SCALING.md, "Sharded core").
-  std::size_t shards = 0;
   bool enable_churn = true;
   std::size_t bootstrap_count = 6;  // the canonical bootstrap peers
   // Memory cap on pre-seeded routing entries per peer.
@@ -61,12 +53,10 @@ class World {
   sim::Network& network() { return *network_; }
   sim::ChurnProcess& churn() { return *churn_; }
 
-  // Scheduler-agnostic drivers: route through whichever event core the
-  // config selected (sequential Simulator or the sharded engine).
-  sim::Time now() const { return network_->now(); }
-  std::uint64_t run() { return network_->run(); }
+  sim::Time now() const { return simulator_.now(); }
+  std::uint64_t run() { return simulator_.run(); }
   std::uint64_t run_until(sim::Time deadline) {
-    return network_->run_until(deadline);
+    return simulator_.run_until(deadline);
   }
 
   std::size_t size() const { return dht_nodes_.size(); }

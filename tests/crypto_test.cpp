@@ -2,6 +2,7 @@
 // vectors for HMAC, and RFC 8032 vectors for Ed25519.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,12 @@ struct Rfc8032Vector {
   std::string message_hex;
   std::string signature_hex;
 };
+
+// Without this, gtest prints the vector as raw bytes, heap pointers included,
+// and ctest names each case after that print, so the names changed per build.
+void PrintTo(const Rfc8032Vector& vec, std::ostream* os) {
+  *os << "seed " << vec.seed_hex.substr(0, 16);
+}
 
 class Ed25519Rfc8032Test : public ::testing::TestWithParam<Rfc8032Vector> {};
 

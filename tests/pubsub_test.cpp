@@ -6,13 +6,11 @@
 
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "pubsub/pubsub.h"
 #include "scenario/scenario.h"
-#include "stats/jsonl.h"
 
 namespace ipfs {
 namespace {
@@ -274,35 +272,6 @@ TEST(Pubsub, MeshRepairsAfterFaultPlanCrashRestarts) {
         << "node " << i << " unreachable after crash churn";
     EXPECT_EQ(logs[i][id], 1);
   }
-}
-
-TEST(Pubsub, SchedulerBackendsProduceIdenticalTraces) {
-  // The acceptance criterion's determinism probe at test scale: the same
-  // pubsub scenario under wheel and heap schedulers must serialize a
-  // byte-identical metrics registry (counters + trace stream).
-  auto run = [](sim::SchedulerBackend backend) {
-    auto s = scenario::ScenarioBuilder()
-                 .peers(16)
-                 .seed(99)
-                 .single_region(20.0)
-                 .scheduler(backend)
-                 .pubsub(true)
-                 .build();
-    std::vector<DeliveryLog> logs;
-    subscribe_all(s, logs);
-    s.simulator().run_until(sim::seconds(10));
-    for (std::size_t p = 0; p < 4; ++p)
-      s.pubsub(p).publish(kTopic, {static_cast<std::uint8_t>(p)});
-    s.simulator().run_until(sim::seconds(40));
-    std::ostringstream out;
-    stats::export_registry_jsonl(s.network().metrics(), out);
-    return out.str();
-  };
-
-  const std::string wheel = run(sim::SchedulerBackend::kTimerWheel);
-  const std::string heap = run(sim::SchedulerBackend::kBinaryHeap);
-  ASSERT_FALSE(wheel.empty());
-  EXPECT_EQ(wheel, heap);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "scenario/scenario.h"
 #include "sim/network.h"
-#include "sim/simulator.h"
 #include "world/world.h"
 
 namespace ipfs::scenario {
@@ -70,25 +69,10 @@ TEST(ScenarioBuilderTest, UndialableFractionMarksNodes) {
   EXPECT_LT(undialable, 120u);
 }
 
-TEST(ScenarioBuilderTest, SchedulerKnobSelectsBackend) {
-  Scenario wheel = ScenarioBuilder()
-                       .peers(2)
-                       .scheduler(sim::SchedulerBackend::kTimerWheel)
-                       .build();
-  Scenario heap = ScenarioBuilder()
-                      .peers(2)
-                      .scheduler(sim::SchedulerBackend::kBinaryHeap)
-                      .build();
-  EXPECT_EQ(wheel.simulator().backend(), sim::SchedulerBackend::kTimerWheel);
-  EXPECT_EQ(heap.simulator().backend(), sim::SchedulerBackend::kBinaryHeap);
-}
-
 TEST(ScenarioBuilderTest, WorldConfigMapsEveryKnob) {
   const world::WorldConfig config = ScenarioBuilder()
                                         .peers(500)
                                         .seed(77)
-                                        .scheduler(
-                                            sim::SchedulerBackend::kBinaryHeap)
                                         .churn(false)
                                         .bootstrap_count(4)
                                         .max_routing_entries(64)
@@ -102,7 +86,6 @@ TEST(ScenarioBuilderTest, WorldConfigMapsEveryKnob) {
                                         .world_config();
   EXPECT_EQ(config.population.peer_count, 500u);
   EXPECT_EQ(config.seed, 77u);
-  EXPECT_EQ(config.scheduler, sim::SchedulerBackend::kBinaryHeap);
   EXPECT_FALSE(config.enable_churn);
   EXPECT_EQ(config.bootstrap_count, 4u);
   EXPECT_EQ(config.max_routing_entries, 64u);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <list>
 
 #include "sim/churn.h"
 #include "sim/faults.h"
@@ -73,14 +75,14 @@ TEST(SimulatorTest, EventsCanScheduleMoreEvents) {
 
 // --------------------------------------------------------------------------
 // Timer cancellation semantics (documented on sim::Timer): a cancel()
-// before the fire time guarantees the callback never runs, under run(),
-// run_until() and step() alike; cancelling after the fire is a no-op.
+// before the fire time guarantees the callback never runs, under run()
+// and run_until() alike; cancelling after the fire is a no-op.
 // --------------------------------------------------------------------------
 
 TEST(SimulatorTest, CancelledEventDoesNotUnmaskLaterEventsInRunUntil) {
   // Regression: a cancelled event at t <= deadline used to satisfy the
-  // deadline check, letting step() skip past it and execute a live event
-  // *beyond* the deadline.
+  // deadline check, letting run_until() skip past it and execute a live
+  // event *beyond* the deadline.
   Simulator simulator;
   bool late_fired = false;
   Timer cancelled = simulator.schedule_after(seconds(1), [] { FAIL(); });
@@ -134,15 +136,38 @@ TEST(SimulatorTest, CancellingForegroundEventLetsRunReturn) {
   EXPECT_FALSE(daemon_fired);
 }
 
+TEST(SimulatorTest, RunUntilIsInclusive) {
+  Simulator simulator;
+  int count = 0;
+  simulator.schedule_after(seconds(1), [&] { ++count; });
+  simulator.schedule_after(seconds(5), [&] { ++count; });  // == deadline
+  simulator.schedule_after(seconds(10), [&] { ++count; });
+  EXPECT_EQ(simulator.run_until(seconds(5)), 2u);
+  EXPECT_EQ(count, 2);
+  EXPECT_EQ(simulator.now(), seconds(5));
+}
+
+TEST(SimulatorTest, LargeCapturesFallBackToTheHeapPath) {
+  // Closures above the core's 80-byte in-place buffer take the heap
+  // fallback; behaviour must be identical.
+  Simulator simulator;
+  std::array<std::uint64_t, 24> big{};  // 192 bytes of capture
+  big[23] = 7;
+  std::uint64_t seen = 0;
+  simulator.post(seconds(1), [&seen, big] { seen = big[23]; });
+  EXPECT_EQ(simulator.foreground_pending(), 1u);
+  simulator.run();
+  EXPECT_EQ(seen, 7u);
+  EXPECT_EQ(simulator.now(), seconds(1));
+}
+
 // --------------------------------------------------------------------------
-// Timer-wheel edge cases. The wheel must behave exactly like the
-// reference binary heap at its seams: events at the current instant,
-// events scheduled into the gap run_until() leaves between the clock and
-// the wheel cursor, and events beyond the wheel horizon that live in the
-// overflow heap.
+// Event-core edge cases: events at the current instant, events scheduled
+// into the gap run_until() leaves between the clock and the next queued
+// event, and events many simulated weeks ahead.
 // --------------------------------------------------------------------------
 
-TEST(TimerWheelTest, ScheduleAtNowFiresImmediately) {
+TEST(SimulatorTest, ScheduleAtNowFiresImmediately) {
   Simulator simulator;
   simulator.schedule_after(seconds(2), [] {});
   simulator.run();
@@ -157,11 +182,10 @@ TEST(TimerWheelTest, ScheduleAtNowFiresImmediately) {
   EXPECT_EQ(simulator.now(), seconds(3));
 }
 
-TEST(TimerWheelTest, ScheduleIntoCursorGapFiresInOrder) {
-  // run_until() can leave the wheel cursor ahead of the visible clock
-  // (it advanced toward the next populated slot). Events scheduled into
-  // that gap must still fire, in (when, sequence) order, before the
-  // event the cursor had advanced toward.
+TEST(SimulatorTest, ScheduleIntoRunUntilGapFiresInOrder) {
+  // run_until() stops between events and moves the clock to its
+  // deadline. Events scheduled into the gap before the next queued event
+  // must fire first, in (when, seq) order.
   Simulator simulator;
   std::vector<int> order;
   simulator.schedule_after(seconds(10), [&] { order.push_back(10); });
@@ -175,7 +199,7 @@ TEST(TimerWheelTest, ScheduleIntoCursorGapFiresInOrder) {
   EXPECT_EQ(simulator.now(), seconds(10));
 }
 
-TEST(TimerWheelTest, CancelInsideCursorGapDoesNotFire) {
+TEST(SimulatorTest, CancelInsideRunUntilGapDoesNotFire) {
   Simulator simulator;
   bool late_fired = false;
   simulator.schedule_after(seconds(10), [&] { late_fired = true; });
@@ -186,26 +210,26 @@ TEST(TimerWheelTest, CancelInsideCursorGapDoesNotFire) {
   EXPECT_TRUE(late_fired);
 }
 
-TEST(TimerWheelTest, FarFutureEventsOverflowPastWheelHorizon) {
-  // The wheel covers ~51 simulated days; anything beyond sits in the
-  // overflow heap until the cursor approaches. Both sides of the horizon
-  // must fire, in order, including an event exactly at the boundary.
+// 2^42 us, about 51 simulated days.
+constexpr Time kFiftyOneDays = Time{1} << 42;
+
+TEST(SimulatorTest, EventsPastFiftyOneDaysFireInOrder) {
   Simulator simulator;
   std::vector<int> order;
-  const Time horizon = TimerWheel::kHorizon;
-  simulator.schedule_at(horizon + hours(100), [&] { order.push_back(3); });
-  simulator.schedule_at(horizon, [&] { order.push_back(2); });
+  simulator.schedule_at(kFiftyOneDays + hours(100),
+                        [&] { order.push_back(3); });
+  simulator.schedule_at(kFiftyOneDays, [&] { order.push_back(2); });
   simulator.schedule_at(hours(1), [&] { order.push_back(1); });
   simulator.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(simulator.now(), horizon + hours(100));
+  EXPECT_EQ(simulator.now(), kFiftyOneDays + hours(100));
 }
 
-TEST(TimerWheelTest, CancelledOverflowEventsDoNotFire) {
+TEST(SimulatorTest, CancelledFarFutureEventsDoNotFire) {
   Simulator simulator;
   bool near_fired = false;
-  Timer far = simulator.schedule_at(TimerWheel::kHorizon + seconds(1),
-                                    [] { FAIL(); });
+  Timer far =
+      simulator.schedule_at(kFiftyOneDays + seconds(1), [] { FAIL(); });
   simulator.schedule_after(seconds(1), [&] { near_fired = true; });
   far.cancel();
   simulator.run();
@@ -213,42 +237,91 @@ TEST(TimerWheelTest, CancelledOverflowEventsDoNotFire) {
   EXPECT_EQ(simulator.now(), seconds(1));
 }
 
-TEST(TimerWheelTest, BackendsExecuteIdenticalSeededSchedules) {
-  // Drive both backends through the same randomized schedule — bursty
-  // timestamps, ties, cancellations, re-entrant scheduling — and record
-  // every firing as (time, id). The sequences must match exactly.
-  const auto run_backend = [](SchedulerBackend backend) {
-    Simulator simulator(backend);
-    Rng rng(2024);
-    std::vector<std::pair<Time, int>> fired;
-    std::vector<Timer> timers;
-    int next_id = 0;
-    std::function<void(int)> fire = [&](int id) {
-      fired.emplace_back(simulator.now(), id);
-      // A third of firings reschedule follow-up work, like RPC chains.
-      if (rng.uniform(0.0, 1.0) < 0.33 && next_id < 3000) {
-        const int child = next_id++;
-        simulator.schedule_after(
-            microseconds(rng.uniform_int(0, 500'000)),
-            [&fire, child] { fire(child); });
-      }
-    };
-    for (int i = 0; i < 2000; ++i) {
-      const int id = next_id++;
-      // Cluster timestamps so slots collide and ties are common.
-      const Duration when = microseconds(rng.uniform_int(0, 50) * 10'000);
-      timers.push_back(
-          simulator.schedule_after(when, [&fire, id] { fire(id); }));
-    }
-    for (std::size_t i = 0; i < timers.size(); i += 7) timers[i].cancel();
-    simulator.run();
-    return fired;
+// Test-local reference model of the event core's contract: a list kept
+// sorted by (when, seq) with a cancel flag per entry, executed front to
+// back. Deliberately naive, so that the core's order is checked against
+// an independent implementation.
+class ReferenceScheduler {
+ public:
+  struct Entry {
+    Time when;
+    std::uint64_t seq;
+    std::function<void()> fn;
+    bool cancelled = false;
+  };
+  // Valid until the entry fires.
+  class Handle {
+   public:
+    explicit Handle(Entry* entry) : entry_(entry) {}
+    void cancel() { entry_->cancelled = true; }
+
+   private:
+    Entry* entry_;
   };
 
-  const auto wheel = run_backend(SchedulerBackend::kTimerWheel);
-  const auto heap = run_backend(SchedulerBackend::kBinaryHeap);
-  ASSERT_EQ(wheel.size(), heap.size());
-  EXPECT_EQ(wheel, heap);
+  Time now() const { return now_; }
+
+  Handle schedule_after(Duration delay, std::function<void()> fn) {
+    Entry entry{now_ + delay, next_seq_++, std::move(fn)};
+    // seq only grows, so the first later timestamp is the insert point.
+    const auto pos =
+        std::find_if(entries_.begin(), entries_.end(),
+                     [&](const Entry& e) { return e.when > entry.when; });
+    return Handle(&*entries_.insert(pos, std::move(entry)));
+  }
+
+  void run() {
+    while (!entries_.empty()) {
+      Entry entry = std::move(entries_.front());
+      entries_.pop_front();
+      if (entry.cancelled) continue;
+      now_ = entry.when;
+      entry.fn();
+    }
+  }
+
+ private:
+  Time now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::list<Entry> entries_;
+};
+
+// Drives one randomized schedule (bursty timestamps, ties, cancellations,
+// re-entrant scheduling) and records every firing as (time, id).
+template <typename Scheduler>
+std::vector<std::pair<Time, int>> run_seeded_schedule(Scheduler& scheduler) {
+  Rng rng(2024);
+  std::vector<std::pair<Time, int>> fired;
+  std::vector<decltype(scheduler.schedule_after(0, [] {}))> timers;
+  int next_id = 0;
+  std::function<void(int)> fire = [&](int id) {
+    fired.emplace_back(scheduler.now(), id);
+    // A third of firings reschedule follow-up work, like RPC chains.
+    if (rng.uniform(0.0, 1.0) < 0.33 && next_id < 3000) {
+      const int child = next_id++;
+      scheduler.schedule_after(microseconds(rng.uniform_int(0, 500'000)),
+                               [&fire, child] { fire(child); });
+    }
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const int id = next_id++;
+    // Cluster timestamps so ties are common.
+    const Duration when = microseconds(rng.uniform_int(0, 50) * 10'000);
+    timers.push_back(
+        scheduler.schedule_after(when, [&fire, id] { fire(id); }));
+  }
+  for (std::size_t i = 0; i < timers.size(); i += 7) timers[i].cancel();
+  scheduler.run();
+  return fired;
+}
+
+TEST(SimulatorTest, MatchesReferenceModelOnSeededSchedules) {
+  Simulator simulator;
+  ReferenceScheduler reference;
+  const auto core = run_seeded_schedule(simulator);
+  const auto model = run_seeded_schedule(reference);
+  ASSERT_EQ(core.size(), model.size());
+  EXPECT_EQ(core, model);
 }
 
 // --------------------------------------------------------------------------
@@ -674,7 +747,7 @@ TEST(ChurnTest, NodesCycleThroughSessions) {
   Simulator sim;
   const LatencyModel latency({{5.0}}, 1.0, 1.0);
   Network net(sim, latency, 3);
-  ChurnProcess churn(sim, net, 3);
+  ChurnProcess churn(net, 3);
 
   const NodeId node = net.add_node({.region = 0});
   int online_events = 0, offline_events = 0;
