@@ -24,8 +24,6 @@ std::unique_ptr<BlockStore> make_store(const StoreConfig& config,
   auto base = std::make_unique<persist::PersistentBlockStore>(
       std::move(storage), persist_config);
 
-  if (config.backend == StoreConfig::Backend::kPersistentSync) return base;
-
   persist::AsyncConfig async_config;
   async_config.flush_batch_blocks = config.flush_batch_blocks;
   async_config.queue_limit_bytes = config.queue_limit_bytes;

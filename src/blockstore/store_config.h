@@ -18,13 +18,13 @@ namespace ipfs::blockstore {
 struct StoreConfig {
   enum class Backend {
     kMemory,           // in-process std::map store (the seed behavior)
-    kPersistentSync,   // log-structured store, fsync on every flush()
-    kPersistentAsync,  // + write-behind queue with batched group fsync
+    kPersistentAsync,  // log-structured store behind a write-behind
+                       // queue with batched group fsync
   };
 
   Backend backend = Backend::kMemory;
 
-  // Persistent backends only. Empty directory => MemStorage (simulated
+  // kPersistentAsync only. Empty directory => MemStorage (simulated
   // files with power-loss semantics); non-empty => PosixStorage rooted
   // there (what ipfsd --store-dir passes).
   std::string directory;
@@ -32,7 +32,7 @@ struct StoreConfig {
   // Seed for simulated power-loss cut points (MemStorage only).
   std::uint64_t crash_seed = 0;
 
-  // Async backend only (persist/async_store.h).
+  // The write-behind queue (persist/async_store.h).
   std::size_t flush_batch_blocks = 64;
   std::uint64_t queue_limit_bytes = 64 * 1024 * 1024;
   // Periodic flush cadence for the node's daemon timer; <= 0 disables.

@@ -18,7 +18,6 @@ GatewayFleet::GatewayFleet(sim::Network& network, const FleetConfig& config)
     GatewayConfig replica = config_.replica;
     replica.metrics_label = "r" + std::to_string(i);
     replica.origin = origin_;
-    replica.origin_persist = config_.origin_persist;
     // Replicas share the template but must not share a node identity.
     replica.node.identity_seed ^= 0x9e3779b97f4a7c15ULL * (i + 1);
     replica.edge_cache.tinylfu = config_.edge_tinylfu;

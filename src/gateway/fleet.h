@@ -29,10 +29,6 @@ struct FleetConfig {
   // Shared origin tier, sized like a mid-tier object store.
   std::uint64_t origin_cache_bytes = 256ull * 1024 * 1024;
   blockstore::LruConfig origin_cache;
-  // Durable origin tier shared by every replica (gateway.h:
-  // GatewayConfig::origin_persist). Construct with blockstore::make_store
-  // and hand it in; null keeps the fleet RAM-only.
-  std::shared_ptr<blockstore::BlockStore> origin_persist;
 };
 
 class GatewayFleet {

@@ -100,28 +100,6 @@ void Gateway::account(const Cid& cid, const GatewayResponse& response) {
   }
 }
 
-void Gateway::persist_origin_blocks(const Cid& cid) {
-  if (!config_.origin_persist) return;
-  const auto cids = merkledag::enumerate(node_.store(), cid);
-  if (!cids) return;
-  std::uint64_t stored = 0;
-  std::uint64_t stored_bytes = 0;
-  for (const auto& block_cid : *cids) {
-    if (const auto data = node_.store().get(block_cid)) {
-      if (config_.origin_persist->put(block_cid, data) ==
-          blockstore::PutStatus::kStored) {
-        ++stored;
-        stored_bytes += data->size();
-      }
-    }
-  }
-  if (stored > 0) {
-    metrics::Registry& metrics = transport_.metrics();
-    metrics.counter("gateway.origin.persist_stores").inc(stored);
-    metrics.counter("gateway.origin.persist_stored_bytes").inc(stored_bytes);
-  }
-}
-
 void Gateway::handle_get(const Cid& cid,
                          std::function<void(GatewayResponse)> done) {
   serve(cid, /*account_tier=*/true, std::move(done));
@@ -160,7 +138,6 @@ void Gateway::serve(const Cid& cid, bool account_tier,
     // Write through to the shared origin so spilled requests for this
     // replica's pinned partition stay inside the fleet.
     if (config_.origin) config_.origin->put(cid, shared);
-    persist_origin_blocks(cid);
     transport_.schedule_after(
         response.latency, [response, done = std::move(done)] {
           done(response);
@@ -180,36 +157,6 @@ void Gateway::serve(const Cid& cid, bool account_tier,
                        config_.origin_bytes_per_sec);
       if (account_tier) account(cid, response);
       nginx_cache_.put(cid, shared);  // aliases the origin's payload
-      transport_.schedule_after(
-          response.latency, [response, done = std::move(done)] {
-            done(response);
-          });
-      return;
-    }
-  }
-
-  // Tier 3b: the durable origin store. Its blocks survive origin-cache
-  // evictions and fleet restarts; a hit reassembles the object and
-  // repopulates the RAM tiers above it. Accounted as the origin tier
-  // (sum over tiers still equals total_requests()), with separate
-  // gateway.origin.persist_* counters for the durable share.
-  if (config_.origin_persist) {
-    if (auto object = merkledag::cat(*config_.origin_persist, cid)) {
-      GatewayResponse response;
-      response.source = ServedFrom::kOriginCache;
-      response.bytes = object->size();
-      response.latency =
-          config_.origin_persist_hit_latency +
-          sim::seconds(static_cast<double>(object->size()) /
-                       config_.origin_persist_bytes_per_sec);
-      if (account_tier) account(cid, response);
-      metrics::Registry& metrics = transport_.metrics();
-      metrics.counter("gateway.origin.persist_hits").inc();
-      metrics.counter("gateway.origin.persist_bytes").inc(response.bytes);
-      auto shared = std::make_shared<const std::vector<std::uint8_t>>(
-          std::move(*object));
-      nginx_cache_.put(cid, shared);
-      if (config_.origin) config_.origin->put(cid, shared);
       transport_.schedule_after(
           response.latency, [response, done = std::move(done)] {
             done(response);
@@ -285,7 +232,6 @@ void Gateway::serve(const Cid& cid, bool account_tier,
             std::move(*bytes));
         nginx_cache_.put(cid, shared);
         if (config_.origin) config_.origin->put(cid, shared);
-        persist_origin_blocks(cid);
         // The bridge node keeps fetched blocks only transiently; drop them
         // so the node store tier stays the pinned-content tier.
         if (!node_.store().pinned(cid)) {

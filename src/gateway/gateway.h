@@ -40,15 +40,6 @@ struct GatewayConfig {
   std::shared_ptr<blockstore::LruBlockStore> origin;
   sim::Duration origin_hit_latency = sim::milliseconds(1);
   double origin_bytes_per_sec = 2.0 * 1024 * 1024 * 1024;
-  // Durable origin tier behind the in-RAM origin cache: a shared
-  // persistent block store (blockstore::make_store) holding the DAG
-  // blocks of every object the gateway has served. Consulted when the
-  // origin cache misses; a hit reassembles the object and repopulates
-  // the RAM tiers above it, so neither an origin-cache eviction nor a
-  // fleet restart re-pays the upstream retrieval. Null = off.
-  std::shared_ptr<blockstore::BlockStore> origin_persist;
-  sim::Duration origin_persist_hit_latency = sim::milliseconds(5);
-  double origin_persist_bytes_per_sec = 200.0 * 1024 * 1024;
   // Negative-result cache: a failed P2P retrieval is remembered for this
   // long, so repeated flash crowds on a dead CID fail in edge-cache time
   // instead of each re-paying the full retrieval pipeline. 0 disables.
@@ -140,11 +131,6 @@ class Gateway {
 
   // The single accounting point: tier stats + total + metrics registry.
   void account(const Cid& cid, const GatewayResponse& response);
-
-  // Copies the blocks of the object below `cid` from the node store into
-  // the durable origin tier (no-op when origin_persist is unset). Called
-  // at the write-through points, while the blocks are still local.
-  void persist_origin_blocks(const Cid& cid);
 
   TierStats& stats_for(ServedFrom source);
 

@@ -60,9 +60,9 @@ struct IpfsNodeConfig {
   std::size_t provider_quorum = 1;
   std::size_t bucket_diversity_cap = 0;
   // Block store backend (docs/BLOCKSTORE.md). Defaults to the in-memory
-  // store; kPersistentSync/kPersistentAsync put the node's blocks in a
-  // log-structured store (on real files when `store.directory` is set,
-  // e.g. ipfsd --store-dir) that survives handle_crash().
+  // store; kPersistentAsync puts the node's blocks in a log-structured
+  // store (on real files when `store.directory` is set, e.g. ipfsd
+  // --store-dir) that survives handle_crash().
   blockstore::StoreConfig store;
 };
 

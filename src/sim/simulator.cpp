@@ -95,6 +95,10 @@ bool Simulator::has_live_event() {
   return false;
 }
 
+Time Simulator::next_event_time() {
+  return has_live_event() ? heap_.front().when : -1;
+}
+
 void Simulator::execute_next() {
   const Item top = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), After{});

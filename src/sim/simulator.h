@@ -89,6 +89,10 @@ class Simulator {
   // advances the clock to it.
   std::uint64_t run_until(Time deadline);
 
+  // Due time of the earliest live event, daemons included; -1 when none
+  // is queued. Prunes cancelled entries off the heap top.
+  Time next_event_time();
+
   // Queued entries, including cancelled ones not yet lazily pruned.
   std::size_t pending_events() const { return heap_.size(); }
 

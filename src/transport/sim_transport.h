@@ -26,10 +26,16 @@ class SimTransport final : public Transport {
   bool online() const override { return network_.online(node_); }
 
   sim::Time now() const override { return network_.now(); }
-  Timer schedule_after(sim::Duration delay, std::function<void()> fn) override;
+  Timer schedule_after(sim::Duration delay, std::function<void()> fn) override {
+    return network_.schedule_after(delay, std::move(fn));
+  }
   Timer schedule_daemon_after(sim::Duration delay,
-                              std::function<void()> fn) override;
-  Timer schedule_daemon_at(sim::Time when, std::function<void()> fn) override;
+                              std::function<void()> fn) override {
+    return network_.schedule_daemon_after(delay, std::move(fn));
+  }
+  Timer schedule_daemon_at(sim::Time when, std::function<void()> fn) override {
+    return network_.schedule_daemon_at(when, std::move(fn));
+  }
 
   void connect(PeerAddr peer, sim::DialCallback cb) override {
     network_.connect(node_, peer, std::move(cb));

@@ -115,61 +115,23 @@ sim::Time SocketTransport::now() const { return wall_now(); }
 
 // --- Timers ----------------------------------------------------------------
 
-namespace detail {
-// Timer handle bridging a heap TimerState to the backend-agnostic Timer.
-// Holds the state alive via shared_ptr<void> (TimerState is private to
-// SocketTransport) and pokes its flags through raw pointers into it.
-struct TimerHandle final : Timer::Impl {
-  explicit TimerHandle(std::shared_ptr<void> s) : state(std::move(s)) {}
-  std::shared_ptr<void> state;
-  std::function<void()>* fn = nullptr;
-  bool* cancelled = nullptr;
-  bool* fired = nullptr;
-  void cancel() override {
-    if (cancelled != nullptr && !*fired) {
-      *cancelled = true;
-      if (fn != nullptr) *fn = nullptr;
-    }
-  }
-  bool active() const override {
-    return cancelled != nullptr && !*cancelled && !*fired;
-  }
-};
-}  // namespace detail
-
-Timer SocketTransport::arm(sim::Time when, std::function<void()> fn,
-                           bool daemon) {
-  auto state = std::make_shared<TimerState>();
-  state->when = std::max(when, now());
-  state->seq = next_timer_seq_++;
-  state->fn = std::move(fn);
-  state->daemon = daemon;
-  timers_.push_back(state);
-  std::push_heap(timers_.begin(), timers_.end(),
-                 [](const std::shared_ptr<TimerState>& a,
-                    const std::shared_ptr<TimerState>& b) {
-                   return std::tie(a->when, a->seq) > std::tie(b->when, b->seq);
-                 });
-  auto handle = std::make_shared<detail::TimerHandle>(state);
-  handle->fn = &state->fn;
-  handle->cancelled = &state->cancelled;
-  handle->fired = &state->fired;
-  return Timer(handle);
-}
-
+// The core never schedules into the past, so every time is clamped to the
+// wall clock, which is never behind the core's own.
 Timer SocketTransport::schedule_after(sim::Duration delay,
                                       std::function<void()> fn) {
-  return arm(now() + std::max<sim::Duration>(delay, 0), std::move(fn), false);
+  return sim_.schedule_at(now() + std::max<sim::Duration>(delay, 0),
+                          std::move(fn));
 }
 
 Timer SocketTransport::schedule_daemon_after(sim::Duration delay,
                                              std::function<void()> fn) {
-  return arm(now() + std::max<sim::Duration>(delay, 0), std::move(fn), true);
+  return sim_.schedule_daemon_at(now() + std::max<sim::Duration>(delay, 0),
+                                 std::move(fn));
 }
 
 Timer SocketTransport::schedule_daemon_at(sim::Time when,
                                           std::function<void()> fn) {
-  return arm(when, std::move(fn), true);
+  return sim_.schedule_daemon_at(std::max(when, now()), std::move(fn));
 }
 
 // --- Connections -----------------------------------------------------------
@@ -184,27 +146,24 @@ void SocketTransport::connect(PeerAddr peer, sim::DialCallback cb) {
     return;
   }
   const sim::Time started = now();
+  Timer timeout = schedule_after(
+      kDialTimeout, [this, peer] { complete_dials(peer, false); });
   dials_[peer].push_back(
-      PendingDial{std::move(cb), started, started + kDialTimeout});
+      PendingDial{std::move(cb), started, std::move(timeout)});
   send_frame(kConnect, peer, 0, {});
 }
 
 void SocketTransport::disconnect(PeerAddr peer) {
-  auto it = connected_.find(peer);
-  if (it == connected_.end()) return;
-  connected_.erase(it);
+  if (connected_.erase(peer) == 0) return;
   if (peers_.find(peer) != peers_.end()) send_frame(kDisconnect, peer, 0, {});
 }
 
 bool SocketTransport::connected(PeerAddr peer) const {
-  return connected_.find(peer) != connected_.end();
+  return connected_.contains(peer);
 }
 
 std::vector<PeerAddr> SocketTransport::connections() const {
-  std::vector<PeerAddr> out;
-  out.reserve(connected_.size());
-  for (const auto& [peer, _] : connected_) out.push_back(peer);
-  return out;
+  return {connected_.begin(), connected_.end()};
 }
 
 bool SocketTransport::peer_dialable(PeerAddr peer) const {
@@ -221,6 +180,7 @@ void SocketTransport::complete_dials(PeerAddr peer, bool ok) {
   if (it == dials_.end()) return;
   std::vector<PendingDial> pending = std::move(it->second);
   dials_.erase(it);
+  for (auto& dial : pending) dial.timeout.cancel();
   const sim::Time now_us = now();
   for (auto& dial : pending) {
     if (dial.cb) dial.cb(ok, now_us - dial.started);
@@ -244,7 +204,11 @@ void SocketTransport::send_frame(std::uint8_t kind, PeerAddr to,
   put_u32(frame.data() + 6, static_cast<std::uint32_t>(local_));
   put_u64(frame.data() + 10, request_id);
   put_u32(frame.data() + 18, static_cast<std::uint32_t>(payload.size()));
-  std::memcpy(frame.data() + kHeaderBytes, payload.data(), payload.size());
+  // Control frames carry no payload, and an empty vector's data() may be
+  // null, which memcpy must not be given.
+  if (!payload.empty()) {
+    std::memcpy(frame.data() + kHeaderBytes, payload.data(), payload.size());
+  }
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -284,7 +248,12 @@ void SocketTransport::request(PeerAddr to, sim::MessagePtr request,
     return;
   }
   const std::uint64_t id = next_request_id_++;
-  requests_[id] = PendingRequest{std::move(cb), now() + timeout};
+  // A response cancels this timer, so it only runs while `id` is pending.
+  Timer expiry = schedule_after(timeout, [this, id] {
+    auto node = requests_.extract(id);
+    node.mapped().cb(sim::RpcStatus::kTimeout, nullptr);
+  });
+  requests_.emplace(id, PendingRequest{std::move(cb), std::move(expiry)});
   send_frame(kRequest, to, id, *payload);
 }
 
@@ -316,11 +285,11 @@ void SocketTransport::dispatch(const std::uint8_t* data, std::size_t len,
 
   switch (kind) {
     case kConnect:
-      connected_[from] = true;
+      connected_.insert(from);
       send_frame(kConnectAck, from, 0, {});
       break;
     case kConnectAck:
-      connected_[from] = true;
+      connected_.insert(from);
       complete_dials(from, true);
       break;
     case kDisconnect:
@@ -357,6 +326,7 @@ void SocketTransport::dispatch(const std::uint8_t* data, std::size_t len,
     case kResponse: {
       auto it = requests_.find(request_id);
       if (it == requests_.end()) break;  // late: timeout already fired
+      it->second.timeout.cancel();
       sim::ResponseCallback cb = std::move(it->second.cb);
       requests_.erase(it);
       sim::MessagePtr message = decode_message(payload);
@@ -374,64 +344,10 @@ void SocketTransport::dispatch(const std::uint8_t* data, std::size_t len,
   }
 }
 
-sim::Time SocketTransport::next_deadline() const {
-  sim::Time next = -1;
-  auto consider = [&next](sim::Time t) {
-    if (next < 0 || t < next) next = t;
-  };
-  if (!timers_.empty()) consider(timers_.front()->when);
-  for (const auto& [_, req] : requests_) consider(req.deadline);
-  for (const auto& [_, pending] : dials_) {
-    for (const auto& dial : pending) consider(dial.deadline);
-  }
-  return next;
-}
-
-void SocketTransport::fire_due(sim::Time now_us) {
-  // Timers. Entries armed by callbacks for a time <= now_us wait for the
-  // next poll_once pass, bounding this loop.
-  const std::size_t armed_before = next_timer_seq_;
-  auto cmp = [](const std::shared_ptr<TimerState>& a,
-                const std::shared_ptr<TimerState>& b) {
-    return std::tie(a->when, a->seq) > std::tie(b->when, b->seq);
-  };
-  while (!timers_.empty() && timers_.front()->when <= now_us &&
-         timers_.front()->seq < armed_before) {
-    std::pop_heap(timers_.begin(), timers_.end(), cmp);
-    auto state = std::move(timers_.back());
-    timers_.pop_back();
-    if (state->cancelled) continue;
-    state->fired = true;
-    if (state->fn) state->fn();
-  }
-
-  // Request timeouts.
-  std::vector<std::uint64_t> timed_out;
-  for (const auto& [id, req] : requests_) {
-    if (req.deadline <= now_us) timed_out.push_back(id);
-  }
-  for (std::uint64_t id : timed_out) {
-    auto it = requests_.find(id);
-    if (it == requests_.end()) continue;
-    sim::ResponseCallback cb = std::move(it->second.cb);
-    requests_.erase(it);
-    cb(sim::RpcStatus::kTimeout, nullptr);
-  }
-
-  // Dial timeouts.
-  std::vector<PeerAddr> dial_expired;
-  for (auto& [peer, pending] : dials_) {
-    if (!pending.empty() && pending.front().deadline <= now_us) {
-      dial_expired.push_back(peer);
-    }
-  }
-  for (PeerAddr peer : dial_expired) complete_dials(peer, false);
-}
-
 bool SocketTransport::poll_once(sim::Duration max_wait) {
   sim::Time wake = now() + std::max<sim::Duration>(max_wait, 0);
-  const sim::Time deadline = next_deadline();
-  if (deadline >= 0 && deadline < wake) wake = deadline;
+  const sim::Time next = sim_.next_event_time();
+  if (next >= 0 && next < wake) wake = next;
 
   const sim::Time wait_us = std::max<sim::Time>(wake - now(), 0);
   pollfd pfd{fd_, POLLIN, 0};
@@ -454,28 +370,10 @@ bool SocketTransport::poll_once(sim::Duration max_wait) {
     }
   }
 
-  const std::size_t timers_before = timers_.size();
-  const std::size_t requests_before = requests_.size();
-  fire_due(now());
-  did_work = did_work || timers_.size() != timers_before ||
-             requests_.size() != requests_before;
-  return did_work;
-}
-
-void SocketTransport::run_for(sim::Duration duration) {
-  const sim::Time end = now() + duration;
-  while (now() < end) poll_once(end - now());
-}
-
-bool SocketTransport::idle() const {
-  if (!requests_.empty()) return false;
-  for (const auto& [_, pending] : dials_) {
-    if (!pending.empty()) return false;
-  }
-  for (const auto& timer : timers_) {
-    if (!timer->daemon && !timer->cancelled) return false;
-  }
-  return true;
+  // Events a callback schedules for a time the clock has already passed
+  // run in this same pass; the chain ends once the clock ticks past it.
+  const bool fired = sim_.run_until(now()) > 0;
+  return did_work || fired;
 }
 
 }  // namespace ipfs::transport

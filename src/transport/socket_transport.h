@@ -22,18 +22,24 @@
 // well under the limit — oversized sends are dropped and counted).
 //
 // Threading model: none. The owner drives the loop explicitly via
-// poll_once()/run_for() from a single thread; timers, RPC timeouts and
-// dial timeouts all fire inside poll_once. This keeps the backend
-// steppable from tests (tests/transport_parity_test.cpp runs two
-// instances in one process and round-robins their loops).
+// poll_once() from a single thread. Timers, RPC timeouts and dial
+// timeouts are events on one sim::Simulator, scheduled at wall-clock
+// times and run inside poll_once. This keeps the backend steppable from
+// tests (tests/transport_parity_test.cpp runs several instances in one
+// process and round-robins their loops).
+//
+// Lifetime: a SocketTransport must outlive every object that holds one
+// of its foreground timers, as a sim::Simulator must, because cancelling
+// one updates the core's pending count.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "sim/simulator.h"
 #include "transport/transport.h"
 
 namespace ipfs::transport {
@@ -58,20 +64,19 @@ class SocketTransport final : public Transport {
 
   // --- Event loop ---------------------------------------------------------
 
-  // Waits up to `max_wait` for a readable socket or a due timer, then
-  // drains every pending datagram and fires everything due. Returns true
-  // when any datagram, timer, timeout or dial completion was processed.
+  // Waits up to `max_wait` for a readable socket or the core's next
+  // event, then drains every pending datagram and runs every event due
+  // by the wall clock, including ones those events schedule for a time
+  // already passed. Returns true when any datagram, timer, timeout or
+  // dial completion was processed.
   bool poll_once(sim::Duration max_wait);
-  // Drives poll_once until `duration` wall time has elapsed.
-  void run_for(sim::Duration duration);
   // True when nothing foreground is outstanding: no pending requests, no
   // in-flight dials, no non-daemon timers. (Daemon timers — periodic
   // maintenance — intentionally do not count, mirroring the simulator's
   // run-until-idle semantics.)
-  bool idle() const;
+  bool idle() const { return sim_.foreground_pending() == 0; }
 
   std::uint16_t port() const { return port_; }
-  int fd() const { return fd_; }
 
   // --- Transport interface ------------------------------------------------
 
@@ -100,31 +105,21 @@ class SocketTransport final : public Transport {
     std::uint32_t ip = 0;    // network byte order
     std::uint16_t port = 0;  // network byte order
   };
-  struct TimerState {
-    sim::Time when = 0;
-    std::uint64_t seq = 0;
-    std::function<void()> fn;
-    bool daemon = false;
-    bool cancelled = false;
-    bool fired = false;
-  };
   struct PendingRequest {
     sim::ResponseCallback cb;
-    sim::Time deadline = 0;
+    Timer timeout;
   };
   struct PendingDial {
     sim::DialCallback cb;
     sim::Time started = 0;
-    sim::Time deadline = 0;
+    Timer timeout;
   };
 
-  Timer arm(sim::Time when, std::function<void()> fn, bool daemon);
   void send_frame(std::uint8_t kind, PeerAddr to, std::uint64_t request_id,
                   const std::vector<std::uint8_t>& payload);
   void dispatch(const std::uint8_t* data, std::size_t len,
                 const Endpoint& source);
-  void fire_due(sim::Time now_us);
-  sim::Time next_deadline() const;
+  // Completes every pending dial to `peer` and cancels their timeouts.
   void complete_dials(PeerAddr peer, bool ok);
 
   PeerAddr local_;
@@ -132,16 +127,14 @@ class SocketTransport final : public Transport {
   std::uint16_t port_ = 0;
   metrics::Registry metrics_;
 
+  // Every timer, RPC timeout and dial timeout, due at wall-clock times.
+  sim::Simulator sim_;
+
   std::map<PeerAddr, Endpoint> peers_;
-  std::map<PeerAddr, bool> connected_;
+  std::set<PeerAddr> connected_;
   std::map<PeerAddr, std::vector<PendingDial>> dials_;
   std::map<std::uint64_t, PendingRequest> requests_;
   std::uint64_t next_request_id_ = 1;
-
-  // Min-heap by (when, seq); seq breaks ties in creation order so equal
-  // deadlines fire deterministically.
-  std::vector<std::shared_ptr<TimerState>> timers_;
-  std::uint64_t next_timer_seq_ = 0;
 
   sim::RequestHandler request_handler_;
   sim::MessageHandler message_handler_;

@@ -12,7 +12,13 @@
 //                     before this API existed.
 //   SocketTransport — real UDP datagrams on a poll(2) event loop with
 //                     length-prefixed frames and wire codecs
-//                     (transport/codec.h) for the protocol messages.
+//                     (transport/codec.h) for the protocol messages; its
+//                     timers run on its own sim::Simulator, stepped to the
+//                     wall clock by poll_once().
+//
+// Both backends schedule on a sim::Simulator and hand out its Timer, so
+// a backend must outlive every object holding one of its foreground
+// timers, exactly as a Simulator must.
 //
 // The vocabulary types (Message, MessagePtr, RpcStatus, the handler
 // signatures) are shared with the simulator so protocol structs need no
@@ -24,11 +30,11 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "metrics/metrics.h"
 #include "sim/network.h"
+#include "sim/simulator.h"
 
 namespace ipfs::transport {
 
@@ -38,31 +44,12 @@ namespace ipfs::transport {
 using PeerAddr = sim::NodeId;
 inline constexpr PeerAddr kInvalidPeer = sim::kInvalidNode;
 
-// Backend-agnostic cancellation handle, mirroring sim::Timer semantics:
+// Cancellation handle for a scheduled callback: the event core's own
+// sim::Timer, on both backends.
 //   - cancel() before the callback fires guarantees it never runs;
 //   - cancel() after it fired (or on a default-constructed handle) is a
 //     no-op; active() is false in both cases.
-// sim::Timer cannot be constructed outside the scheduler, so each backend
-// wraps its native handle in an Impl.
-class Timer {
- public:
-  struct Impl {
-    virtual ~Impl() = default;
-    virtual void cancel() = 0;
-    virtual bool active() const = 0;
-  };
-
-  Timer() = default;
-  explicit Timer(std::shared_ptr<Impl> impl) : impl_(std::move(impl)) {}
-
-  void cancel() {
-    if (impl_) impl_->cancel();
-  }
-  bool active() const { return impl_ != nullptr && impl_->active(); }
-
- private:
-  std::shared_ptr<Impl> impl_;
-};
+using Timer = sim::Timer;
 
 class Transport {
  public:

@@ -313,7 +313,6 @@ TEST(StoreConfigFactory, BuildsEveryBackend) {
   sim::Rng rng(12);
   const auto block = make_block(100, rng);
   for (const auto backend : {StoreConfig::Backend::kMemory,
-                             StoreConfig::Backend::kPersistentSync,
                              StoreConfig::Backend::kPersistentAsync}) {
     StoreConfig config;
     config.backend = backend;

@@ -4,6 +4,11 @@
 // UDP datagrams on loopback, must produce the same provider records and
 // the same block bytes. Timings are NOT compared — virtual time and wall
 // time differ by construction; parity is about protocol outcomes.
+//
+// The SocketTransportTest cases below pin the socket backend's timer
+// contract on loopback: due order, cancellation, daemon timers not
+// counting against idle(), RPC and dial timeouts firing exactly once,
+// and unknown peers failing on the next poll rather than inside the call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +23,7 @@
 #include "blockstore/blockstore.h"
 #include "dht/dht_node.h"
 #include "dht/key.h"
+#include "dht/messages.h"
 #include "multiformats/cid.h"
 #include "scenario/scenario.h"
 #include "sim/network.h"
@@ -217,6 +223,159 @@ TEST(TransportParityTest, SocketCountersAdvance) {
   ASSERT_TRUE(outcome.block_data.has_value());
   EXPECT_GT(outcome.tx_messages, 0u);
   EXPECT_GT(outcome.rx_messages, 0u);
+}
+
+// --- SocketTransport timer contract ----------------------------------------
+
+// Polls `t` until `done` holds or `limit` of wall time has passed.
+void poll_until(transport::SocketTransport& t,
+                const std::function<bool()>& done, sim::Duration limit) {
+  const sim::Time deadline = t.now() + limit;
+  while (!done() && t.now() < deadline) t.poll_once(sim::milliseconds(5));
+}
+
+TEST(SocketTransportTest, TimersFireInDueOrderAndCancelledOnesNever) {
+  transport::SocketTransport t(0, "127.0.0.1", /*port=*/0);
+  std::vector<int> fired;
+  t.schedule_after(sim::milliseconds(20), [&] { fired.push_back(20); });
+  transport::Timer early =
+      t.schedule_after(sim::milliseconds(5), [&] { fired.push_back(5); });
+  t.schedule_after(sim::milliseconds(10), [&] { fired.push_back(10); });
+  t.schedule_daemon_after(sim::milliseconds(15),
+                          [&] { fired.push_back(15); });
+  EXPECT_TRUE(early.active());
+  early.cancel();
+  EXPECT_FALSE(early.active());
+
+  poll_until(t, [&] { return fired.size() >= 3; }, sim::seconds(5));
+  EXPECT_EQ(fired, (std::vector<int>{10, 15, 20}));
+}
+
+TEST(SocketTransportTest, DaemonTimersDoNotKeepTheLoopBusy) {
+  transport::SocketTransport t(0, "127.0.0.1", /*port=*/0);
+  EXPECT_TRUE(t.idle());
+  t.schedule_daemon_after(sim::seconds(60), [] {});
+  EXPECT_TRUE(t.idle());
+  transport::Timer foreground = t.schedule_after(sim::seconds(60), [] {});
+  EXPECT_FALSE(t.idle());
+  foreground.cancel();
+  EXPECT_TRUE(t.idle());
+}
+
+TEST(SocketTransportTest, RequestToASilentPeerTimesOutOnce) {
+  transport::SocketTransport client(0, "127.0.0.1", /*port=*/0);
+  // Bound, so the request datagram is accepted, but never polled.
+  transport::SocketTransport silent(1, "127.0.0.1", /*port=*/0);
+  client.add_peer(1, "127.0.0.1", silent.port());
+
+  int calls = 0;
+  sim::RpcStatus status = sim::RpcStatus::kOk;
+  bool null_response = false;
+  sim::Time fired_at = 0;
+  const sim::Time sent = client.now();
+  client.request(1, std::make_shared<dht::ListBucketsRequest>(), 0,
+                 sim::milliseconds(50),
+                 [&](sim::RpcStatus s, const sim::MessagePtr& response) {
+                   ++calls;
+                   status = s;
+                   null_response = response == nullptr;
+                   fired_at = client.now();
+                 });
+  EXPECT_FALSE(client.idle());
+  poll_until(client, [&] { return calls > 0; }, sim::seconds(5));
+  // Keep polling past the timeout: it must not fire again.
+  poll_until(client, [] { return false; }, sim::milliseconds(30));
+
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(status, sim::RpcStatus::kTimeout);
+  EXPECT_TRUE(null_response);
+  EXPECT_GE(fired_at - sent, sim::milliseconds(50));
+  EXPECT_TRUE(client.idle());
+}
+
+TEST(SocketTransportTest, AnsweredRequestDisarmsItsTimeout) {
+  transport::SocketTransport client(0, "127.0.0.1", /*port=*/0);
+  transport::SocketTransport server(1, "127.0.0.1", /*port=*/0);
+  client.add_peer(1, "127.0.0.1", server.port());
+  server.set_request_handler(
+      [](sim::NodeId, const sim::MessagePtr&,
+         const std::function<void(sim::MessagePtr, std::size_t)>& respond) {
+        respond(std::make_shared<dht::ListBucketsResponse>(), 0);
+      });
+
+  const sim::Duration timeout = sim::milliseconds(200);
+  int calls = 0;
+  sim::RpcStatus status = sim::RpcStatus::kTimeout;
+  client.request(1, std::make_shared<dht::ListBucketsRequest>(), 0, timeout,
+                 [&](sim::RpcStatus s, const sim::MessagePtr&) {
+                   ++calls;
+                   status = s;
+                 });
+  const sim::Time deadline = client.now() + sim::seconds(5);
+  while (calls == 0 && client.now() < deadline) {
+    server.poll_once(sim::milliseconds(1));
+    client.poll_once(sim::milliseconds(1));
+  }
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(status, sim::RpcStatus::kOk);
+  EXPECT_TRUE(client.idle());
+
+  poll_until(client, [] { return false; }, timeout + sim::milliseconds(50));
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(SocketTransportTest, UnknownPeerFailsOnTheNextPollNotReentrantly) {
+  transport::SocketTransport t(0, "127.0.0.1", /*port=*/0);
+  const transport::PeerAddr unknown = 7;
+
+  bool dialed = false;
+  bool dial_ok = true;
+  t.connect(unknown, [&](bool ok, sim::Duration) {
+    dialed = true;
+    dial_ok = ok;
+  });
+  int calls = 0;
+  sim::RpcStatus status = sim::RpcStatus::kOk;
+  t.request(unknown, std::make_shared<dht::ListBucketsRequest>(), 0,
+            sim::seconds(1), [&](sim::RpcStatus s, const sim::MessagePtr&) {
+              ++calls;
+              status = s;
+            });
+  EXPECT_FALSE(dialed);
+  EXPECT_EQ(calls, 0);
+
+  t.poll_once(0);
+  EXPECT_TRUE(dialed);
+  EXPECT_FALSE(dial_ok);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(status, sim::RpcStatus::kUnreachable);
+  EXPECT_TRUE(t.idle());
+}
+
+// The suite's one slow test: the dial timeout is 5 s of wall time.
+TEST(SocketTransportTest, DialToASilentPeerFailsAfterTheDialTimeout) {
+  transport::SocketTransport client(0, "127.0.0.1", /*port=*/0);
+  transport::SocketTransport silent(1, "127.0.0.1", /*port=*/0);
+  client.add_peer(1, "127.0.0.1", silent.port());
+
+  bool fired = false;
+  bool dial_ok = true;
+  sim::Duration elapsed = 0;
+  const sim::Time started = client.now();
+  client.connect(1, [&](bool ok, sim::Duration e) {
+    fired = true;
+    dial_ok = ok;
+    elapsed = e;
+  });
+  EXPECT_FALSE(client.idle());
+  poll_until(client, [&] { return fired; }, sim::seconds(10));
+
+  EXPECT_TRUE(fired);
+  EXPECT_FALSE(dial_ok);
+  EXPECT_GE(elapsed, sim::seconds(5));
+  EXPECT_GE(client.now() - started, sim::seconds(5));
+  EXPECT_FALSE(client.connected(1));
+  EXPECT_TRUE(client.idle());
 }
 
 }  // namespace
