@@ -45,7 +45,8 @@ multiformats::Cid seed_providers(std::span<const std::uint8_t> data,
   const auto result = merkledag::import_bytes(stores[0], data);
   const auto cids = merkledag::enumerate(stores[0], result.root);
   for (int i = 1; i < count; ++i)
-    for (const auto& cid : *cids) stores[i].put(cid, stores[0].get(cid));
+    for (const auto& cid : *cids)
+      stores[i].put(blockstore::Block::verify(cid, stores[0].get(cid)).value());
   return result.root;
 }
 
@@ -316,7 +317,7 @@ int main() {
         for (const std::size_t index : acked) {
           const auto data = store.get(put_blocks[index].cid);
           ++sweep_acked_checked;
-          if (!data || *data != put_blocks[index].data) {
+          if (!data || *data != *put_blocks[index].data) {
             std::printf("FAIL: seed %zu lost acked block %zu after crash\n",
                         s, index);
             return 1;

@@ -200,20 +200,24 @@ void Bitswap::fetch_block(sim::NodeId peer, const Cid& cid,
         }
         // Verify against the CID before accepting (Section 2.1:
         // self-certification removes the need to trust the provider).
-        if (response->cid != cid || !cid.hash().verifies(*response->data)) {
+        // The only hash of these bytes: the store trusts the Block.
+        const auto block = response->cid == cid
+                               ? Block::verify(cid, response->data)
+                               : std::nullopt;
+        if (!block) {
           transport_.metrics().counter("bitswap.block_fetch_failures").inc();
           done(std::move(result));
           return;
         }
         Ledger& ledger = ledgers_[peer];
-        ledger.bytes_received += response->data->size();
+        ledger.bytes_received += block->data->size();
         ++ledger.blocks_received;
         transport_.metrics().counter("bitswap.blocks_received").inc();
         transport_.metrics()
             .counter("bitswap.bytes_received")
-            .inc(response->data->size());
-        store_.put(cid, response->data);
-        result.data = response->data;
+            .inc(block->data->size());
+        store_.put(*block);
+        result.data = block->data;
         done(std::move(result));
       });
 }

@@ -4,19 +4,18 @@ namespace ipfs::blockstore {
 
 Block Block::from_data(multiformats::Multicodec codec,
                        std::span<const std::uint8_t> data) {
-  return Block{Cid::from_data(codec, data),
-               std::vector<std::uint8_t>(data.begin(), data.end())};
+  return Block(Cid::from_data(codec, data),
+               std::make_shared<const std::vector<std::uint8_t>>(
+                   data.begin(), data.end()));
 }
 
-PutStatus BlockStore::put(Block block) {
-  return put(block.cid, std::make_shared<const std::vector<std::uint8_t>>(
-                            std::move(block.data)));
+std::optional<Block> Block::verify(const Cid& cid, BlockData data) {
+  if (data == nullptr || !cid.hash().verifies(*data)) return std::nullopt;
+  return Block(cid, std::move(data));
 }
 
-PutStatus BlockStore::put(const Cid& cid, BlockData data) {
-  if (data == nullptr || !cid.hash().verifies(*data))
-    return PutStatus::kCidMismatch;
-  const auto [it, inserted] = blocks_.try_emplace(cid, std::move(data));
+PutStatus BlockStore::put(const Block& block) {
+  const auto [it, inserted] = blocks_.try_emplace(block.cid, block.data);
   if (!inserted) return PutStatus::kAlreadyPresent;
   total_bytes_ += it->second->size();
   return PutStatus::kStored;
@@ -67,11 +66,6 @@ LruBlockStore::LruBlockStore(std::uint64_t capacity_bytes, LruConfig config)
       protected_capacity_(static_cast<std::uint64_t>(
           static_cast<double>(capacity_bytes) * config.protected_share)) {
   if (config_.tinylfu) sketch_.emplace(config_.sketch_entries);
-}
-
-bool LruBlockStore::put(Block block) {
-  return put(block.cid, std::make_shared<const std::vector<std::uint8_t>>(
-                            std::move(block.data)));
 }
 
 bool LruBlockStore::put(const Cid& cid, BlockData data) {

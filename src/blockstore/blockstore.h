@@ -9,6 +9,7 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "blockstore/tinylfu.h"
@@ -24,16 +25,27 @@ using multiformats::Cid;
 // on every hit.
 using BlockData = std::shared_ptr<const std::vector<std::uint8_t>>;
 
-struct Block {
-  Cid cid;
-  std::vector<std::uint8_t> data;
-
+// A block whose CID is the hash of its bytes (Section 2.1). Hashing is
+// the only way to make one: from_data derives the CID, verify checks a
+// given one. The members are const, so a Block stays checked, and every
+// store trusts the Block it is handed: each block is hashed once.
+class Block {
+ public:
   // Builds a block from raw bytes, deriving its CID (sha2-256, given codec).
   static Block from_data(multiformats::Multicodec codec,
                          std::span<const std::uint8_t> data);
+  // Checks untrusted bytes against `cid`; nullopt when `data` is null or
+  // does not hash to it.
+  static std::optional<Block> verify(const Cid& cid, BlockData data);
+
+  const Cid cid;
+  const BlockData data;  // never null
+
+ private:
+  Block(Cid cid, BlockData data) : cid(std::move(cid)), data(std::move(data)) {}
 };
 
-enum class PutStatus { kStored, kAlreadyPresent, kCidMismatch };
+enum class PutStatus { kStored, kAlreadyPresent };
 
 // Content-addressed store with pinning and GC, mirroring the go-ipfs
 // node store semantics the paper relies on (Section 3.4). The base class
@@ -46,12 +58,9 @@ class BlockStore {
   BlockStore() = default;
   virtual ~BlockStore() = default;
 
-  // Verifies the CID against the data before storing.
-  virtual PutStatus put(Block block);
-  // Shared-ownership insert: callers that already hold the payload as
-  // BlockData (Bitswap responses, cache tiers) store it without a copy.
-  // Verifies like put(Block); null data is rejected as a mismatch.
-  virtual PutStatus put(const Cid& cid, BlockData data);
+  // Stores the block's shared payload without a copy. Trusts the Block:
+  // it was hashed when it was made.
+  virtual PutStatus put(const Block& block);
 
   // Shared payload, nullptr on miss. Never copies: every hit aliases the
   // allocation made at insert time (content is immutable by CID).
@@ -110,11 +119,11 @@ class LruBlockStore {
  public:
   explicit LruBlockStore(std::uint64_t capacity_bytes, LruConfig config = {});
 
-  // Inserts (or refreshes) a block, evicting probationary entries until
-  // the new block fits. Blocks larger than the capacity are refused, as
-  // are (under TinyLFU) blocks colder than every would-be victim.
-  bool put(Block block);
-  // Shared-ownership insert: edge and origin tiers alias one payload.
+  // Inserts (or refreshes) an object under `cid`, evicting probationary
+  // entries until it fits. Objects larger than the capacity are refused,
+  // as are (under TinyLFU) objects colder than every would-be victim.
+  // Shared ownership: edge and origin tiers alias one payload. Not a
+  // Block: the gateway caches a whole object under its root CID.
   bool put(const Cid& cid, BlockData data);
 
   // A hit refreshes recency and promotes probation -> protected. O(1):

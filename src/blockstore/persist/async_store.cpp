@@ -6,20 +6,18 @@ AsyncBlockStore::AsyncBlockStore(std::unique_ptr<PersistentBlockStore> base,
                                  AsyncConfig config)
     : base_(std::move(base)), config_(config) {}
 
-PutStatus AsyncBlockStore::put(const Cid& cid, BlockData data) {
-  if (data == nullptr || !cid.hash().verifies(*data))
-    return PutStatus::kCidMismatch;
-  if (queue_.contains(cid) || base_->has(cid))
-    return PutStatus::kAlreadyPresent;
+PutStatus AsyncBlockStore::put(const Block& block) {
+  if (has(block.cid)) return PutStatus::kAlreadyPresent;
 
+  const std::uint64_t size = block.data->size();
   if (config_.queue_limit_bytes > 0 &&
-      queue_bytes_ + data->size() > config_.queue_limit_bytes) {
+      queue_bytes_ + size > config_.queue_limit_bytes) {
     flush();  // backpressure: make room durably before accepting more
   }
 
-  queue_bytes_ += data->size();
-  queue_order_.push_back(cid);
-  queue_.emplace(cid, std::move(data));
+  queue_bytes_ += size;
+  queue_order_.push_back(block.cid);
+  queue_.emplace(block.cid, block);
   if (config_.flush_batch_blocks > 0 &&
       queue_.size() >= config_.flush_batch_blocks) {
     drain();  // append the batch; fsync still deferred to flush()
@@ -29,7 +27,7 @@ PutStatus AsyncBlockStore::put(const Cid& cid, BlockData data) {
 
 BlockData AsyncBlockStore::get(const Cid& cid) const {
   const auto it = queue_.find(cid);
-  if (it != queue_.end()) return it->second;
+  if (it != queue_.end()) return it->second.data;
   return base_->get(cid);
 }
 
@@ -41,7 +39,7 @@ bool AsyncBlockStore::remove(const Cid& cid) {
   if (pinned(cid)) return false;
   const auto it = queue_.find(cid);
   if (it != queue_.end()) {
-    queue_bytes_ -= it->second->size();
+    queue_bytes_ -= it->second.data->size();
     queue_.erase(it);
     for (auto order = queue_order_.begin(); order != queue_order_.end();
          ++order) {
@@ -67,7 +65,7 @@ void AsyncBlockStore::drain() {
   for (const Cid& cid : queue_order_) {
     const auto it = queue_.find(cid);
     if (it == queue_.end()) continue;  // removed while queued
-    base_->put(cid, it->second);
+    base_->put(it->second);
   }
   queue_.clear();
   queue_order_.clear();

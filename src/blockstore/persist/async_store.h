@@ -1,12 +1,13 @@
 // Write-behind front for PersistentBlockStore (docs/BLOCKSTORE.md).
 //
-// put() verifies the CID and parks the block in a bounded in-memory
-// queue — no disk I/O, no fsync. The queue drains to the persistent
-// store in batches (flush_batch_blocks per trigger, or earlier under
-// queue_limit_bytes backpressure), and one flush() syncs the whole
-// batch with a single group fsync per dirty segment file. That batching
-// is where the >=5x put-throughput win over fsync-per-put comes from
-// (bench_ablation_dataplane).
+// put() parks the Block in a bounded in-memory queue — no hashing (the
+// Block was checked once, when it was made: Block::from_data or
+// Block::verify), no disk I/O, no fsync. The queue drains to the
+// persistent store in batches (flush_batch_blocks per trigger, or
+// earlier under queue_limit_bytes backpressure), and one flush() syncs
+// the whole batch with a single group fsync per dirty segment file.
+// That batching is where the >=5x put-throughput win over
+// fsync-per-put comes from (bench_ablation_dataplane).
 //
 // Durability contract ("acked"): a block is guaranteed to survive
 // handle_crash()/power loss only once a flush() has completed after its
@@ -41,8 +42,7 @@ class AsyncBlockStore final : public BlockStore {
   AsyncBlockStore(std::unique_ptr<PersistentBlockStore> base,
                   AsyncConfig config = {});
 
-  using BlockStore::put;
-  PutStatus put(const Cid& cid, BlockData data) override;
+  PutStatus put(const Block& block) override;
   BlockData get(const Cid& cid) const override;  // read-through: queue first
   bool has(const Cid& cid) const override;
   bool remove(const Cid& cid) override;
@@ -81,7 +81,7 @@ class AsyncBlockStore final : public BlockStore {
 
   std::unique_ptr<PersistentBlockStore> base_;
   AsyncConfig config_;
-  std::map<Cid, BlockData> queue_;
+  std::map<Cid, Block> queue_;
   std::deque<Cid> queue_order_;  // FIFO: preserves append order on drain
   std::uint64_t queue_bytes_ = 0;
 };

@@ -100,9 +100,8 @@ void PersistentBlockStore::roll_segment_if_full() {
   }
 }
 
-PutStatus PersistentBlockStore::put(const Cid& cid, BlockData data) {
-  if (data == nullptr || !cid.hash().verifies(*data))
-    return PutStatus::kCidMismatch;
+PutStatus PersistentBlockStore::put(const Block& block) {
+  const auto& [cid, data] = block;
   if (index_.contains(cid)) return PutStatus::kAlreadyPresent;
 
   roll_segment_if_full();

@@ -50,8 +50,7 @@ class PersistentBlockStore : public BlockStore {
   PersistentBlockStore(std::unique_ptr<Storage> storage,
                        PersistConfig config = {});
 
-  using BlockStore::put;
-  PutStatus put(const Cid& cid, BlockData data) override;
+  PutStatus put(const Block& block) override;
   BlockData get(const Cid& cid) const override;
   bool has(const Cid& cid) const override;
   bool remove(const Cid& cid) override;

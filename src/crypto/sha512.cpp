@@ -103,6 +103,8 @@ void Sha512::compress(const std::uint8_t* block) {
 }
 
 void Sha512::update(std::span<const std::uint8_t> data) {
+  // An empty span may carry a null data(), which memcpy must not get.
+  if (data.empty()) return;
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffered_ > 0) {

@@ -72,18 +72,11 @@ std::vector<std::span<const std::uint8_t>> chunk(
 namespace {
 
 // Stores a block; counts whether it was new or deduplicated.
-void store_block(BlockStore& store, Block block, ImportResult& result) {
-  switch (store.put(std::move(block))) {
-    case blockstore::PutStatus::kStored:
-      ++result.new_blocks;
-      break;
-    case blockstore::PutStatus::kAlreadyPresent:
-      ++result.deduplicated_blocks;
-      break;
-    case blockstore::PutStatus::kCidMismatch:
-      // Impossible: we derived the CID from the data ourselves.
-      break;
-  }
+void store_block(BlockStore& store, const Block& block, ImportResult& result) {
+  if (store.put(block) == blockstore::PutStatus::kStored)
+    ++result.new_blocks;
+  else
+    ++result.deduplicated_blocks;
 }
 
 }  // namespace
@@ -115,10 +108,9 @@ void StreamingImporter::write(std::span<const std::uint8_t> data) {
 void StreamingImporter::emit_leaf(std::span<const std::uint8_t> piece) {
   result_.content_bytes += piece.size();
   ++result_.chunk_count;
-  Block block = Block::from_data(Multicodec::kRaw, piece);
-  const DagLink link{block.cid, piece.size()};
-  store_block(store_, std::move(block), result_);
-  push_link(0, link);
+  const Block block = Block::from_data(Multicodec::kRaw, piece);
+  store_block(store_, block, result_);
+  push_link(0, DagLink{block.cid, piece.size()});
 }
 
 void StreamingImporter::push_link(std::size_t level, DagLink link) {
@@ -134,10 +126,9 @@ void StreamingImporter::collapse_level(std::size_t level) {
   node.links = std::move(levels_[level]);
   levels_[level].clear();
   const std::uint64_t subtree_size = node.total_content_size();
-  Block block = Block::from_data(Multicodec::kDagPb, node.encode());
-  const DagLink link{block.cid, subtree_size};
-  store_block(store_, std::move(block), result_);
-  push_link(level + 1, link);
+  const Block block = Block::from_data(Multicodec::kDagPb, node.encode());
+  store_block(store_, block, result_);
+  push_link(level + 1, DagLink{block.cid, subtree_size});
 }
 
 ImportResult StreamingImporter::finish() {

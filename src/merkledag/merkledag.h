@@ -97,7 +97,8 @@ ImportResult import_bytes(BlockStore& store, std::span<const std::uint8_t> data,
                           std::size_t chunk_size = kDefaultChunkSize);
 
 // Reassembles the full content below `root`, or nullopt if any block is
-// missing or fails verification.
+// missing or fails to decode. Hashes nothing: every stored block was
+// checked once, by Block::from_data or Block::verify, on its way in.
 std::optional<std::vector<std::uint8_t>> cat(const BlockStore& store,
                                              const Cid& root);
 

@@ -39,11 +39,10 @@ std::optional<Cid> make_directory(BlockStore& store,
     node.links.push_back(DagLink{entry.cid, entry.size});
   }
 
-  blockstore::Block block = blockstore::Block::from_data(
+  const auto block = blockstore::Block::from_data(
       multiformats::Multicodec::kDagPb, node.encode());
-  const Cid cid = block.cid;
-  store.put(std::move(block));
-  return cid;
+  store.put(block);
+  return block.cid;
 }
 
 std::optional<std::vector<DirectoryEntry>> read_directory(

@@ -27,9 +27,8 @@ World::World(const WorldConfig& config)
   network_ = std::make_unique<sim::Network>(simulator_, latency_, config.seed);
   churn_ = std::make_unique<sim::ChurnProcess>(*network_, config.seed);
   // Designate the first bootstrap_count peers as the canonical bootstrap
-  // nodes: stable, dialable, well provisioned, spread across regions.
-  const int bootstrap_regions[] = {kUsEast, kEuCentral, kUsWest,
-                                   kAsiaEast, kEuCentral, kUsEast};
+  // nodes: stable, dialable, well provisioned, placed alternately in the
+  // US and DE.
   for (std::size_t i = 0;
        i < std::min(config_.bootstrap_count, population_.peers.size()); ++i) {
     PeerProfile& peer = population_.peers[i];
@@ -37,7 +36,6 @@ World::World(const WorldConfig& config)
     peer.stable = true;
     peer.transport = sim::Transport::kTcp;
     peer.country = country_index(i % 2 == 0 ? "US" : "DE");
-    (void)bootstrap_regions;
   }
 
   build_nodes();

@@ -67,8 +67,42 @@ TEST_F(BitswapTest, FetchBlockTransfersAndVerifies) {
                           [&](BlockResult b) { fetched = std::move(b.data); });
   sim_.run();
   ASSERT_TRUE(fetched != nullptr);
-  EXPECT_EQ(*fetched, block.data);
+  EXPECT_EQ(*fetched, *block.data);
   EXPECT_TRUE(store_a_.has(block.cid));  // stored locally after fetch
+}
+
+TEST_F(BitswapTest, FetchBlockRejectsBytesThatDoNotHashToTheCid) {
+  const auto payload = random_bytes(1000, 7);
+  const auto cid =
+      multiformats::Cid::from_data(multiformats::Multicodec::kRaw, payload);
+  auto tampered = payload;
+  tampered[500] ^= 0x01;
+  // Node b answers WANT_BLOCK with the right CID but one flipped byte.
+  network_.set_request_handler(
+      node_b_, [&](sim::NodeId, const sim::MessagePtr& message, auto respond) {
+        ASSERT_EQ(message->kind(), sim::MessageKind::kWantBlockRequest);
+        auto response = std::make_shared<BlockResponse>();
+        response->cid = cid;
+        response->data =
+            std::make_shared<const std::vector<std::uint8_t>>(tampered);
+        respond(std::move(response), tampered.size());
+      });
+
+  bool called = false;
+  BlockResult result;
+  result.dont_have = true;
+  bitswap_a_->fetch_block(node_b_, cid, [&](BlockResult b) {
+    called = true;
+    result = std::move(b);
+  });
+  sim_.run();
+  ASSERT_TRUE(called);
+  EXPECT_TRUE(result.data == nullptr);
+  EXPECT_FALSE(result.dont_have);
+  EXPECT_FALSE(store_a_.has(cid));
+  EXPECT_EQ(bitswap_a_->ledger_for(node_b_).blocks_received, 0u);
+  EXPECT_EQ(
+      network_.metrics().counter("bitswap.block_fetch_failures").value(), 1u);
 }
 
 TEST_F(BitswapTest, FetchMissingBlockReturnsNothing) {
@@ -201,8 +235,8 @@ TEST_F(BitswapTest, FetchDagRequestsSharedLinkOnlyOnce) {
   const auto leaf = blockstore::Block::from_data(
       multiformats::Multicodec::kRaw, random_bytes(1024, 21));
   merkledag::DagNode root_node;
-  root_node.links.push_back({leaf.cid, leaf.data.size()});
-  root_node.links.push_back({leaf.cid, leaf.data.size()});
+  root_node.links.push_back({leaf.cid, leaf.data->size()});
+  root_node.links.push_back({leaf.cid, leaf.data->size()});
   const auto root = blockstore::Block::from_data(
       multiformats::Multicodec::kDagPb, root_node.encode());
   store_b_.put(leaf);
@@ -214,7 +248,7 @@ TEST_F(BitswapTest, FetchDagRequestsSharedLinkOnlyOnce) {
 
   EXPECT_TRUE(stats.ok);
   EXPECT_EQ(stats.blocks, 2u);  // root + leaf, the leaf exactly once
-  EXPECT_EQ(stats.bytes, root.data.size() + leaf.data.size());
+  EXPECT_EQ(stats.bytes, root.data->size() + leaf.data->size());
   EXPECT_EQ(bitswap_b_->ledger_for(node_a_).blocks_sent, 2u);
   EXPECT_EQ(network_.metrics().counter_value(
                 "bitswap.duplicate_wants_suppressed"),

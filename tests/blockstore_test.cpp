@@ -32,11 +32,20 @@ TEST(BlockStoreTest, DuplicatePutIsDeduplicated) {
 }
 
 TEST(BlockStoreTest, RejectsCidMismatch) {
+  // A store trusts the Block it is handed, so the check happens in
+  // Block::verify: bytes that do not hash to the CID never become a Block.
+  const auto block = Block::from_data(Multicodec::kRaw, bytes_of("original"));
+  const auto tampered =
+      std::make_shared<const std::vector<std::uint8_t>>(bytes_of("tampered!"));
+  EXPECT_FALSE(Block::verify(block.cid, tampered).has_value());
+  EXPECT_FALSE(Block::verify(block.cid, nullptr).has_value());
+  const auto checked = Block::verify(block.cid, block.data);
+  ASSERT_TRUE(checked.has_value());
+  EXPECT_EQ(checked->data, block.data);  // aliases, never copies
+
   BlockStore store;
-  auto block = Block::from_data(Multicodec::kRaw, bytes_of("original"));
-  block.data = bytes_of("tampered!");
-  EXPECT_EQ(store.put(block), PutStatus::kCidMismatch);
-  EXPECT_EQ(store.block_count(), 0u);
+  EXPECT_EQ(store.put(*checked), PutStatus::kStored);
+  EXPECT_EQ(store.get(block.cid), block.data);
 }
 
 TEST(BlockStoreTest, RemoveRespectsPins) {
@@ -74,11 +83,11 @@ TEST(LruBlockStoreTest, EvictsLeastRecentlyUsed) {
   const auto a = Block::from_data(Multicodec::kRaw, bytes_of("aaaa"));
   const auto b = Block::from_data(Multicodec::kRaw, bytes_of("bbbb"));
   const auto c = Block::from_data(Multicodec::kRaw, bytes_of("cccc"));
-  EXPECT_TRUE(cache.put(a));
-  EXPECT_TRUE(cache.put(b));
+  EXPECT_TRUE(cache.put(a.cid, a.data));
+  EXPECT_TRUE(cache.put(b.cid, b.data));
   // Touch a so b becomes the LRU entry.
   EXPECT_NE(cache.get(a.cid), nullptr);
-  EXPECT_TRUE(cache.put(c));  // 12 bytes > 10: evicts b
+  EXPECT_TRUE(cache.put(c.cid, c.data));  // 12 bytes > 10: evicts b
   EXPECT_TRUE(cache.has(a.cid));
   EXPECT_FALSE(cache.has(b.cid));
   EXPECT_TRUE(cache.has(c.cid));
@@ -89,7 +98,7 @@ TEST(LruBlockStoreTest, EvictsLeastRecentlyUsed) {
 TEST(LruBlockStoreTest, RefusesOversizedBlocks) {
   LruBlockStore cache(4);
   const auto big = Block::from_data(Multicodec::kRaw, bytes_of("too big"));
-  EXPECT_FALSE(cache.put(big));
+  EXPECT_FALSE(cache.put(big.cid, big.data));
   EXPECT_EQ(cache.used_bytes(), 0u);
 }
 
@@ -98,10 +107,10 @@ TEST(LruBlockStoreTest, ReinsertRefreshesRecency) {
   const auto a = Block::from_data(Multicodec::kRaw, bytes_of("aaaa"));
   const auto b = Block::from_data(Multicodec::kRaw, bytes_of("bbbb"));
   const auto c = Block::from_data(Multicodec::kRaw, bytes_of("cccc"));
-  cache.put(a);
-  cache.put(b);
-  cache.put(a);       // refresh a; b is now LRU
-  cache.put(c);       // evicts b
+  cache.put(a.cid, a.data);
+  cache.put(b.cid, b.data);
+  cache.put(a.cid, a.data);  // refresh a; b is now LRU
+  cache.put(c.cid, c.data);  // evicts b
   EXPECT_TRUE(cache.has(a.cid));
   EXPECT_FALSE(cache.has(b.cid));
   EXPECT_EQ(cache.block_count(), 2u);
@@ -112,9 +121,9 @@ TEST(LruBlockStoreTest, RePutKeepsUsedBytesExact) {
   // size (content is immutable, so the bytes are identical by CID).
   LruBlockStore cache(64);
   const auto a = Block::from_data(Multicodec::kRaw, bytes_of("aaaa"));
-  cache.put(a);
+  cache.put(a.cid, a.data);
   EXPECT_EQ(cache.used_bytes(), 4u);
-  cache.put(a);
+  cache.put(a.cid, a.data);
   EXPECT_EQ(cache.used_bytes(), 4u);
   // The shared-ownership overload is a refresh too.
   const auto alias =
@@ -132,7 +141,7 @@ TEST(LruBlockStoreTest, GetReturnsSharedPayloadWithoutCopy) {
   LruBlockStore cache(1024);
   const auto block = Block::from_data(Multicodec::kRaw, bytes_of("payload"));
   const auto payload =
-      std::make_shared<const std::vector<std::uint8_t>>(block.data);
+      std::make_shared<const std::vector<std::uint8_t>>(*block.data);
   ASSERT_TRUE(cache.put(block.cid, payload));
 
   const BlockData first = cache.get(block.cid);
@@ -153,14 +162,14 @@ TEST(LruBlockStoreTest, InterleavedGetPutEvictsScanTrafficFirst) {
   const auto c = Block::from_data(Multicodec::kRaw, bytes_of("cccc"));
   const auto d = Block::from_data(Multicodec::kRaw, bytes_of("dddd"));
   const auto e = Block::from_data(Multicodec::kRaw, bytes_of("eeee"));
-  cache.put(a);
-  cache.put(b);
-  cache.put(c);
+  cache.put(a.cid, a.data);
+  cache.put(b.cid, b.data);
+  cache.put(c.cid, c.data);
   EXPECT_NE(cache.get(a.cid), nullptr);  // promote a
   EXPECT_NE(cache.get(c.cid), nullptr);  // promote c
-  cache.put(d);  // full: evicts b — the only probationary entry
+  cache.put(d.cid, d.data);  // full: evicts b — the only probationary entry
   EXPECT_FALSE(cache.has(b.cid));
-  cache.put(e);  // evicts d (probation), not the older-but-hit a/c
+  cache.put(e.cid, e.data);  // evicts d (probation), not the older-but-hit a/c
   EXPECT_FALSE(cache.has(d.cid));
   EXPECT_TRUE(cache.has(a.cid));
   EXPECT_TRUE(cache.has(c.cid));
@@ -177,12 +186,12 @@ TEST(LruBlockStoreTest, ProtectedOverflowDemotesBackToProbation) {
   const auto a = Block::from_data(Multicodec::kRaw, bytes_of("aaaa"));
   const auto b = Block::from_data(Multicodec::kRaw, bytes_of("bbbb"));
   const auto c = Block::from_data(Multicodec::kRaw, bytes_of("cccc"));
-  cache.put(a);
-  cache.put(b);
+  cache.put(a.cid, a.data);
+  cache.put(b.cid, b.data);
   EXPECT_NE(cache.get(a.cid), nullptr);  // a -> protected
   EXPECT_NE(cache.get(b.cid), nullptr);  // b -> protected, a demoted
   EXPECT_EQ(cache.protected_bytes(), 4u);
-  cache.put(c);  // needs room: evicts a from probation, b survives
+  cache.put(c.cid, c.data);  // needs room: evicts a from probation, b survives
   EXPECT_FALSE(cache.has(a.cid));
   EXPECT_TRUE(cache.has(b.cid));
   EXPECT_TRUE(cache.has(c.cid));
@@ -234,10 +243,11 @@ TEST(LruBlockStoreTest, TinyLfuRefusesColdCandidates) {
   LruBlockStore cache(4, LruConfig{.tinylfu = true, .sketch_entries = 64});
   const auto hot = Block::from_data(Multicodec::kRaw, bytes_of("hot!"));
   const auto cold = Block::from_data(Multicodec::kRaw, bytes_of("cold"));
-  ASSERT_TRUE(cache.put(hot));
+  ASSERT_TRUE(cache.put(hot.cid, hot.data));
   for (int i = 0; i < 4; ++i) EXPECT_NE(cache.get(hot.cid), nullptr);
 
-  EXPECT_FALSE(cache.put(cold));  // would evict hot; cold is colder
+  // Would evict hot; cold is colder.
+  EXPECT_FALSE(cache.put(cold.cid, cold.data));
   EXPECT_TRUE(cache.has(hot.cid));
   EXPECT_FALSE(cache.has(cold.cid));
   EXPECT_EQ(cache.admission_rejections(), 1u);
@@ -246,7 +256,7 @@ TEST(LruBlockStoreTest, TinyLfuRefusesColdCandidates) {
   // Once the candidate has proven itself (repeated misses recorded in
   // the sketch), admission goes through and the old resident is evicted.
   for (int i = 0; i < 8; ++i) EXPECT_EQ(cache.get(cold.cid), nullptr);
-  EXPECT_TRUE(cache.put(cold));
+  EXPECT_TRUE(cache.put(cold.cid, cold.data));
   EXPECT_TRUE(cache.has(cold.cid));
   EXPECT_FALSE(cache.has(hot.cid));
   EXPECT_EQ(cache.evictions(), 1u);

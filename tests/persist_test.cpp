@@ -48,21 +48,9 @@ TEST(PersistentStore, PutGetRoundTripAndReopen) {
   for (const auto& block : blocks) {
     const auto data = store->get(block.cid);
     ASSERT_TRUE(data != nullptr);
-    EXPECT_EQ(*data, block.data);
+    EXPECT_EQ(*data, *block.data);
   }
   EXPECT_EQ(store->recovered_truncated_bytes(), 0u);
-}
-
-TEST(PersistentStore, RejectsCidMismatch) {
-  auto store = make_persistent();
-  sim::Rng rng(2);
-  const auto block = make_block(64, rng);
-  const auto other = make_block(64, rng);
-  EXPECT_EQ(store->put(block.cid,
-                       std::make_shared<const std::vector<std::uint8_t>>(
-                           other.data)),
-            PutStatus::kCidMismatch);
-  EXPECT_FALSE(store->has(block.cid));
 }
 
 TEST(PersistentStore, RemoveTombstoneSurvivesReopen) {
@@ -95,7 +83,7 @@ TEST(PersistentStore, PinnedBlocksSurviveCompaction) {
       store->pin(block.cid);
       pinned.push_back(block);
     } else {
-      unpinned_bytes += block.data.size();
+      unpinned_bytes += block.data->size();
       unpinned.push_back(block);
     }
   }
@@ -106,7 +94,7 @@ TEST(PersistentStore, PinnedBlocksSurviveCompaction) {
   for (const auto& block : pinned) {
     const auto data = store->get(block.cid);
     ASSERT_TRUE(data != nullptr);
-    EXPECT_EQ(*data, block.data);
+    EXPECT_EQ(*data, *block.data);
     EXPECT_TRUE(store->pinned(block.cid));
   }
   for (const auto& block : unpinned) EXPECT_FALSE(store->has(block.cid));
@@ -177,11 +165,11 @@ TEST(PersistentStore, CrashCutsUnsyncedTailOnly) {
   // store must be consistent either way.
   const auto data = store->get(durable.cid);
   ASSERT_TRUE(data != nullptr);
-  EXPECT_EQ(*data, durable.data);
+  EXPECT_EQ(*data, *durable.data);
   if (store->has(at_risk.cid)) {
     const auto survived = store->get(at_risk.cid);
     ASSERT_TRUE(survived != nullptr);
-    EXPECT_EQ(*survived, at_risk.data);
+    EXPECT_EQ(*survived, *at_risk.data);
   }
 }
 
@@ -245,7 +233,7 @@ TEST(AsyncStore, PinnedQueuedBlockSurvivesGc) {
   store.pin(keep.cid);
   // GC drains the queue first, so the pinned-but-queued block is judged
   // by the base store and survives.
-  EXPECT_EQ(store.collect_garbage(), drop.data.size());
+  EXPECT_EQ(store.collect_garbage(), drop.data->size());
   EXPECT_TRUE(store.has(keep.cid));
   EXPECT_FALSE(store.has(drop.cid));
 }
@@ -295,7 +283,7 @@ TEST(AsyncStore, AckedPutsSurviveCrashAcrossThreeHundredSeeds) {
           ASSERT_TRUE(data != nullptr)
               << "seed " << seed << ": acked block " << i
               << " lost after crash at op " << op;
-          EXPECT_EQ(*data, all[i].data) << "seed " << seed;
+          EXPECT_EQ(*data, *all[i].data) << "seed " << seed;
         }
       }
     }
@@ -304,7 +292,7 @@ TEST(AsyncStore, AckedPutsSurviveCrashAcrossThreeHundredSeeds) {
       const auto data = store.get(all[i].cid);
       ASSERT_TRUE(data != nullptr)
           << "seed " << seed << ": acked block " << i << " lost at the end";
-      EXPECT_EQ(*data, all[i].data) << "seed " << seed;
+      EXPECT_EQ(*data, *all[i].data) << "seed " << seed;
     }
   }
 }
@@ -318,14 +306,11 @@ TEST(StoreConfigFactory, BuildsEveryBackend) {
     config.backend = backend;
     const auto store = make_store(config, nullptr);
     ASSERT_TRUE(store != nullptr);
-    EXPECT_EQ(store->put(block.cid,
-                         std::make_shared<const std::vector<std::uint8_t>>(
-                             block.data)),
-              PutStatus::kStored);
+    EXPECT_EQ(store->put(block), PutStatus::kStored);
     store->flush();
     const auto data = store->get(block.cid);
     ASSERT_TRUE(data != nullptr);
-    EXPECT_EQ(*data, block.data);
+    EXPECT_EQ(*data, *block.data);
     store->handle_crash();
     EXPECT_TRUE(store->has(block.cid));
   }

@@ -304,9 +304,9 @@ TEST_F(SessionTest, SharedDagLinksAreFetchedExactlyOnce) {
   const auto leaf_b = blockstore::Block::from_data(
       multiformats::Multicodec::kRaw, random_bytes(1024, 32));
   merkledag::DagNode root_node;
-  root_node.links.push_back({leaf_a.cid, leaf_a.data.size()});
-  root_node.links.push_back({leaf_a.cid, leaf_a.data.size()});
-  root_node.links.push_back({leaf_b.cid, leaf_b.data.size()});
+  root_node.links.push_back({leaf_a.cid, leaf_a.data->size()});
+  root_node.links.push_back({leaf_a.cid, leaf_a.data->size()});
+  root_node.links.push_back({leaf_b.cid, leaf_b.data->size()});
   const auto root = blockstore::Block::from_data(
       multiformats::Multicodec::kDagPb, root_node.encode());
   for (int i = 0; i < kProviders; ++i) {
@@ -324,7 +324,7 @@ TEST_F(SessionTest, SharedDagLinksAreFetchedExactlyOnce) {
   ASSERT_TRUE(stats.ok);
   EXPECT_EQ(stats.blocks, 3u);  // root + A + B, each exactly once
   EXPECT_EQ(stats.bytes,
-            root.data.size() + leaf_a.data.size() + leaf_b.data.size());
+            root.data->size() + leaf_a.data->size() + leaf_b.data->size());
   std::uint64_t sent = 0;
   for (int i = 0; i < kProviders; ++i)
     sent += providers_[i]->ledger_for(requester_node_).blocks_sent;

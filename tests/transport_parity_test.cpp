@@ -97,10 +97,10 @@ ParityOutcome run_scenario(
     }
   }
 
-  const auto payload = test_payload();
-  const auto cid =
-      multiformats::Cid::from_data(multiformats::Multicodec::kRaw, payload);
-  rigs[1]->store.put(blockstore::Block{cid, payload});
+  const auto block = blockstore::Block::from_data(
+      multiformats::Multicodec::kRaw, test_payload());
+  const multiformats::Cid& cid = block.cid;
+  rigs[1]->store.put(block);
   const dht::Key key = dht::Key::for_cid(cid);
 
   ParityOutcome outcome;
