@@ -1,8 +1,9 @@
-// Seeded round-trip fuzz for the transport wire codec (ISSUE 8
-// satellite): every protocol message type survives encode -> decode ->
-// encode byte-identically, and truncated / mutated / garbage buffers are
-// rejected without UB (the fuzz-smoke-asan CI job runs this binary under
-// AddressSanitizer).
+// Seeded round-trip fuzz for the transport wire codec: every protocol
+// message type survives encode -> decode -> encode byte-identically, and
+// truncated / mutated / garbage buffers are rejected without UB (the
+// fuzz-smoke-asan CI job runs this binary under AddressSanitizer). It
+// also pins the wire bytes and the accept/reject verdicts to two digests,
+// so a rewrite of the codec cannot move either unnoticed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "bitswap/bitswap.h"
+#include "crypto/sha256.h"
 #include "dht/key.h"
 #include "dht/messages.h"
 #include "indexer/messages.h"
@@ -376,6 +378,70 @@ TEST(CodecFuzzTest, GarbageAndMutationsAreSafe) {
       EXPECT_TRUE(encode_message(*decoded).has_value());
     }
   }
+}
+
+// The wire bytes and the accept/reject verdicts, pinned. Round-trip
+// identity holds for any self-consistent format, so it cannot tell
+// whether a rewrite of the codec kept the bytes or the rejection rules;
+// these two digests can. Taken by running this test at the commit before
+// the codec's layouts were written once for both directions. Re-pin only
+// for a deliberate change of the wire format, and say why.
+constexpr const char* kPinnedWireDigest =
+    "52ee232019fe6447ab3a38952ebce8985ab7349823a39993684d443858325007";
+constexpr const char* kPinnedVerdictDigest =
+    "09312bb4dfc8b2738c9cd25308c025bcc7bccd81faf5853b1f14753166996be8";
+
+TEST(CodecFuzzTest, WireBytesMatchPinnedDigest) {
+  // Wire digest: the encodings of the round-trip corpus.
+  crypto::Sha256 wire;
+  Fuzz corpus(20260809);
+  for (std::size_t i = 0; i < 400; ++i) {
+    const auto encoded = encode_message(*make_message(corpus, i));
+    ASSERT_TRUE(encoded.has_value()) << "type " << i % 20;
+    wire.update(*encoded);
+  }
+
+  // Verdict digest: per input, 1 and the re-encoding if it decodes, else
+  // 0. The inputs are GarbageAndMutationsAreSafe's draws, then every
+  // single-bit flip of 40 valid encodings.
+  crypto::Sha256 verdicts;
+  const auto judge = [&verdicts](std::span<const std::uint8_t> input) {
+    const sim::MessagePtr decoded = decode_message(input);
+    const std::uint8_t accepted = decoded != nullptr ? 1 : 0;
+    verdicts.update(std::span<const std::uint8_t>(&accepted, 1));
+    if (decoded == nullptr) return;
+    const auto re_encoded = encode_message(*decoded);
+    ASSERT_TRUE(re_encoded.has_value());
+    verdicts.update(*re_encoded);
+  };
+  Fuzz fuzz(31337);
+  for (std::size_t i = 0; i < 500; ++i) {
+    judge(fuzz.bytes(512));
+    if (HasFatalFailure()) return;
+  }
+  for (std::size_t i = 0; i < 500; ++i) {
+    auto encoded = encode_message(*make_message(fuzz, i));
+    ASSERT_TRUE(encoded.has_value());
+    if (encoded->empty()) continue;
+    (*encoded)[fuzz.index(encoded->size())] ^=
+        static_cast<std::uint8_t>(1u << fuzz.index(8));
+    judge(*encoded);
+    if (HasFatalFailure()) return;
+  }
+  Fuzz flips(4242);
+  for (std::size_t i = 0; i < 40; ++i) {
+    auto encoded = encode_message(*make_message(flips, i));
+    ASSERT_TRUE(encoded.has_value());
+    for (std::size_t bit = 0; bit < encoded->size() * 8; ++bit) {
+      (*encoded)[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      judge(*encoded);
+      (*encoded)[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      if (HasFatalFailure()) return;
+    }
+  }
+
+  EXPECT_EQ(crypto::to_hex(wire.finish()), kPinnedWireDigest);
+  EXPECT_EQ(crypto::to_hex(verdicts.finish()), kPinnedVerdictDigest);
 }
 
 }  // namespace
