@@ -11,6 +11,12 @@ namespace ipfs::adversary {
 
 namespace {
 
+// Real nodes fronting the forged Sybil identities (dialable malicious
+// servers; the forged PeerRefs point at them).
+constexpr std::size_t kSybilFrontNodes = 2;
+// Every attacker node sits in this latency region.
+constexpr int kAttackerRegion = 0;
+
 sim::Duration uniform_duration(sim::Rng& rng, sim::Duration lo,
                                sim::Duration hi) {
   if (hi <= lo) return lo;
@@ -56,11 +62,10 @@ AttackPlan::AttackPlan(sim::Network& network, AttackConfig config,
         });
   };
   const sim::NodeConfig attacker_cfg =
-      sim::NodeConfig{}.with_region(config_.attacker_region);
+      sim::NodeConfig{}.with_region(kAttackerRegion);
 
   if (config_.sybil) {
-    config_.sybil_front_nodes = std::max<std::size_t>(config_.sybil_front_nodes, 1);
-    for (std::size_t i = 0; i < config_.sybil_front_nodes; ++i) {
+    for (std::size_t i = 0; i < kSybilFrontNodes; ++i) {
       const sim::NodeId node = network_.add_node(attacker_cfg);
       sybil_fronts_.push_back(node);
       attacker_nodes_.push_back(node);
@@ -83,8 +88,7 @@ AttackPlan::AttackPlan(sim::Network& network, AttackConfig config,
     // The poisoned records' provider: a NAT'ed node that never answers a
     // dial, so victims burn the transport timeout before giving up.
     ghost_node_ = network_.add_node(
-        sim::NodeConfig{}.with_region(config_.attacker_region).with_dialable(
-            false));
+        sim::NodeConfig{}.with_region(kAttackerRegion).with_dialable(false));
     ghost_ref_ = mint_ref(ghost_node_, [](const dht::Key&) { return true; });
   }
   if (config_.partition) {
@@ -326,13 +330,14 @@ void AttackPlan::handle_attacker_request(
     auto response = std::make_shared<dht::GetProvidersResponse>();
     if (armed_ && config_.eclipse_target &&
         get->key == *config_.eclipse_target) {
-      if (config_.eclipse.serve_poisoned_records) {
-        dht::ProviderRecord record;
-        record.provider = ghost_ref_;
-        record.received_at = network_.now();
-        response->providers.push_back(std::move(record));
-        ++counters_.poisoned_records_served;
-      }
+      // A provider record pointing at the undialable ghost instead of a
+      // claim of ignorance: the walk terminates "successfully" and the
+      // fetch then dies on a dead provider.
+      dht::ProviderRecord record;
+      record.provider = ghost_ref_;
+      record.received_at = network_.now();
+      response->providers.push_back(std::move(record));
+      ++counters_.poisoned_records_served;
       response->closer = eclipse_refs_;
       ++counters_.eclipse_queries_answered;
     }

@@ -77,10 +77,6 @@ struct EclipseConfig {
   // side effect plants them in victim tables; from there every walk
   // towards the target discovers them as closest).
   sim::Duration announce_at = sim::seconds(0);
-  // Serve a provider record pointing at the undialable ghost instead of
-  // claiming ignorance — the harder variant: the walk terminates
-  // "successfully" and the fetch then dies on a dead provider.
-  bool serve_poisoned_records = true;
 };
 
 struct FlashCrowdConfig {
@@ -116,11 +112,6 @@ struct AttackConfig {
   std::optional<FlashCrowdConfig> flash_crowd;
   std::optional<ChurnStormConfig> churn_storm;
   std::optional<PartitionConfig> partition;
-
-  // Real nodes fronting the forged Sybil identities (dialable malicious
-  // servers; the forged PeerRefs point at them).
-  std::size_t sybil_front_nodes = 2;
-  int attacker_region = 0;
 
   bool any() const {
     return sybil || eclipse_target || flash_crowd || churn_storm || partition;

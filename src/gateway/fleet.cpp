@@ -10,8 +10,8 @@ GatewayFleet::GatewayFleet(sim::Network& network, const FleetConfig& config)
     : network_(network),
       config_(config),
       origin_(std::make_shared<blockstore::LruBlockStore>(
-          config.origin_cache_bytes, config.origin_cache)),
-      ring_(HashRingConfig{config.vnodes, config.bounded_load_factor}),
+          config.origin_cache_bytes)),
+      ring_(HashRingConfig{}),
       inflight_(config.replicas, 0) {
   replicas_.reserve(config_.replicas);
   for (std::size_t i = 0; i < config_.replicas; ++i) {
@@ -20,8 +20,7 @@ GatewayFleet::GatewayFleet(sim::Network& network, const FleetConfig& config)
     replica.origin = origin_;
     // Replicas share the template but must not share a node identity.
     replica.node.identity_seed ^= 0x9e3779b97f4a7c15ULL * (i + 1);
-    replica.edge_cache.tinylfu = config_.edge_tinylfu;
-    replica.edge_cache.sketch_entries = config_.edge_sketch_entries;
+    replica.edge_cache.tinylfu = true;
     replicas_.push_back(std::make_unique<Gateway>(network_, replica));
     ring_.add_replica(i);
   }

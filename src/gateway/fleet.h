@@ -20,15 +20,9 @@ struct FleetConfig {
   // Template for every replica; the fleet fills in per-replica pieces
   // (metrics_label "r<i>", the shared origin handle, TinyLFU admission).
   GatewayConfig replica;
-  // Request-router knobs (hash_ring.h).
-  std::size_t vnodes = 64;
-  double bounded_load_factor = 1.25;
-  // Replicas' edge caches run TinyLFU admission unless disabled.
-  bool edge_tinylfu = true;
-  std::size_t edge_sketch_entries = 4096;
-  // Shared origin tier, sized like a mid-tier object store.
+  // Shared origin tier (a plain segmented LRU), sized like a mid-tier
+  // object store.
   std::uint64_t origin_cache_bytes = 256ull * 1024 * 1024;
-  blockstore::LruConfig origin_cache;
 };
 
 class GatewayFleet {

@@ -112,7 +112,7 @@ void Gateway::serve(const Cid& cid, bool account_tier,
   if (const auto cached = nginx_cache_.get(cid)) {
     GatewayResponse response;
     response.source = ServedFrom::kNginxCache;
-    response.latency = config_.nginx_hit_latency;
+    response.latency = kNginxHitLatency;
     response.bytes = cached->size();
     if (account_tier) account(cid, response);
     transport_.schedule_after(
@@ -127,10 +127,9 @@ void Gateway::serve(const Cid& cid, bool account_tier,
     GatewayResponse response;
     response.source = ServedFrom::kNodeStore;
     response.bytes = local->size();
-    response.latency =
-        config_.node_store_base_latency +
-        sim::seconds(static_cast<double>(local->size()) /
-                     config_.node_store_bytes_per_sec);
+    response.latency = kNodeStoreBaseLatency +
+                       sim::seconds(static_cast<double>(local->size()) /
+                                    kNodeStoreBytesPerSec);
     if (account_tier) account(cid, response);
     auto shared = std::make_shared<const std::vector<std::uint8_t>>(
         std::move(*local));
@@ -151,10 +150,9 @@ void Gateway::serve(const Cid& cid, bool account_tier,
       GatewayResponse response;
       response.source = ServedFrom::kOriginCache;
       response.bytes = shared->size();
-      response.latency =
-          config_.origin_hit_latency +
-          sim::seconds(static_cast<double>(shared->size()) /
-                       config_.origin_bytes_per_sec);
+      response.latency = kOriginHitLatency +
+                         sim::seconds(static_cast<double>(shared->size()) /
+                                      kOriginBytesPerSec);
       if (account_tier) account(cid, response);
       nginx_cache_.put(cid, shared);  // aliases the origin's payload
       transport_.schedule_after(
@@ -168,24 +166,22 @@ void Gateway::serve(const Cid& cid, bool account_tier,
   // Negative-result cache: a recent failed retrieval of this CID means
   // a repeat crowd gets its typed failure in edge-cache time instead of
   // re-paying the doomed pipeline (the dead-CID stampede fix).
-  if (config_.negative_ttl > 0) {
-    const auto negative = negative_until_.find(cid);
-    if (negative != negative_until_.end()) {
-      if (transport_.now() < negative->second) {
-        ++negative_hits_;
-        transport_.metrics().counter("gateway.negative.hits").inc();
-        GatewayResponse response;
-        response.source = ServedFrom::kFailed;
-        response.latency = config_.nginx_hit_latency;
-        if (account_tier) account(cid, response);
-        transport_.schedule_after(
-            response.latency, [response, done = std::move(done)] {
-              done(response);
-            });
-        return;
-      }
-      negative_until_.erase(negative);  // expired: retry the full path
+  const auto negative = negative_until_.find(cid);
+  if (negative != negative_until_.end()) {
+    if (transport_.now() < negative->second) {
+      ++negative_hits_;
+      transport_.metrics().counter("gateway.negative.hits").inc();
+      GatewayResponse response;
+      response.source = ServedFrom::kFailed;
+      response.latency = kNginxHitLatency;
+      if (account_tier) account(cid, response);
+      transport_.schedule_after(
+          response.latency, [response, done = std::move(done)] {
+            done(response);
+          });
+      return;
     }
+    negative_until_.erase(negative);  // expired: retry the full path
   }
 
   // Tier 4: the P2P network, via the full retrieval pipeline. Concurrent
@@ -211,10 +207,8 @@ void Gateway::serve(const Cid& cid, bool account_tier,
     GatewayResponse response;
     if (!trace.ok) {
       response.source = ServedFrom::kFailed;
-      if (config_.negative_ttl > 0) {
-        negative_until_[cid] = end + config_.negative_ttl;
-        transport_.metrics().counter("gateway.negative.stores").inc();
-      }
+      negative_until_[cid] = end + kNegativeTtl;
+      transport_.metrics().counter("gateway.negative.stores").inc();
     } else {
       response.source = ServedFrom::kP2p;
       response.routing_source = trace.routing_source;

@@ -24,26 +24,27 @@ namespace ipfs::gateway {
 
 using multiformats::Cid;
 
+// Latency model of the local tiers.
+constexpr sim::Duration kNginxHitLatency = sim::microseconds(300);
+constexpr sim::Duration kNodeStoreBaseLatency = sim::milliseconds(5);
+constexpr double kNodeStoreBytesPerSec = 500.0 * 1024 * 1024;
+constexpr sim::Duration kOriginHitLatency = sim::milliseconds(1);
+constexpr double kOriginBytesPerSec = 2.0 * 1024 * 1024 * 1024;
+// Negative-result cache: a failed P2P retrieval is remembered for this
+// long, so repeated flash crowds on a dead CID fail in edge-cache time
+// instead of each re-paying the full retrieval pipeline.
+constexpr sim::Duration kNegativeTtl = sim::seconds(30);
+
 struct GatewayConfig {
   node::IpfsNodeConfig node;
   std::uint64_t nginx_cache_bytes = 64ull * 1024 * 1024;
   // Edge-cache replacement/admission policy (segmented LRU; TinyLFU off
   // by default — the fleet turns it on for its replicas).
   blockstore::LruConfig edge_cache;
-  // Latency model of the local tiers.
-  sim::Duration nginx_hit_latency = sim::microseconds(300);
-  sim::Duration node_store_base_latency = sim::milliseconds(5);
-  double node_store_bytes_per_sec = 500.0 * 1024 * 1024;
   // Shared origin tier (null = standalone gateway). Consulted after the
   // node store and before the P2P pipeline; P2P fills write through to
   // it so sibling replicas stop re-paying upstream retrievals.
   std::shared_ptr<blockstore::LruBlockStore> origin;
-  sim::Duration origin_hit_latency = sim::milliseconds(1);
-  double origin_bytes_per_sec = 2.0 * 1024 * 1024 * 1024;
-  // Negative-result cache: a failed P2P retrieval is remembered for this
-  // long, so repeated flash crowds on a dead CID fail in edge-cache time
-  // instead of each re-paying the full retrieval pipeline. 0 disables.
-  sim::Duration negative_ttl = sim::seconds(30);
   // Per-replica metrics label ("r0", "r1", ...). Empty: only the
   // aggregate gateway.* instruments are written. Non-empty: counters are
   // additionally written under gateway.<label>.* so a fleet's registry

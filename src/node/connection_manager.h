@@ -14,7 +14,6 @@ namespace ipfs::node {
 struct ConnManagerConfig {
   std::size_t low_water = 32;
   std::size_t high_water = 96;
-  sim::Duration grace_period = sim::seconds(20);
 };
 
 class ConnectionManager {

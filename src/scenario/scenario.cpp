@@ -53,11 +53,6 @@ ScenarioBuilder& ScenarioBuilder::world_geography() {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::node_defaults(sim::NodeConfig config) {
-  node_defaults_ = config;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::undialable_fraction(double f) {
   undialable_fraction_ = f;
   return *this;
@@ -68,11 +63,6 @@ ScenarioBuilder& ScenarioBuilder::dht_servers(bool enable) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::routing_sample(std::size_t picks_per_node) {
-  routing_sample_ = picks_per_node;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::pubsub(bool enable) {
   pubsub_ = enable;
   return *this;
@@ -80,12 +70,6 @@ ScenarioBuilder& ScenarioBuilder::pubsub(bool enable) {
 
 ScenarioBuilder& ScenarioBuilder::pubsub_config(pubsub::PubsubConfig config) {
   pubsub_config_ = config;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::pubsub_candidates(
-    std::size_t picks_per_node) {
-  pubsub_candidates_ = picks_per_node;
   return *this;
 }
 
@@ -101,16 +85,6 @@ ScenarioBuilder& ScenarioBuilder::indexer_config(indexer::IndexerConfig config) 
 
 ScenarioBuilder& ScenarioBuilder::routing(routing::RoutingConfig::Mode mode) {
   routing_mode_ = mode;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::gateway_fleet(gateway::FleetConfig config) {
-  gateway_fleet_config_ = std::move(config);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::node_store(blockstore::StoreConfig config) {
-  node_store_ = std::move(config);
   return *this;
 }
 
@@ -141,25 +115,6 @@ ScenarioBuilder& ScenarioBuilder::flash_crowd(
 ScenarioBuilder& ScenarioBuilder::churn_storm(
     adversary::ChurnStormConfig config) {
   ensure_attack().churn_storm = config;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::partition(
-    std::vector<std::vector<int>> region_groups, sim::Duration heal_at,
-    sim::Duration start) {
-  adversary::PartitionConfig config;
-  config.groups = std::move(region_groups);
-  config.heal_at = heal_at;
-  config.start = start;
-  ensure_attack().partition = std::move(config);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::attack_infra(std::size_t sybil_front_nodes,
-                                               int attacker_region) {
-  adversary::AttackConfig& attack = ensure_attack();
-  attack.sybil_front_nodes = sybil_front_nodes;
-  attack.attacker_region = attacker_region;
   return *this;
 }
 
@@ -225,7 +180,7 @@ Scenario ScenarioBuilder::build() const {
   sim::Rng dial_rng = sim::Rng(seed_).fork("scenario.dialable");
   scenario.nodes_.reserve(peers_);
   for (std::size_t i = 0; i < peers_; ++i) {
-    sim::NodeConfig config = node_defaults_;
+    sim::NodeConfig config;
     if (undialable_fraction_ && dial_rng.chance(*undialable_fraction_))
       config.dialable = false;
     scenario.nodes_.push_back(scenario.network_->add_node(config));
@@ -248,8 +203,7 @@ Scenario ScenarioBuilder::build() const {
     // Pre-seed routing tables from a random sample of the swarm,
     // standing in for an already-converged network.
     for (auto& node : scenario.dht_nodes_) {
-      const std::size_t sample =
-          std::min<std::size_t>(peers_ - 1, routing_sample_);
+      const std::size_t sample = std::min<std::size_t>(peers_ - 1, 40);
       for (std::size_t j = 0; j < sample; ++j) {
         const auto pick = static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(peers_) - 1));
@@ -282,8 +236,7 @@ Scenario ScenarioBuilder::build() const {
     // dedicated fork keeps pubsub-off scenarios bit-identical.
     sim::Rng pubsub_rng = sim::Rng(seed_).fork("scenario.pubsub");
     for (std::size_t i = 0; i < peers_ && peers_ > 1; ++i) {
-      const std::size_t sample =
-          std::min<std::size_t>(peers_ - 1, pubsub_candidates_);
+      const std::size_t sample = std::min<std::size_t>(peers_ - 1, 10);
       for (std::size_t j = 0; j < sample; ++j) {
         const auto pick = static_cast<std::size_t>(pubsub_rng.uniform_int(
             0, static_cast<std::int64_t>(peers_) - 1));
@@ -297,22 +250,10 @@ Scenario ScenarioBuilder::build() const {
   // leaves pre-existing node ids and rng streams bit-identical. They
   // draw no randomness of their own.
   scenario.routing_.mode = routing_mode_;
-  scenario.store_ = node_store_;
   for (std::size_t i = 0; i < indexer_count_; ++i) {
     scenario.indexers_.push_back(std::make_unique<indexer::Indexer>(
         *scenario.network_, indexer_config_));
     scenario.routing_.indexers.push_back(scenario.indexers_.back()->node());
-  }
-
-  // The gateway fleet is appended after indexers (its replica nodes draw
-  // no scenario randomness) and wired to whatever routing the scenario
-  // built, so .indexers()/.routing() knobs flow into replica retrievals.
-  if (gateway_fleet_config_) {
-    gateway::FleetConfig fleet_config = *gateway_fleet_config_;
-    fleet_config.replica.node.routing = scenario.routing_;
-    fleet_config.replica.node.store = node_store_;
-    scenario.gateway_fleet_ = std::make_unique<gateway::GatewayFleet>(
-        *scenario.network_, fleet_config);
   }
 
   if (fault_config_) {

@@ -22,7 +22,7 @@
 //    mini-swarm the protocol tests want.
 //  - build_world() delegates to world::World: full geography, churn,
 //    NAT'ed population and Kademlia convergence — the paper-scale swarm
-//    the benches want. Swarm-only knobs (regions, node_defaults, ...)
+//    the benches want. Swarm-only knobs (regions, dht_servers, ...)
 //    are ignored there; world-only knobs (churn, hydra, ...) are
 //    ignored by build().
 //
@@ -38,7 +38,6 @@
 
 #include "adversary/adversary.h"
 #include "dht/dht_node.h"
-#include "gateway/fleet.h"
 #include "multiformats/multiaddr.h"
 #include "multiformats/peerid.h"
 #include "pubsub/pubsub.h"
@@ -89,8 +88,8 @@ class Scenario {
   // not armed; call faults().arm() to start background fault processes.
   sim::FaultPlan* faults() { return faults_.get(); }
 
-  // Null unless an attack knob (sybils/eclipse/flash_crowd/churn_storm/
-  // partition) was configured. Constructed but not armed; with
+  // Null unless an attack knob (sybils/eclipse/flash_crowd/churn_storm)
+  // was configured. Constructed but not armed; with
   // dht_servers(true) every peer is pre-registered as a victim. Arm
   // after faults()->arm() and detach before faults()->detach() — the
   // partition decorator wraps whatever injector is installed at arm().
@@ -105,16 +104,6 @@ class Scenario {
   // Routing config carrying the builder's routing(mode) choice plus the
   // NodeIds of every built indexer — what an IpfsNodeConfig wants.
   const routing::RoutingConfig& routing_config() const { return routing_; }
-
-  // Null unless gateway_fleet() was configured. Replica nodes are
-  // appended after indexer nodes, so enabling the fleet leaves every
-  // pre-existing node id and seeded rng stream bit-identical. The fleet
-  // is constructed un-bootstrapped; call gateway_fleet()->bootstrap().
-  gateway::GatewayFleet* gateway_fleet() { return gateway_fleet_.get(); }
-
-  // The builder's node_store() choice — what an IpfsNodeConfig::store
-  // wants when a test or bench adds its own nodes to this scenario.
-  const blockstore::StoreConfig& store_config() const { return store_; }
 
  private:
   friend class ScenarioBuilder;
@@ -131,16 +120,12 @@ class Scenario {
   // destroyed before the fabric members above them.
   std::vector<std::unique_ptr<pubsub::Pubsub>> pubsub_nodes_;
   std::vector<std::unique_ptr<indexer::Indexer>> indexers_;
-  // Declared after indexers_ (replica routing may reference them) and
-  // before faults_/attack_ so it unwinds after the attack plan.
-  std::unique_ptr<gateway::GatewayFleet> gateway_fleet_;
   std::vector<dht::PeerRef> refs_;
   std::unique_ptr<sim::FaultPlan> faults_;
   // Declared after faults_: holds Timers into simulator_ and appends its
   // attacker nodes last, so it must unwind before the fabric.
   std::unique_ptr<adversary::AttackPlan> attack_;
   routing::RoutingConfig routing_;
-  blockstore::StoreConfig store_;
 };
 
 class ScenarioBuilder {
@@ -160,9 +145,6 @@ class ScenarioBuilder {
   ScenarioBuilder& single_region(double one_way_ms);
   ScenarioBuilder& world_geography();
 
-  // Template NodeConfig applied to every peer (region defaults to 0).
-  ScenarioBuilder& node_defaults(sim::NodeConfig config);
-
   // Marks an undialable share of peers. In build(), each peer is drawn
   // undialable with probability f from a dedicated rng fork (so f = 0
   // leaves every other draw sequence untouched). In build_world() this
@@ -171,18 +153,16 @@ class ScenarioBuilder {
 
   // Wraps every node in a dht::DhtNode server (synthetic identity,
   // attached handlers) and pre-seeds routing tables from a random
-  // sample of `routing_sample` picks per node.
+  // sample of 40 picks per node.
   ScenarioBuilder& dht_servers(bool enable = true);
-  ScenarioBuilder& routing_sample(std::size_t picks_per_node);
 
   // Wraps every node in a pubsub::Pubsub engine. Each engine's candidate
-  // set is pre-seeded with `pubsub_candidates` random peers drawn from a
-  // dedicated rng fork (so enabling pubsub leaves every pre-existing
-  // seeded stream bit-identical). Composes with dht_servers(): the
-  // message handler multiplexes DHT first, then pubsub.
+  // set is pre-seeded with 10 random peers drawn from a dedicated rng
+  // fork (so enabling pubsub leaves every pre-existing seeded stream
+  // bit-identical). Composes with dht_servers(): the message handler
+  // multiplexes DHT first, then pubsub.
   ScenarioBuilder& pubsub(bool enable = true);
   ScenarioBuilder& pubsub_config(pubsub::PubsubConfig config);
-  ScenarioBuilder& pubsub_candidates(std::size_t picks_per_node);
 
   // Network indexers for delegated content routing (docs/ROUTING.md).
   // build() appends `n` indexer nodes after every peer node; build_world()
@@ -192,18 +172,6 @@ class ScenarioBuilder {
   ScenarioBuilder& indexers(std::size_t n);
   ScenarioBuilder& indexer_config(indexer::IndexerConfig config);
   ScenarioBuilder& routing(routing::RoutingConfig::Mode mode);
-
-  // Gateway fleet (docs/GATEWAY.md): N consistent-hash-routed replicas
-  // over a shared origin cache, appended to the network after indexers.
-  // The replica template's node.routing is overwritten with the built
-  // scenario's routing_config(), so indexers()/routing() compose.
-  ScenarioBuilder& gateway_fleet(gateway::FleetConfig config);
-
-  // Block-store backend for every IpfsNode the scenario stack constructs
-  // (docs/BLOCKSTORE.md): applied to gateway-fleet replicas and exposed
-  // through Scenario::store_config() for call sites that build their own
-  // nodes on the fabric. Defaults to the in-memory map store.
-  ScenarioBuilder& node_store(blockstore::StoreConfig config);
 
   // Constructs (but does not arm) a FaultPlan over the built network.
   ScenarioBuilder& faults(sim::FaultConfig config);
@@ -220,12 +188,6 @@ class ScenarioBuilder {
                            adversary::EclipseConfig config = {});
   ScenarioBuilder& flash_crowd(adversary::FlashCrowdConfig config);
   ScenarioBuilder& churn_storm(adversary::ChurnStormConfig config);
-  ScenarioBuilder& partition(std::vector<std::vector<int>> region_groups,
-                             sim::Duration heal_at,
-                             sim::Duration start = 0);
-  // Tweaks shared attack infrastructure (sybil front nodes, region).
-  ScenarioBuilder& attack_infra(std::size_t sybil_front_nodes,
-                                int attacker_region);
 
   // Ring-buffer capacity of the metrics trace (0 keeps the default).
   ScenarioBuilder& trace_capacity(std::size_t capacity);
@@ -255,20 +217,15 @@ class ScenarioBuilder {
   double jitter_high_ = 1.0;
   bool world_geography_ = false;
 
-  sim::NodeConfig node_defaults_{};
   std::optional<double> undialable_fraction_;
   bool dht_servers_ = false;
-  std::size_t routing_sample_ = 40;
   bool pubsub_ = false;
   pubsub::PubsubConfig pubsub_config_{};
-  std::size_t pubsub_candidates_ = 10;
   std::optional<sim::FaultConfig> fault_config_;
   std::optional<adversary::AttackConfig> attack_config_;
   std::size_t trace_capacity_ = 0;
   std::size_t indexer_count_ = 0;
   indexer::IndexerConfig indexer_config_{};
-  std::optional<gateway::FleetConfig> gateway_fleet_config_;
-  blockstore::StoreConfig node_store_{};
   routing::RoutingConfig::Mode routing_mode_ = routing::RoutingConfig::Mode::kDht;
 
   bool enable_churn_ = true;

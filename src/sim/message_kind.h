@@ -1,11 +1,13 @@
 // One registry for protocol message kinds. The numeric values double as
 // the wire tags of transport/codec.cpp ([tag u16][body] frames), so a
 // new message type registers exactly once: add an enumerator here, an
-// override of sim::Message::kind() on the struct, and the codec body.
+// override of sim::Message::kind() on the struct, and in the codec one
+// fields() layout plus one tag-table row (docs/TRANSPORT.md, "Adding a
+// message type").
 //
-// Dispatch sites (Bitswap::handle_request, codec encode/decode) switch
-// on kind() instead of walking a dynamic_cast chain — O(1) per message
-// and impossible to update in one place but not the other.
+// Dispatch sites (Bitswap::handle_request's switch, the codec's tag
+// table) read kind() instead of walking a dynamic_cast chain, and the
+// wire tag is the kind itself, so the two layers cannot drift apart.
 //
 // Stable wire constants: append only, never renumber.
 #pragma once

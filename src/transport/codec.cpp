@@ -1,7 +1,7 @@
 #include "transport/codec.h"
 
 #include <array>
-#include <cstring>
+#include <concepts>
 #include <memory>
 #include <optional>
 #include <string>
@@ -15,79 +15,225 @@ namespace ipfs::transport {
 namespace {
 
 // Wire tags are sim::MessageKind values (sim/message_kind.h): the same
-// constant a message reports via kind() is what goes on the wire, so
-// encode dispatch is a switch instead of a dynamic_cast chain and the
-// two layers cannot drift apart.
+// constant a message reports via kind() is what goes on the wire.
 using Tag = sim::MessageKind;
 
 // Upper bound on any single length prefix. Untrusted input can claim any
-// u32; rejecting early keeps a hostile 4 GB claim from turning into an
+// u32; capping it keeps a hostile 4 GB claim from turning into an
 // allocation, without constraining real traffic (blocks are ≤ 256 KiB).
 constexpr std::uint32_t kMaxFieldBytes = 64u * 1024 * 1024;
 
+using Bytes = std::vector<std::uint8_t>;
+
+// A repeated field: a u32 count, then the elements. `min_bytes` is the
+// fewest bytes one element takes on the wire, so the reader can refuse a
+// count the rest of the buffer could never hold before allocating.
+template <class T>
+struct List {
+  std::vector<T>& items;
+  std::size_t min_bytes;
+};
+
+template <class T>
+List<T> list(std::vector<T>& items, std::size_t min_bytes) {
+  return {items, min_bytes};
+}
+
+// --- Layouts ----------------------------------------------------------------
+// Each wire struct's fields, in wire order. `io` is a Writer or a Reader,
+// so the one list serves both directions: the Reader fills the mutable
+// references, and the Writer only reads them.
+
+void fields(auto& io, dht::PeerRef& m) {
+  io(m.id, m.node, list(m.addresses, 4));
+}
+
+void fields(auto& io, dht::ProviderRecord& m) {
+  io(m.provider, m.received_at);
+}
+
+void fields(auto& io, dht::ValueRecord& m) {
+  io(m.value, m.sequence, m.received_at);
+}
+
+void fields(auto& io, dht::LookupRequestBase& m) {
+  io(m.requester, m.requester_is_server);
+}
+
+void fields(auto& io, dht::FindNodeRequest& m) {
+  io(static_cast<dht::LookupRequestBase&>(m), m.target);
+}
+
+void fields(auto& io, dht::FindNodeResponse& m) {
+  io(list(m.closer, 9));
+}
+
+void fields(auto& io, dht::GetProvidersRequest& m) {
+  io(static_cast<dht::LookupRequestBase&>(m), m.key);
+}
+
+void fields(auto& io, dht::GetProvidersResponse& m) {
+  io(list(m.providers, 17), list(m.closer, 9));
+}
+
+void fields(auto& io, dht::AddProviderRequest& m) {
+  io(m.key, m.provider);
+}
+
+void fields(auto& io, dht::PutValueRequest& m) {
+  io(m.key, m.record);
+}
+
+void fields(auto& io, dht::GetValueRequest& m) {
+  io(static_cast<dht::LookupRequestBase&>(m), m.key);
+}
+
+void fields(auto& io, dht::GetValueResponse& m) {
+  io(m.record, list(m.closer, 9));  // record: presence flag, then fields
+}
+
+void fields(auto&, dht::ListBucketsRequest&) {}
+
+void fields(auto& io, dht::ListBucketsResponse& m) {
+  io(list(m.peers, 9));
+}
+
+void fields(auto&, dht::DialBackRequest&) {}
+
+void fields(auto& io, dht::DialBackResponse& m) {
+  io(m.reachable);
+}
+
+void fields(auto& io, bitswap::WantHaveRequest& m) {
+  io(m.cid);
+}
+
+void fields(auto& io, bitswap::HaveResponse& m) {
+  io(m.have);
+}
+
+void fields(auto& io, bitswap::WantBlockRequest& m) {
+  io(m.cid, m.send_dont_have);
+}
+
+void fields(auto& io, bitswap::BlockResponse& m) {
+  io(m.cid, m.data, m.dont_have);  // BlockData: presence flag, then bytes
+}
+
+void fields(auto& io, pubsub::MessageId& m) {
+  io(m.origin, m.seqno);
+}
+
+void fields(auto& io, pubsub::SubOpts& m) {
+  io(m.topic, m.subscribe);
+}
+
+void fields(auto& io, pubsub::PubsubMessage& m) {
+  io(m.id, m.topic, m.data);
+}
+
+void fields(auto& io, pubsub::ControlIHave& m) {
+  io(m.topic, list(m.ids, 12));
+}
+
+void fields(auto& io, pubsub::ControlIWant& m) {
+  io(list(m.ids, 12));
+}
+
+void fields(auto& io, pubsub::ControlGraft& m) {
+  io(m.topic);
+}
+
+void fields(auto& io, pubsub::ControlPrune& m) {
+  io(m.topic, list(m.px, 4));
+}
+
+void fields(auto& io, pubsub::GossipRpc& m) {
+  io(list(m.subscriptions, 5), m.announce_reply, list(m.publish, 20),
+     list(m.ihave, 8), list(m.iwant, 4), list(m.graft, 4),
+     list(m.prune, 8));
+}
+
+void fields(auto& io, indexer::AdvertiseMessage& m) {
+  io(m.key, m.provider);
+}
+
+void fields(auto& io, indexer::QueryRequest& m) {
+  io(m.key);
+}
+
+void fields(auto& io, indexer::QueryResponse& m) {
+  io(list(m.providers, 17));
+}
+
+// A struct with a layout above, as opposed to a leaf field.
+template <class T, class Io>
+concept HasLayout = requires(Io& io, T& value) { fields(io, value); };
+
+// --- Leaf encodings ----------------------------------------------------------
+// Integers are little-endian at their own width (a bool is one byte, 0
+// or 1). Byte strings, text and the multiformats objects (PeerId,
+// Multiaddr, Cid, as their canonical binary encodings) carry a u32 length
+// prefix. A dht::Key is its 32 raw bytes.
+
 class Writer {
  public:
-  std::vector<std::uint8_t> take() { return std::move(out_); }
+  Bytes take() { return std::move(out_); }
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    for (int i = 0; i < 2; ++i) out_.push_back(std::uint8_t(v >> (8 * i)));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(std::uint8_t(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(std::uint8_t(v >> (8 * i)));
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-
-  void bytes(std::span<const std::uint8_t> data) {
-    u32(static_cast<std::uint32_t>(data.size()));
-    out_.insert(out_.end(), data.begin(), data.end());
-  }
-  void str(const std::string& text) {
-    bytes({reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
-  }
-
-  void key(const dht::Key& k) {
-    out_.insert(out_.end(), k.bytes().begin(), k.bytes().end());
-  }
-  void peer_id(const multiformats::PeerId& id) { bytes(id.encode()); }
-  void multiaddr(const multiformats::Multiaddr& addr) { bytes(addr.encode()); }
-  void cid(const multiformats::Cid& c) { bytes(c.encode()); }
-
-  void peer_ref(const dht::PeerRef& ref) {
-    peer_id(ref.id);
-    u32(ref.node);
-    u32(static_cast<std::uint32_t>(ref.addresses.size()));
-    for (const auto& addr : ref.addresses) multiaddr(addr);
-  }
-  void provider_record(const dht::ProviderRecord& record) {
-    peer_ref(record.provider);
-    i64(record.received_at);
-  }
-  void value_record(const dht::ValueRecord& record) {
-    bytes(record.value);
-    u64(record.sequence);
-    i64(record.received_at);
-  }
-  void requester(const dht::LookupRequestBase& base) {
-    peer_ref(base.requester);
-    boolean(base.requester_is_server);
-  }
-  void message_id(const pubsub::MessageId& id) {
-    u32(id.origin);
-    u64(id.seqno);
+  template <class... Fields>
+  void operator()(Fields&&... fields) {
+    (put(fields), ...);
   }
 
  private:
-  std::vector<std::uint8_t> out_;
+  template <class T>
+    requires HasLayout<T, Writer>
+  void put(T& value) {
+    fields(*this, value);
+  }
+  template <class T>
+  void put(List<T> field) {
+    put(static_cast<std::uint32_t>(field.items.size()));
+    for (T& item : field.items) put(item);
+  }
+  template <class T>
+  void put(std::optional<T>& value) {
+    put(value.has_value());
+    if (value) put(*value);
+  }
+  void put(const bitswap::BlockData& data) {
+    put(data != nullptr);
+    if (data) put(*data);
+  }
+
+  template <std::integral Int>
+  void put(Int value) {
+    const auto bits = static_cast<std::uint64_t>(value);
+    for (std::size_t i = 0; i < sizeof(Int); ++i)
+      out_.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  void put(const dht::Key& key) {
+    out_.insert(out_.end(), key.bytes().begin(), key.bytes().end());
+  }
+  void put(std::span<const std::uint8_t> data) {
+    put(static_cast<std::uint32_t>(data.size()));
+    out_.insert(out_.end(), data.begin(), data.end());
+  }
+  void put(const std::string& text) {
+    put(std::span(reinterpret_cast<const std::uint8_t*>(text.data()),
+                  text.size()));
+  }
+  void put(const multiformats::PeerId& id) { put(id.encode()); }
+  void put(const multiformats::Multiaddr& addr) { put(addr.encode()); }
+  void put(const multiformats::Cid& cid) { put(cid.encode()); }
+
+  Bytes out_;
 };
 
-// Bounds-checked reader: every accessor sets fail() and returns a
-// default instead of walking past the buffer, so a decode of hostile
-// bytes degrades to nullptr, never UB.
+// Bounds-checked reader: past the end of the buffer, or on a value the
+// format forbids, it sets fail() and leaves defaults instead of walking
+// out of bounds, so a decode of hostile bytes degrades to nullptr, never
+// UB.
 class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
@@ -95,130 +241,103 @@ class Reader {
   bool fail() const { return fail_; }
   bool exhausted() const { return pos_ == data_.size(); }
 
-  std::uint8_t u8() {
-    if (!need(1)) return 0;
-    return data_[pos_++];
-  }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(fixed(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(fixed(4)); }
-  std::uint64_t u64() { return fixed(8); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  bool boolean() {
-    const std::uint8_t v = u8();
-    if (v > 1) fail_ = true;
-    return v == 1;
-  }
-
-  std::span<const std::uint8_t> bytes() {
-    const std::uint32_t n = u32();
-    if (fail_ || n > kMaxFieldBytes || !need(n)) return {};
-    const auto view = data_.subspan(pos_, n);
-    pos_ += n;
-    return view;
-  }
-  std::string str() {
-    const auto view = bytes();
-    return {reinterpret_cast<const char*>(view.data()), view.size()};
-  }
-
-  // Length prefix of a repeated field. Each element occupies at least
-  // `min_element_bytes` on the wire, so a claimed count larger than the
-  // remaining buffer could ever hold is rejected before any allocation.
-  std::uint32_t count(std::size_t min_element_bytes) {
-    const std::uint32_t n = u32();
-    if (fail_) return 0;
-    if (min_element_bytes > 0 &&
-        n > (data_.size() - pos_) / min_element_bytes) {
-      fail_ = true;
-      return 0;
-    }
-    return n;
-  }
-
-  dht::Key key() {
-    std::array<std::uint8_t, 32> raw{};
-    if (!need(raw.size())) return dht::Key{};
-    std::memcpy(raw.data(), data_.data() + pos_, raw.size());
-    pos_ += raw.size();
-    return dht::Key(raw);
-  }
-  multiformats::PeerId peer_id() {
-    const auto view = bytes();
-    auto hash = multiformats::Multihash::decode(view);
-    if (!hash) {
-      fail_ = true;
-      return {};
-    }
-    return multiformats::PeerId(std::move(*hash));
-  }
-  multiformats::Multiaddr multiaddr() {
-    const auto view = bytes();
-    auto addr = multiformats::Multiaddr::decode(view);
-    if (!addr) {
-      fail_ = true;
-      return {};
-    }
-    return std::move(*addr);
-  }
-  multiformats::Cid cid() {
-    const auto view = bytes();
-    auto parsed = multiformats::Cid::decode(view);
-    if (!parsed) {
-      fail_ = true;
-      return {};
-    }
-    return std::move(*parsed);
-  }
-
-  dht::PeerRef peer_ref() {
-    dht::PeerRef ref;
-    ref.id = peer_id();
-    ref.node = u32();
-    const std::uint32_t n = count(4);
-    for (std::uint32_t i = 0; i < n && !fail_; ++i)
-      ref.addresses.push_back(multiaddr());
-    return ref;
-  }
-  dht::ProviderRecord provider_record() {
-    dht::ProviderRecord record;
-    record.provider = peer_ref();
-    record.received_at = i64();
-    return record;
-  }
-  dht::ValueRecord value_record() {
-    dht::ValueRecord record;
-    const auto view = bytes();
-    record.value.assign(view.begin(), view.end());
-    record.sequence = u64();
-    record.received_at = i64();
-    return record;
-  }
-  void requester(dht::LookupRequestBase& base) {
-    base.requester = peer_ref();
-    base.requester_is_server = boolean();
-  }
-  pubsub::MessageId message_id() {
-    pubsub::MessageId id;
-    id.origin = u32();
-    id.seqno = u64();
-    return id;
+  template <class... Fields>
+  void operator()(Fields&&... fields) {
+    (get(fields), ...);
   }
 
  private:
-  bool need(std::size_t n) {
+  template <class T>
+    requires HasLayout<T, Reader>
+  void get(T& value) {
+    fields(*this, value);
+  }
+  template <class T>
+  void get(List<T> field) {
+    std::uint32_t n = 0;
+    get(n);
+    if (n > (data_.size() - pos_) / field.min_bytes) fail_ = true;
+    for (std::uint32_t i = 0; i < n && !fail_; ++i)
+      get(field.items.emplace_back());
+  }
+  template <class T>
+  void get(std::optional<T>& value) {
+    bool present = false;
+    get(present);
+    if (present) get(value.emplace());
+  }
+  void get(bitswap::BlockData& data) {
+    std::optional<Bytes> bytes;
+    get(bytes);
+    if (bytes) data = std::make_shared<const Bytes>(std::move(*bytes));
+  }
+
+  template <std::integral Int>
+  void get(Int& value) {
+    std::uint64_t bits = 0;
+    const auto view = take(sizeof(Int));
+    for (std::size_t i = 0; i < view.size(); ++i)
+      bits |= std::uint64_t(view[i]) << (8 * i);
+    value = static_cast<Int>(bits);
+  }
+  void get(bool& value) {
+    std::uint8_t byte = 0;
+    get(byte);
+    if (byte > 1) fail_ = true;
+    value = byte == 1;
+  }
+  void get(dht::Key& key) {
+    std::array<std::uint8_t, 32> raw{};
+    for (std::uint8_t& byte : raw) get(byte);
+    key = dht::Key(raw);
+  }
+  void get(Bytes& data) {
+    const auto view = prefixed();
+    data.assign(view.begin(), view.end());
+  }
+  void get(std::string& text) {
+    const auto view = prefixed();
+    text.assign(reinterpret_cast<const char*>(view.data()), view.size());
+  }
+  void get(multiformats::PeerId& id) {
+    multiformats::Multihash hash;
+    adopt(hash, multiformats::Multihash::decode(prefixed()));
+    id = multiformats::PeerId(std::move(hash));
+  }
+  void get(multiformats::Multiaddr& addr) {
+    adopt(addr, multiformats::Multiaddr::decode(prefixed()));
+  }
+  void get(multiformats::Cid& cid) {
+    adopt(cid, multiformats::Cid::decode(prefixed()));
+  }
+
+  // Takes a parsed value, or fails on bytes its decoder refused.
+  template <class T>
+  void adopt(T& value, std::optional<T> parsed) {
+    if (parsed)
+      value = std::move(*parsed);
+    else
+      fail_ = true;
+  }
+
+  // A length-prefixed field. A claim over kMaxFieldBytes reads as an
+  // empty field, leaving the parse where the prefix ended.
+  std::span<const std::uint8_t> prefixed() {
+    std::uint32_t n = 0;
+    get(n);
+    if (n > kMaxFieldBytes) return {};
+    return take(n);
+  }
+
+  // The next `n` bytes, or an empty view and fail() past the end.
+  std::span<const std::uint8_t> take(std::size_t n) {
     if (fail_ || data_.size() - pos_ < n) {
       fail_ = true;
-      return false;
+      return {};
     }
-    return true;
-  }
-  std::uint64_t fixed(int width) {
-    if (!need(static_cast<std::size_t>(width))) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < width; ++i)
-      v |= std::uint64_t(data_[pos_ + i]) << (8 * i);
-    pos_ += static_cast<std::size_t>(width);
-    return v;
+    const auto view = data_.subspan(pos_, n);
+    pos_ += n;
+    return view;
   }
 
   std::span<const std::uint8_t> data_;
@@ -226,368 +345,76 @@ class Reader {
   bool fail_ = false;
 };
 
-void encode_gossip_rpc(Writer& w, const pubsub::GossipRpc& rpc) {
-  w.u32(static_cast<std::uint32_t>(rpc.subscriptions.size()));
-  for (const auto& sub : rpc.subscriptions) {
-    w.str(sub.topic);
-    w.boolean(sub.subscribe);
-  }
-  w.boolean(rpc.announce_reply);
-  w.u32(static_cast<std::uint32_t>(rpc.publish.size()));
-  for (const auto& message : rpc.publish) {
-    w.message_id(message.id);
-    w.str(message.topic);
-    w.bytes(message.data);
-  }
-  w.u32(static_cast<std::uint32_t>(rpc.ihave.size()));
-  for (const auto& ihave : rpc.ihave) {
-    w.str(ihave.topic);
-    w.u32(static_cast<std::uint32_t>(ihave.ids.size()));
-    for (const auto& id : ihave.ids) w.message_id(id);
-  }
-  w.u32(static_cast<std::uint32_t>(rpc.iwant.size()));
-  for (const auto& iwant : rpc.iwant) {
-    w.u32(static_cast<std::uint32_t>(iwant.ids.size()));
-    for (const auto& id : iwant.ids) w.message_id(id);
-  }
-  w.u32(static_cast<std::uint32_t>(rpc.graft.size()));
-  for (const auto& graft : rpc.graft) w.str(graft.topic);
-  w.u32(static_cast<std::uint32_t>(rpc.prune.size()));
-  for (const auto& prune : rpc.prune) {
-    w.str(prune.topic);
-    w.u32(static_cast<std::uint32_t>(prune.px.size()));
-    for (const sim::NodeId peer : prune.px) w.u32(peer);
-  }
+// --- The tag table -----------------------------------------------------------
+// One row per wire tag: the struct it carries, for both directions.
+
+struct Row {
+  Tag tag;
+  void (*encode)(Writer&, sim::Message&);
+  sim::MessagePtr (*decode)(Reader&);
+};
+
+template <class T>
+constexpr Row row(Tag tag) {
+  return {tag, [](Writer& w, sim::Message& m) { w(static_cast<T&>(m)); },
+          [](Reader& r) -> sim::MessagePtr {
+            auto m = std::make_shared<T>();
+            r(*m);
+            return m;
+          }};
 }
 
-sim::MessagePtr decode_gossip_rpc(Reader& r) {
-  auto rpc = std::make_shared<pubsub::GossipRpc>();
-  std::uint32_t n = r.count(5);
-  for (std::uint32_t i = 0; i < n && !r.fail(); ++i) {
-    pubsub::SubOpts sub;
-    sub.topic = r.str();
-    sub.subscribe = r.boolean();
-    rpc->subscriptions.push_back(std::move(sub));
-  }
-  rpc->announce_reply = r.boolean();
-  n = r.count(20);
-  for (std::uint32_t i = 0; i < n && !r.fail(); ++i) {
-    pubsub::PubsubMessage message;
-    message.id = r.message_id();
-    message.topic = r.str();
-    const auto view = r.bytes();
-    message.data.assign(view.begin(), view.end());
-    rpc->publish.push_back(std::move(message));
-  }
-  n = r.count(8);
-  for (std::uint32_t i = 0; i < n && !r.fail(); ++i) {
-    pubsub::ControlIHave ihave;
-    ihave.topic = r.str();
-    const std::uint32_t ids = r.count(12);
-    for (std::uint32_t j = 0; j < ids && !r.fail(); ++j)
-      ihave.ids.push_back(r.message_id());
-    rpc->ihave.push_back(std::move(ihave));
-  }
-  n = r.count(4);
-  for (std::uint32_t i = 0; i < n && !r.fail(); ++i) {
-    pubsub::ControlIWant iwant;
-    const std::uint32_t ids = r.count(12);
-    for (std::uint32_t j = 0; j < ids && !r.fail(); ++j)
-      iwant.ids.push_back(r.message_id());
-    rpc->iwant.push_back(std::move(iwant));
-  }
-  n = r.count(4);
-  for (std::uint32_t i = 0; i < n && !r.fail(); ++i) {
-    pubsub::ControlGraft graft;
-    graft.topic = r.str();
-    rpc->graft.push_back(std::move(graft));
-  }
-  n = r.count(8);
-  for (std::uint32_t i = 0; i < n && !r.fail(); ++i) {
-    pubsub::ControlPrune prune;
-    prune.topic = r.str();
-    const std::uint32_t px = r.count(4);
-    for (std::uint32_t j = 0; j < px && !r.fail(); ++j)
-      prune.px.push_back(r.u32());
-    rpc->prune.push_back(std::move(prune));
-  }
-  return rpc;
+constexpr Row kTable[] = {
+    row<dht::FindNodeRequest>(Tag::kFindNodeRequest),
+    row<dht::FindNodeResponse>(Tag::kFindNodeResponse),
+    row<dht::GetProvidersRequest>(Tag::kGetProvidersRequest),
+    row<dht::GetProvidersResponse>(Tag::kGetProvidersResponse),
+    row<dht::AddProviderRequest>(Tag::kAddProviderRequest),
+    row<dht::PutValueRequest>(Tag::kPutValueRequest),
+    row<dht::GetValueRequest>(Tag::kGetValueRequest),
+    row<dht::GetValueResponse>(Tag::kGetValueResponse),
+    row<dht::ListBucketsRequest>(Tag::kListBucketsRequest),
+    row<dht::ListBucketsResponse>(Tag::kListBucketsResponse),
+    row<dht::DialBackRequest>(Tag::kDialBackRequest),
+    row<dht::DialBackResponse>(Tag::kDialBackResponse),
+    row<bitswap::WantHaveRequest>(Tag::kWantHaveRequest),
+    row<bitswap::HaveResponse>(Tag::kHaveResponse),
+    row<bitswap::WantBlockRequest>(Tag::kWantBlockRequest),
+    row<bitswap::BlockResponse>(Tag::kBlockResponse),
+    row<pubsub::GossipRpc>(Tag::kGossipRpc),
+    row<indexer::AdvertiseMessage>(Tag::kAdvertiseMessage),
+    row<indexer::QueryRequest>(Tag::kQueryRequest),
+    row<indexer::QueryResponse>(Tag::kQueryResponse),
+};
+
+// nullptr for kUnknown and any tag without a row.
+const Row* find_row(Tag tag) {
+  for (const Row& row : kTable)
+    if (row.tag == tag) return &row;
+  return nullptr;
 }
 
 }  // namespace
 
 std::optional<std::vector<std::uint8_t>> encode_message(
     const sim::Message& message) {
+  const Row* row = find_row(message.kind());
+  if (row == nullptr) return std::nullopt;
   Writer w;
-  const Tag tag = message.kind();
-  w.u16(static_cast<std::uint16_t>(tag));
-  switch (tag) {
-    case Tag::kFindNodeRequest: {
-      const auto& m = static_cast<const dht::FindNodeRequest&>(message);
-      w.requester(m);
-      w.key(m.target);
-      break;
-    }
-    case Tag::kFindNodeResponse: {
-      const auto& m = static_cast<const dht::FindNodeResponse&>(message);
-      w.u32(static_cast<std::uint32_t>(m.closer.size()));
-      for (const auto& ref : m.closer) w.peer_ref(ref);
-      break;
-    }
-    case Tag::kGetProvidersRequest: {
-      const auto& m = static_cast<const dht::GetProvidersRequest&>(message);
-      w.requester(m);
-      w.key(m.key);
-      break;
-    }
-    case Tag::kGetProvidersResponse: {
-      const auto& m = static_cast<const dht::GetProvidersResponse&>(message);
-      w.u32(static_cast<std::uint32_t>(m.providers.size()));
-      for (const auto& record : m.providers) w.provider_record(record);
-      w.u32(static_cast<std::uint32_t>(m.closer.size()));
-      for (const auto& ref : m.closer) w.peer_ref(ref);
-      break;
-    }
-    case Tag::kAddProviderRequest: {
-      const auto& m = static_cast<const dht::AddProviderRequest&>(message);
-      w.key(m.key);
-      w.peer_ref(m.provider);
-      break;
-    }
-    case Tag::kPutValueRequest: {
-      const auto& m = static_cast<const dht::PutValueRequest&>(message);
-      w.key(m.key);
-      w.value_record(m.record);
-      break;
-    }
-    case Tag::kGetValueRequest: {
-      const auto& m = static_cast<const dht::GetValueRequest&>(message);
-      w.requester(m);
-      w.key(m.key);
-      break;
-    }
-    case Tag::kGetValueResponse: {
-      const auto& m = static_cast<const dht::GetValueResponse&>(message);
-      w.boolean(m.record.has_value());
-      if (m.record) w.value_record(*m.record);
-      w.u32(static_cast<std::uint32_t>(m.closer.size()));
-      for (const auto& ref : m.closer) w.peer_ref(ref);
-      break;
-    }
-    case Tag::kListBucketsRequest:
-      break;
-    case Tag::kListBucketsResponse: {
-      const auto& m = static_cast<const dht::ListBucketsResponse&>(message);
-      w.u32(static_cast<std::uint32_t>(m.peers.size()));
-      for (const auto& ref : m.peers) w.peer_ref(ref);
-      break;
-    }
-    case Tag::kDialBackRequest:
-      break;
-    case Tag::kDialBackResponse: {
-      const auto& m = static_cast<const dht::DialBackResponse&>(message);
-      w.boolean(m.reachable);
-      break;
-    }
-    case Tag::kWantHaveRequest: {
-      const auto& m = static_cast<const bitswap::WantHaveRequest&>(message);
-      w.cid(m.cid);
-      break;
-    }
-    case Tag::kHaveResponse: {
-      const auto& m = static_cast<const bitswap::HaveResponse&>(message);
-      w.boolean(m.have);
-      break;
-    }
-    case Tag::kWantBlockRequest: {
-      const auto& m = static_cast<const bitswap::WantBlockRequest&>(message);
-      w.cid(m.cid);
-      w.boolean(m.send_dont_have);
-      break;
-    }
-    case Tag::kBlockResponse: {
-      const auto& m = static_cast<const bitswap::BlockResponse&>(message);
-      w.cid(m.cid);
-      w.boolean(m.data != nullptr);
-      if (m.data) w.bytes(*m.data);
-      w.boolean(m.dont_have);
-      break;
-    }
-    case Tag::kGossipRpc: {
-      const auto& m = static_cast<const pubsub::GossipRpc&>(message);
-      encode_gossip_rpc(w, m);
-      break;
-    }
-    case Tag::kAdvertiseMessage: {
-      const auto& m = static_cast<const indexer::AdvertiseMessage&>(message);
-      w.key(m.key);
-      w.peer_ref(m.provider);
-      break;
-    }
-    case Tag::kQueryRequest: {
-      const auto& m = static_cast<const indexer::QueryRequest&>(message);
-      w.key(m.key);
-      break;
-    }
-    case Tag::kQueryResponse: {
-      const auto& m = static_cast<const indexer::QueryResponse&>(message);
-      w.u32(static_cast<std::uint32_t>(m.providers.size()));
-      for (const auto& record : m.providers) w.provider_record(record);
-      break;
-    }
-    default:
-      return std::nullopt;  // kUnknown or an unregistered message type
-  }
+  w(static_cast<std::uint16_t>(row->tag));
+  // The layouts take mutable references so that one serves both
+  // directions; the Writer only reads them.
+  row->encode(w, const_cast<sim::Message&>(message));
   return w.take();
 }
 
 sim::MessagePtr decode_message(std::span<const std::uint8_t> bytes) {
   Reader r(bytes);
-  const auto tag = static_cast<Tag>(r.u16());
-  if (r.fail()) return nullptr;
-  sim::MessagePtr out;
-  switch (tag) {
-    case Tag::kFindNodeRequest: {
-      auto m = std::make_shared<dht::FindNodeRequest>();
-      r.requester(*m);
-      m->target = r.key();
-      out = std::move(m);
-      break;
-    }
-    case Tag::kFindNodeResponse: {
-      auto m = std::make_shared<dht::FindNodeResponse>();
-      const std::uint32_t n = r.count(9);
-      for (std::uint32_t i = 0; i < n && !r.fail(); ++i)
-        m->closer.push_back(r.peer_ref());
-      out = std::move(m);
-      break;
-    }
-    case Tag::kGetProvidersRequest: {
-      auto m = std::make_shared<dht::GetProvidersRequest>();
-      r.requester(*m);
-      m->key = r.key();
-      out = std::move(m);
-      break;
-    }
-    case Tag::kGetProvidersResponse: {
-      auto m = std::make_shared<dht::GetProvidersResponse>();
-      std::uint32_t n = r.count(17);
-      for (std::uint32_t i = 0; i < n && !r.fail(); ++i)
-        m->providers.push_back(r.provider_record());
-      n = r.count(9);
-      for (std::uint32_t i = 0; i < n && !r.fail(); ++i)
-        m->closer.push_back(r.peer_ref());
-      out = std::move(m);
-      break;
-    }
-    case Tag::kAddProviderRequest: {
-      auto m = std::make_shared<dht::AddProviderRequest>();
-      m->key = r.key();
-      m->provider = r.peer_ref();
-      out = std::move(m);
-      break;
-    }
-    case Tag::kPutValueRequest: {
-      auto m = std::make_shared<dht::PutValueRequest>();
-      m->key = r.key();
-      m->record = r.value_record();
-      out = std::move(m);
-      break;
-    }
-    case Tag::kGetValueRequest: {
-      auto m = std::make_shared<dht::GetValueRequest>();
-      r.requester(*m);
-      m->key = r.key();
-      out = std::move(m);
-      break;
-    }
-    case Tag::kGetValueResponse: {
-      auto m = std::make_shared<dht::GetValueResponse>();
-      if (r.boolean()) m->record = r.value_record();
-      const std::uint32_t n = r.count(9);
-      for (std::uint32_t i = 0; i < n && !r.fail(); ++i)
-        m->closer.push_back(r.peer_ref());
-      out = std::move(m);
-      break;
-    }
-    case Tag::kListBucketsRequest:
-      out = std::make_shared<dht::ListBucketsRequest>();
-      break;
-    case Tag::kListBucketsResponse: {
-      auto m = std::make_shared<dht::ListBucketsResponse>();
-      const std::uint32_t n = r.count(9);
-      for (std::uint32_t i = 0; i < n && !r.fail(); ++i)
-        m->peers.push_back(r.peer_ref());
-      out = std::move(m);
-      break;
-    }
-    case Tag::kDialBackRequest:
-      out = std::make_shared<dht::DialBackRequest>();
-      break;
-    case Tag::kDialBackResponse: {
-      auto m = std::make_shared<dht::DialBackResponse>();
-      m->reachable = r.boolean();
-      out = std::move(m);
-      break;
-    }
-    case Tag::kWantHaveRequest: {
-      auto m = std::make_shared<bitswap::WantHaveRequest>();
-      m->cid = r.cid();
-      out = std::move(m);
-      break;
-    }
-    case Tag::kHaveResponse: {
-      auto m = std::make_shared<bitswap::HaveResponse>();
-      m->have = r.boolean();
-      out = std::move(m);
-      break;
-    }
-    case Tag::kWantBlockRequest: {
-      auto m = std::make_shared<bitswap::WantBlockRequest>();
-      m->cid = r.cid();
-      m->send_dont_have = r.boolean();
-      out = std::move(m);
-      break;
-    }
-    case Tag::kBlockResponse: {
-      auto m = std::make_shared<bitswap::BlockResponse>();
-      m->cid = r.cid();
-      if (r.boolean()) {
-        const auto view = r.bytes();
-        m->data = std::make_shared<const std::vector<std::uint8_t>>(
-            view.begin(), view.end());
-      }
-      m->dont_have = r.boolean();
-      out = std::move(m);
-      break;
-    }
-    case Tag::kGossipRpc:
-      out = decode_gossip_rpc(r);
-      break;
-    case Tag::kAdvertiseMessage: {
-      auto m = std::make_shared<indexer::AdvertiseMessage>();
-      m->key = r.key();
-      m->provider = r.peer_ref();
-      out = std::move(m);
-      break;
-    }
-    case Tag::kQueryRequest: {
-      auto m = std::make_shared<indexer::QueryRequest>();
-      m->key = r.key();
-      out = std::move(m);
-      break;
-    }
-    case Tag::kQueryResponse: {
-      auto m = std::make_shared<indexer::QueryResponse>();
-      const std::uint32_t n = r.count(17);
-      for (std::uint32_t i = 0; i < n && !r.fail(); ++i)
-        m->providers.push_back(r.provider_record());
-      out = std::move(m);
-      break;
-    }
-    default:
-      return nullptr;
-  }
+  std::uint16_t tag = 0;
+  r(tag);
+  const Row* row = find_row(static_cast<Tag>(tag));
+  if (r.fail() || row == nullptr) return nullptr;
+  sim::MessagePtr out = row->decode(r);
   // Reject partial parses and trailing garbage alike: an encoded message
   // occupies the payload exactly.
   if (r.fail() || !r.exhausted()) return nullptr;

@@ -12,9 +12,11 @@
 // variable-length fields, and nested multiformats objects (PeerId,
 // Multiaddr, Cid) embedded as length-prefixed copies of their canonical
 // binary encodings. Every message type in the DHT, Bitswap, GossipSub
-// and indexer protocols has a tag; encode/decode round-trip exactly
-// (tests/codec_fuzz_test.cpp drives randomized identity checks and
-// garbage-rejection under ASan).
+// and indexer protocols has a tag. Each struct's layout is written once,
+// as a field list that the encoder and the decoder both run, so
+// encode/decode round-trip exactly (tests/codec_fuzz_test.cpp drives
+// randomized identity checks and garbage-rejection under ASan, and pins
+// the wire bytes and the accept/reject verdicts).
 //
 // decode_message() is safe on untrusted input: any truncated, oversized
 // or otherwise malformed buffer yields nullptr, never UB.

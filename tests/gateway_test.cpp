@@ -313,7 +313,7 @@ TEST_F(GatewayTest, NegativeCacheShieldsRepeatedDeadCidCrowds) {
   // Past the TTL the entry expires and the pipeline is paid again (the
   // content may have been published in the meantime).
   auto& simulator = swarm_.simulator();
-  simulator.run_until(simulator.now() + gateway_->config().negative_ttl +
+  simulator.run_until(simulator.now() + gateway::kNegativeTtl +
                       sim::seconds(1));
   GatewayResponse expired;
   gateway_->handle_get(dead, [&](GatewayResponse r) { expired = r; });
