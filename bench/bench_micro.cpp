@@ -4,6 +4,7 @@
 
 #include "crypto/ed25519.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_compress.h"
 #include "dht/routing_table.h"
 #include "merkledag/merkledag.h"
 #include "multiformats/cid.h"
@@ -24,14 +25,18 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
+// 38 bytes is an encoded PeerId, which dht::Key::for_peer hashes on every
+// routing-table update and lookup; 256 KiB is a full chunk. The label names
+// the compress path this CPU runs.
 void BM_Sha256(benchmark::State& state) {
   const auto data = random_bytes(static_cast<std::size_t>(state.range(0)), 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::sha256(data));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(crypto::sha256_compress_hw() != nullptr ? "sha-ni" : "scalar");
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(256 * 1024);
+BENCHMARK(BM_Sha256)->Arg(38)->Arg(64)->Arg(4096)->Arg(256 * 1024);
 
 void BM_Ed25519Sign(benchmark::State& state) {
   crypto::Ed25519Seed seed{};

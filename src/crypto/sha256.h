@@ -1,4 +1,6 @@
-// SHA-256 (FIPS 180-4). CIDs and DHT keys hash through this implementation.
+// SHA-256 (FIPS 180-4). CIDs and DHT keys hash through this implementation,
+// which runs on the x86 SHA extensions when the CPU has them and on portable
+// scalar code otherwise; both give the same digests.
 #pragma once
 
 #include <array>
@@ -28,8 +30,6 @@ class Sha256 {
   void reset();
 
  private:
-  void compress(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::uint64_t total_bytes_ = 0;

@@ -320,12 +320,15 @@ class Reader {
       fail_ = true;
   }
 
-  // A length-prefixed field. A claim over kMaxFieldBytes reads as an
-  // empty field, leaving the parse where the prefix ended.
+  // A length-prefixed field. A claim over kMaxFieldBytes fails the parse
+  // before anything is read or allocated for it.
   std::span<const std::uint8_t> prefixed() {
     std::uint32_t n = 0;
     get(n);
-    if (n > kMaxFieldBytes) return {};
+    if (n > kMaxFieldBytes) {
+      fail_ = true;
+      return {};
+    }
     return take(n);
   }
 

@@ -355,6 +355,29 @@ TEST(CodecFuzzTest, TrailingGarbageIsRejected) {
   }
 }
 
+// A length prefix over the 64 MiB field cap is refused, not read as an
+// empty field with the parse going on from the bytes after it. An empty
+// value's zero prefix sits right after the tag (u16) and the record's
+// presence flag (u8); claiming 0xFFFFFFFF there leaves every other byte of
+// a valid encoding as it was.
+TEST(CodecFuzzTest, OverCapLengthPrefixIsRejected) {
+  Fuzz fuzz(5);
+  auto response = std::make_shared<dht::GetValueResponse>();
+  response->record = fuzz.value_record();
+  response->record->value.clear();
+  response->closer = fuzz.peer_refs(3);
+  auto encoded = encode_message(*response);
+  ASSERT_TRUE(encoded.has_value());
+  ASSERT_NE(decode_message(*encoded), nullptr);
+  constexpr std::size_t kValuePrefix = 3;
+  ASSERT_GE(encoded->size(), kValuePrefix + 4);
+  for (std::size_t i = kValuePrefix; i < kValuePrefix + 4; ++i) {
+    ASSERT_EQ((*encoded)[i], 0) << "byte " << i;
+    (*encoded)[i] = 0xFF;
+  }
+  EXPECT_EQ(decode_message(*encoded), nullptr);
+}
+
 // Random byte soup and bit-flipped encodings never crash the decoder
 // (ASan keeps this honest); anything it does accept must re-encode.
 TEST(CodecFuzzTest, GarbageAndMutationsAreSafe) {

@@ -1,14 +1,20 @@
 // Crypto substrate tests: FIPS 180-4 vectors for SHA-256/512, RFC 4231
-// vectors for HMAC, and RFC 8032 vectors for Ed25519.
+// vectors for HMAC, and RFC 8032 vectors for Ed25519. SHA-256's scalar and
+// hardware compress paths are also driven directly and checked against
+// each other; the hardware cases skip on a CPU without the SHA extensions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <ostream>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "crypto/ed25519.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_compress.h"
 #include "crypto/sha512.h"
 
 namespace ipfs::crypto {
@@ -17,6 +23,21 @@ namespace {
 std::vector<std::uint8_t> bytes_of(std::string_view s) {
   return std::vector<std::uint8_t>(s.begin(), s.end());
 }
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+constexpr std::string_view kAbcDigest =
+    "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
+
+// Hashed by a namespace-scope initializer, before main() runs: Sha256 must
+// find its compress path whichever of this file's statics and crypto's the
+// link initializes first.
+const Sha256Digest kAbcHashedDuringStaticInit = sha256("abc");
 
 TEST(Sha256Test, EmptyInput) {
   EXPECT_EQ(to_hex(sha256("")),
@@ -60,6 +81,118 @@ TEST(Sha256Test, ResetReusesContext) {
   ctx.update("abc");
   EXPECT_EQ(to_hex(ctx.finish()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+TEST(Sha256Test, HashesDuringStaticInitialization) {
+  EXPECT_EQ(to_hex(kAbcHashedDuringStaticInit), kAbcDigest);
+}
+
+// One compress path's digest of `data`: all whole blocks straight from
+// `data` in one call, then the padded tail in one more. It pads by itself,
+// so it is also a reference for Sha256's buffering and padding.
+Sha256Digest digest_with(Sha256CompressFn compress,
+                         std::span<const std::uint8_t> data) {
+  std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                        0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                        0x1f83d9ab, 0x5be0cd19};
+  const std::size_t whole = data.size() / 64;
+  if (whole > 0) compress(state, data.data(), whole);
+  const std::size_t rest = data.size() % 64;
+  std::array<std::uint8_t, 128> tail{};
+  if (rest > 0) std::memcpy(tail.data(), data.data() + whole * 64, rest);
+  tail[rest] = 0x80;
+  const std::size_t tail_blocks = rest < 56 ? 1 : 2;
+  const std::uint64_t bits = std::uint64_t{data.size()} * 8;
+  for (std::size_t i = 0; i < 8; ++i)
+    tail[tail_blocks * 64 - 1 - i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  compress(state, tail.data(), tail_blocks);
+  Sha256Digest digest;
+  for (std::size_t i = 0; i < digest.size(); ++i)
+    digest[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  return digest;
+}
+
+void expect_fips_vectors(Sha256CompressFn compress) {
+  const struct {
+    std::string message;
+    std::string_view digest;
+  } vectors[] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc", kAbcDigest},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {std::string(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  for (const auto& vec : vectors) {
+    EXPECT_EQ(to_hex(digest_with(compress, bytes_of(vec.message))), vec.digest)
+        << vec.message.size() << "-byte message";
+  }
+}
+
+TEST(Sha256CompressTest, ScalarMatchesFipsVectors) {
+  expect_fips_vectors(&sha256_compress_scalar);
+}
+
+TEST(Sha256CompressTest, HardwareMatchesFipsVectors) {
+  const Sha256CompressFn hw = sha256_compress_hw();
+  if (hw == nullptr) GTEST_SKIP() << "this CPU lacks the SHA extensions";
+  expect_fips_vectors(hw);
+}
+
+// Every tail length, a run of up to 64 whole blocks, and each start offset
+// an unaligned load can see.
+TEST(Sha256CompressTest, PathsAgreeOnEveryLengthAndOffset) {
+  const Sha256CompressFn hw = sha256_compress_hw();
+  if (hw == nullptr) GTEST_SKIP() << "this CPU lacks the SHA extensions";
+  const auto buffer = random_bytes(4096 + 7, 1);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 4096; ++length) {
+      const std::span<const std::uint8_t> data(buffer.data() + offset, length);
+      ASSERT_EQ(digest_with(hw, data),
+                digest_with(&sha256_compress_scalar, data))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+}
+
+TEST(Sha256CompressTest, PathsAgreeOnRunsFromRandomStates) {
+  const Sha256CompressFn hw = sha256_compress_hw();
+  if (hw == nullptr) GTEST_SKIP() << "this CPU lacks the SHA extensions";
+  std::mt19937_64 rng(2);
+  for (std::size_t n_blocks = 1; n_blocks <= 8; ++n_blocks) {
+    for (int trial = 0; trial < 16; ++trial) {
+      std::array<std::uint32_t, 8> scalar_state;
+      for (auto& word : scalar_state) word = static_cast<std::uint32_t>(rng());
+      auto hw_state = scalar_state;
+      const auto data = random_bytes(n_blocks * 64, rng());
+      sha256_compress_scalar(scalar_state, data.data(), n_blocks);
+      hw(hw_state, data.data(), n_blocks);
+      ASSERT_EQ(hw_state, scalar_state)
+          << n_blocks << " blocks, trial " << trial;
+    }
+  }
+}
+
+// Sha256 runs the path this CPU picked. Fed in random pieces, its
+// buffering and padding must give the scalar reference's digest: every
+// tail length up to 200 bytes, then inputs up to 300 KiB.
+TEST(Sha256Test, UpdateSplitAtRandomPointsMatchesScalar) {
+  std::mt19937_64 rng(3);
+  for (std::size_t trial = 0; trial < 220; ++trial) {
+    const std::size_t length = trial < 200 ? trial : rng() % (300 * 1024);
+    const std::size_t max_piece = trial < 200 ? 150 : 70 * 1024;
+    const auto data = random_bytes(length, rng());
+    Sha256 ctx;
+    for (std::size_t pos = 0; pos < length;) {
+      const std::size_t piece =
+          std::min<std::size_t>(length - pos, rng() % (max_piece + 1));
+      ctx.update(std::span(data).subspan(pos, piece));
+      pos += piece;
+    }
+    ASSERT_EQ(ctx.finish(), digest_with(&sha256_compress_scalar, data))
+        << "length " << length;
+  }
 }
 
 TEST(Sha512Test, EmptyInput) {
