@@ -9,6 +9,8 @@
 //   IPFS_BENCH_TRIALS=8 IPFS_BENCH_THREADS=8 ...   # multi-trial fold
 //   IPFS_BENCH_WALL_BUDGET_S=60 ...                # fail if wall-clock exceeds
 //   IPFS_BENCH_ARTIFACT=census.jsonl ...           # per-phase JSONL dump
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -40,6 +42,13 @@ double elapsed_s(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
+// Peak resident set of the whole process so far, in MiB.
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
 }  // namespace
 
 int main() {
@@ -54,8 +63,9 @@ int main() {
   const std::size_t trials = bench::bench_trials(1);
   const sim::Duration interval = sim::minutes(30);
 
-  // Full 192-entry routing tables cost ~2.5 KB/peer-entry; beyond ~20k
-  // peers cap the pre-seeded budget so a 100k census fits in CI memory.
+  // A routing entry is 36 bytes, so full 192-entry tables cost ~6.9 KB
+  // per peer; beyond ~20k peers cap the pre-seeded budget so a 100k
+  // census fits in CI memory.
   // Crawl coverage is unaffected: the BFS still traverses the whole
   // keyspace, just through a few more hops.
   const std::size_t routing_entries = peers > 20'000 ? 64 : 192;
@@ -138,9 +148,10 @@ int main() {
     event_seconds += trial.result.event_seconds;
     events_executed += trial.result.events_executed;
   }
+  const double peak_rss = peak_rss_mb();
   std::printf("\ncensus: %zu peers, %zu round(s), %zu trial(s), "
-              "wall-clock %.1f s\n",
-              peers, rounds, trials, wall_seconds);
+              "wall-clock %.1f s, peak_rss_mb %.1f\n",
+              peers, rounds, trials, wall_seconds, peak_rss);
   std::printf("phases: build %.1f s, events %.1f s "
               "(%llu events, %.0f events/s)\n",
               build_seconds, event_seconds,
@@ -158,6 +169,7 @@ int main() {
              << ",\"event_s\":" << event_seconds
              << ",\"events\":" << events_executed
              << ",\"wall_s\":" << wall_seconds
+             << ",\"peak_rss_mb\":" << peak_rss
              << ",\"final_total\":" << results[0].result.final_total
              << ",\"final_dialable\":" << results[0].result.final_dialable
              << "}\n";

@@ -91,8 +91,9 @@ void BM_MultiaddrParse(benchmark::State& state) {
 BENCHMARK(BM_MultiaddrParse);
 
 void BM_RoutingTableClosest(benchmark::State& state) {
-  dht::RoutingTable table(
-      dht::Key::for_peer(world::synthetic_peer_id(0)));
+  dht::PeerDirectory directory;
+  dht::RoutingTable table(directory,
+                          dht::Key::for_peer(world::synthetic_peer_id(0)));
   for (std::uint64_t i = 1; i <= 4000; ++i) {
     table.upsert(dht::PeerRef{world::synthetic_peer_id(i),
                               static_cast<sim::NodeId>(i),

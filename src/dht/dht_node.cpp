@@ -8,10 +8,15 @@ namespace ipfs::dht {
 
 DhtNode::DhtNode(transport::Transport& transport, multiformats::PeerId id,
                  std::vector<multiformats::Multiaddr> addresses,
-                 RecordStore* shared_store)
+                 RecordStore* shared_store, PeerDirectory* shared_directory)
     : transport_(transport),
       self_{std::move(id), transport.local(), std::move(addresses)},
-      routing_table_(Key::for_peer(self_.id)),
+      own_directory_(shared_directory == nullptr
+                         ? std::make_unique<PeerDirectory>()
+                         : nullptr),
+      routing_table_(shared_directory != nullptr ? *shared_directory
+                                                 : *own_directory_,
+                     Key::for_peer(self_.id)),
       records_(shared_store != nullptr ? shared_store : &own_records_) {
   schedule_expiry_sweep();
 }
@@ -19,17 +24,19 @@ DhtNode::DhtNode(transport::Transport& transport, multiformats::PeerId id,
 DhtNode::DhtNode(std::unique_ptr<transport::Transport> transport,
                  multiformats::PeerId id,
                  std::vector<multiformats::Multiaddr> addresses,
-                 RecordStore* shared_store)
-    : DhtNode(*transport, std::move(id), std::move(addresses), shared_store) {
+                 RecordStore* shared_store, PeerDirectory* shared_directory)
+    : DhtNode(*transport, std::move(id), std::move(addresses), shared_store,
+              shared_directory) {
   owned_transport_ = std::move(transport);
 }
 
 DhtNode::DhtNode(sim::Network& network, sim::NodeId node,
                  multiformats::PeerId id,
                  std::vector<multiformats::Multiaddr> addresses,
-                 RecordStore* shared_store)
+                 RecordStore* shared_store, PeerDirectory* shared_directory)
     : DhtNode(std::make_unique<transport::SimTransport>(network, node),
-              std::move(id), std::move(addresses), shared_store) {}
+              std::move(id), std::move(addresses), shared_store,
+              shared_directory) {}
 
 DhtNode::~DhtNode() {
   republish_timer_.cancel();
@@ -58,7 +65,8 @@ void DhtNode::set_bucket_diversity_cap(std::size_t cap) {
   bucket_diversity_cap_ = cap;
   // Rebuild the live table under the new cap. Existing entries re-enter
   // in insertion order, so entries over a newly lowered cap are shed.
-  RoutingTable capped(Key::for_peer(self_.id), cap);
+  RoutingTable capped(routing_table_.directory(), routing_table_.local_key(),
+                      cap);
   for (const auto& peer : routing_table_.all_peers()) capped.upsert(peer);
   routing_table_ = std::move(capped);
 }
@@ -354,8 +362,9 @@ void DhtNode::bootstrap(std::vector<PeerRef> seeds,
 void DhtNode::handle_crash() {
   for (auto& [raw, lookup] : active_lookups_) lookup->abort();
   active_lookups_.clear();
-  routing_table_ =
-      RoutingTable(Key::for_peer(self_.id), bucket_diversity_cap_);
+  routing_table_ = RoutingTable(routing_table_.directory(),
+                                routing_table_.local_key(),
+                                bucket_diversity_cap_);
   republish_timer_.cancel();
   expiry_timer_.cancel();
 }

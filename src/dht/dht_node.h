@@ -13,6 +13,7 @@
 #include "dht/key.h"
 #include "dht/lookup.h"
 #include "dht/messages.h"
+#include "dht/peer_directory.h"
 #include "dht/record_store.h"
 #include "dht/routing_table.h"
 #include "transport/transport.h"
@@ -34,15 +35,21 @@ class DhtNode {
   // `shared_store`: optional external record store. Hydra boosters run
   // many DHT "heads" (distinct PeerIDs) over one common record database
   // so a record stored with any head is served by all of them.
+  // `shared_directory`: optional external peer directory for the routing
+  // table. A world hands one to all of its nodes so each peer's record
+  // is held once; it must outlive the node. Without one the node owns
+  // its own.
   DhtNode(transport::Transport& transport, multiformats::PeerId id,
           std::vector<multiformats::Multiaddr> addresses,
-          RecordStore* shared_store = nullptr);
+          RecordStore* shared_store = nullptr,
+          PeerDirectory* shared_directory = nullptr);
   // Simulator convenience: wraps fabric node `node` in an owned
   // SimTransport. Harness code (scenario, world, tests) constructs DHT
   // nodes this way; the protocol logic itself never names the fabric.
   DhtNode(sim::Network& network, sim::NodeId node, multiformats::PeerId id,
           std::vector<multiformats::Multiaddr> addresses,
-          RecordStore* shared_store = nullptr);
+          RecordStore* shared_store = nullptr,
+          PeerDirectory* shared_directory = nullptr);
   ~DhtNode();
 
   DhtNode(const DhtNode&) = delete;
@@ -200,7 +207,7 @@ class DhtNode {
   DhtNode(std::unique_ptr<transport::Transport> transport,
           multiformats::PeerId id,
           std::vector<multiformats::Multiaddr> addresses,
-          RecordStore* shared_store);
+          RecordStore* shared_store, PeerDirectory* shared_directory);
 
   const Lookup* start_lookup(LookupType type, const Key& target,
                              std::vector<PeerRef> seeds, Lookup::Callback cb,
@@ -220,6 +227,7 @@ class DhtNode {
   PeerRef self_;
   Mode mode_ = Mode::kClient;
   std::optional<Mode> fixed_mode_;
+  std::unique_ptr<PeerDirectory> own_directory_;  // null when shared
   RoutingTable routing_table_;
   RecordStore own_records_;
   RecordStore* records_;  // &own_records_ unless a shared store is used

@@ -53,11 +53,11 @@ Lookup::Lookup(LookupHost host, LookupType type, Key target, Callback cb,
 
 void Lookup::add_candidate(const PeerRef& peer) {
   if (peer.node == host_.transport->local()) return;
-  const Key key = Key::for_peer(peer.id);
-  if (index_.contains(key)) return;
-  const auto distance = key.distance_to(target_);
-  index_.emplace(key, distance);
-  candidates_.emplace(distance, Candidate{peer, CandidateState::kUnqueried});
+  const Distance distance = Key::for_peer(peer.id).distance_to(target_);
+  const auto at = candidates_.lower_bound(distance);
+  if (at != candidates_.end() && at->first == distance) return;
+  candidates_.emplace_hint(at, distance,
+                           Candidate{peer, CandidateState::kUnqueried});
 
   // Early peer-discovery match: someone handed us the target's addresses.
   if (target_peer_ && peer.id == *target_peer_) {
@@ -100,27 +100,24 @@ void Lookup::pump() {
     if (candidate.state != CandidateState::kUnqueried) continue;
     candidate.state = CandidateState::kInFlight;
     ++in_flight_;
-    query(Key::for_peer(candidate.peer.id));
+    query(distance);
   }
 
   // No queries possible and none in flight: candidate space exhausted.
   if (in_flight_ == 0) finish(true);
 }
 
-void Lookup::query(const Key& candidate_key) {
-  const auto it = index_.find(candidate_key);
-  const PeerRef peer = candidates_.at(it->second).peer;
+void Lookup::query(const Distance& distance) {
+  const sim::NodeId node = candidates_.at(distance).peer.node;
   auto self = shared_from_this();
-  host_.transport->connect(peer.node,
-                           [self, candidate_key](bool ok, sim::Duration) {
-                             self->on_dial_result(candidate_key, ok);
-                           });
+  host_.transport->connect(node, [self, distance](bool ok, sim::Duration) {
+    self->on_dial_result(distance, ok);
+  });
 }
 
-void Lookup::on_dial_result(const Key& candidate_key, bool ok) {
+void Lookup::on_dial_result(const Distance& distance, bool ok) {
   if (finished_) return;
-  const auto it = index_.find(candidate_key);
-  Candidate& candidate = candidates_.at(it->second);
+  Candidate& candidate = candidates_.at(distance);
   if (!ok) {
     candidate.state = CandidateState::kFailed;
     --in_flight_;
@@ -164,17 +161,16 @@ void Lookup::on_dial_result(const Key& candidate_key, bool ok) {
   auto self = shared_from_this();
   host_.transport->request(
       candidate.peer.node, std::move(request), kRequestBaseBytes, kRpcTimeout,
-      [self, candidate_key](sim::RpcStatus status,
-                            const sim::MessagePtr& message) {
-        self->on_response(candidate_key, status, message);
+      [self, distance](sim::RpcStatus status,
+                       const sim::MessagePtr& message) {
+        self->on_response(distance, status, message);
       });
 }
 
-void Lookup::on_response(const Key& candidate_key, sim::RpcStatus status,
+void Lookup::on_response(const Distance& distance, sim::RpcStatus status,
                          const sim::MessagePtr& message) {
   if (finished_) return;
-  const auto it = index_.find(candidate_key);
-  Candidate& candidate = candidates_.at(it->second);
+  Candidate& candidate = candidates_.at(distance);
   --in_flight_;
 
   if (status != sim::RpcStatus::kOk) {

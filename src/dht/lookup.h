@@ -16,7 +16,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "dht/key.h"
@@ -98,11 +97,15 @@ class Lookup : public std::enable_shared_from_this<Lookup> {
     CandidateState state = CandidateState::kUnqueried;
   };
 
+  // A candidate's XOR distance to the target names it: for a fixed
+  // target, each distance belongs to exactly one key.
+  using Distance = std::array<std::uint8_t, 32>;
+
   void add_candidate(const PeerRef& peer);
   void pump();                       // launch queries up to alpha
-  void query(const Key& candidate_key);
-  void on_dial_result(const Key& candidate_key, bool ok);
-  void on_response(const Key& candidate_key, sim::RpcStatus status,
+  void query(const Distance& distance);
+  void on_dial_result(const Distance& distance, bool ok);
+  void on_response(const Distance& distance, sim::RpcStatus status,
                    const sim::MessagePtr& message);
   bool should_terminate() const;
   void finish(bool completed);
@@ -114,8 +117,7 @@ class Lookup : public std::enable_shared_from_this<Lookup> {
   std::optional<multiformats::PeerId> target_peer_;
 
   // Candidates keyed by XOR distance to the target (closest first).
-  std::map<std::array<std::uint8_t, 32>, Candidate> candidates_;
-  std::unordered_map<Key, std::array<std::uint8_t, 32>, KeyHasher> index_;
+  std::map<Distance, Candidate> candidates_;
 
   LookupResult result_;
   sim::Time started_at_ = 0;

@@ -1,11 +1,43 @@
 #include "dht/routing_table.h"
 
 #include <algorithm>
+#include <array>
+#include <functional>
+#include <ranges>
+#include <type_traits>
 
 namespace ipfs::dht {
 
-RoutingTable::RoutingTable(Key local_key, std::size_t diversity_cap)
-    : local_key_(std::move(local_key)), diversity_cap_(diversity_cap) {}
+namespace {
+
+// Copies the records of `handles` out of the directory. The records lie
+// scattered across it, and each copy bumps refcounts with locked
+// instructions that hold back the loads after them, so the misses would
+// be paid one at a time; fetching every record, then its address list,
+// first lets them overlap.
+std::vector<PeerRef> gather(const PeerDirectory& directory,
+                            std::ranges::sized_range auto&& handles) {
+  for (const PeerDirectory::Handle handle : handles)
+    __builtin_prefetch(&directory[handle]);
+  for (const PeerDirectory::Handle handle : handles)
+    __builtin_prefetch(directory[handle].addresses.data());
+  std::vector<PeerRef> out;
+  out.reserve(std::ranges::size(handles));
+  for (const PeerDirectory::Handle handle : handles)
+    out.push_back(directory[handle]);
+  return out;
+}
+
+}  // namespace
+
+RoutingTable::RoutingTable(PeerDirectory& directory, Key local_key,
+                           std::size_t diversity_cap)
+    : directory_(&directory),
+      local_key_(std::move(local_key)),
+      diversity_cap_(diversity_cap) {
+  static_assert(sizeof(Entry) == 36 && std::is_trivially_copyable_v<Entry>,
+                "a routing entry is a key and a handle, with no heap block");
+}
 
 std::optional<std::uint16_t> RoutingTable::diversity_class(
     const PeerRef& peer) {
@@ -24,22 +56,60 @@ std::size_t RoutingTable::bucket_index(const Key& key) const {
   return std::min<std::size_t>(cpl, kBucketCount - 1);
 }
 
-const RoutingTable::Bucket* RoutingTable::find_bucket(
+std::pair<std::size_t, std::size_t> RoutingTable::bucket_bounds(
     std::size_t index) const {
-  const auto it = std::lower_bound(
-      buckets_.begin(), buckets_.end(), index,
-      [](const Bucket& bucket, std::size_t i) { return bucket.index < i; });
-  if (it == buckets_.end() || it->index != index) return nullptr;
-  return &*it;
+  const auto run = std::ranges::equal_range(
+      entries_, index, std::less<>{},
+      [this](const Entry& entry) { return bucket_index(entry.key); });
+  return {static_cast<std::size_t>(run.begin() - entries_.begin()),
+          static_cast<std::size_t>(run.end() - entries_.begin())};
 }
 
-RoutingTable::Bucket& RoutingTable::ensure_bucket(std::size_t index) {
-  auto it = std::lower_bound(
-      buckets_.begin(), buckets_.end(), index,
-      [](const Bucket& bucket, std::size_t i) { return bucket.index < i; });
-  if (it == buckets_.end() || it->index != index)
-    it = buckets_.insert(it, Bucket{static_cast<std::uint16_t>(index), {}});
-  return *it;
+std::vector<RoutingTable::Entry>::const_iterator RoutingTable::find(
+    const Key& key) const {
+  const auto [first, last] = bucket_bounds(bucket_index(key));
+  const auto end = entries_.begin() + last;
+  const auto it = std::find_if(
+      entries_.begin() + first, end,
+      [&](const Entry& entry) { return entry.key == key; });
+  return it == end ? entries_.end() : it;
+}
+
+// `intern` yields the peer's directory handle, recording `peer` there
+// first when the caller passed a PeerRef; it runs only once the peer is
+// accepted.
+template <typename Intern>
+bool RoutingTable::place(const Key& key, const PeerRef& peer, Intern intern) {
+  if (key == local_key_) return false;
+  const auto [first, last] = bucket_bounds(bucket_index(key));
+  const auto begin = entries_.begin() + first;
+  const auto end = entries_.begin() + last;
+
+  // Dedup on the cached key (SHA-256 of the PeerID, injective over ids):
+  // an inline 32-byte compare instead of chasing the id's digest buffer.
+  const auto it = std::find_if(
+      begin, end, [&](const Entry& entry) { return entry.key == key; });
+  if (it != end) {
+    // Refresh: move to the tail (most recently seen) and update addresses.
+    it->peer = intern();
+    std::rotate(it, it + 1, end);
+    return true;
+  }
+
+  if (last - first >= kBucketSize) return false;
+  if (diversity_cap_ > 0) {
+    if (const auto prefix = diversity_class(peer)) {
+      const auto shared = std::count_if(begin, end, [&](const Entry& entry) {
+        return diversity_class((*directory_)[entry.peer]) == prefix;
+      });
+      if (static_cast<std::size_t>(shared) >= diversity_cap_) {
+        ++diversity_rejections_;
+        return false;
+      }
+    }
+  }
+  entries_.insert(end, Entry{key, intern()});
+  return true;
 }
 
 bool RoutingTable::upsert(const PeerRef& peer) {
@@ -47,98 +117,50 @@ bool RoutingTable::upsert(const PeerRef& peer) {
 }
 
 bool RoutingTable::upsert(const PeerRef& peer, const Key& key) {
-  if (key == local_key_) return false;
-  Bucket& bucket = ensure_bucket(bucket_index(key));
-  auto& entries = bucket.entries;
+  return place(key, peer, [&] { return directory_->intern(peer, key); });
+}
 
-  // Dedup on the cached key (SHA-256 of the PeerID, injective over ids):
-  // an inline 32-byte compare instead of chasing the id's digest buffer.
-  const auto it = std::find_if(entries.begin(), entries.end(),
-                               [&](const Entry& entry) {
-                                 return entry.key == key;
-                               });
-  if (it != entries.end()) {
-    // Refresh: move to the tail (most recently seen) and update addresses.
-    it->peer = peer;
-    std::rotate(it, it + 1, entries.end());
-    return true;
-  }
-
-  if (entries.size() >= kBucketSize) return false;
-  if (diversity_cap_ > 0) {
-    if (const auto prefix = diversity_class(peer)) {
-      std::size_t shared = 0;
-      for (const Entry& entry : entries)
-        if (diversity_class(entry.peer) == prefix) ++shared;
-      if (shared >= diversity_cap_) {
-        ++diversity_rejections_;
-        return false;
-      }
-    }
-  }
-  entries.push_back(Entry{peer, key});
-  ++size_;
-  return true;
+bool RoutingTable::upsert(PeerDirectory::Handle peer, const Key& key) {
+  return place(key, (*directory_)[peer], [peer] { return peer; });
 }
 
 void RoutingTable::remove(const multiformats::PeerId& peer) {
-  const Key key = Key::for_peer(peer);
-  const std::size_t index = bucket_index(key);
-  const auto bucket_it = std::lower_bound(
-      buckets_.begin(), buckets_.end(), index,
-      [](const Bucket& bucket, std::size_t i) { return bucket.index < i; });
-  if (bucket_it == buckets_.end() || bucket_it->index != index) return;
-  auto& entries = bucket_it->entries;
-  const auto it = std::find_if(entries.begin(), entries.end(),
-                               [&](const Entry& entry) {
-                                 return entry.peer.id == peer;
-                               });
-  if (it != entries.end()) {
-    entries.erase(it);
-    --size_;
-    if (entries.empty()) buckets_.erase(bucket_it);
-  }
+  const auto it = find(Key::for_peer(peer));
+  if (it != entries_.end()) entries_.erase(it);
 }
 
 bool RoutingTable::contains(const multiformats::PeerId& peer) const {
-  const Key key = Key::for_peer(peer);
-  const Bucket* bucket = find_bucket(bucket_index(key));
-  if (bucket == nullptr) return false;
-  return std::any_of(bucket->entries.begin(), bucket->entries.end(),
-                     [&](const Entry& entry) { return entry.peer.id == peer; });
+  return find(Key::for_peer(peer)) != entries_.end();
 }
 
 std::size_t RoutingTable::bucket_size(std::size_t index) const {
-  const Bucket* bucket = find_bucket(index);
-  return bucket == nullptr ? 0 : bucket->entries.size();
+  const auto [first, last] = bucket_bounds(index);
+  return last - first;
 }
 
 std::vector<PeerRef> RoutingTable::closest(const Key& target,
                                            std::size_t count) const {
-  scratch_.clear();
-  scratch_.reserve(size_);
-  for (const auto& bucket : buckets_)
-    for (const auto& entry : bucket.entries)
-      scratch_.push_back({entry.key.distance_to(target), &entry.peer});
+  struct Candidate {
+    std::array<std::uint8_t, 32> distance;
+    PeerDirectory::Handle peer;
+  };
+  std::vector<Candidate> candidates;
+  candidates.reserve(entries_.size());
+  for (const Entry& entry : entries_)
+    candidates.push_back({entry.key.distance_to(target), entry.peer});
 
-  const std::size_t take = std::min(count, scratch_.size());
-  std::partial_sort(scratch_.begin(), scratch_.begin() + take,
-                    scratch_.end(),
+  const std::size_t take = std::min(count, candidates.size());
+  std::partial_sort(candidates.begin(), candidates.begin() + take,
+                    candidates.end(),
                     [](const Candidate& a, const Candidate& b) {
                       return a.distance < b.distance;
                     });
-  std::vector<PeerRef> out;
-  out.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) out.push_back(*scratch_[i].peer);
-  return out;
+  return gather(*directory_, candidates | std::views::take(take) |
+                                 std::views::transform(&Candidate::peer));
 }
 
 std::vector<PeerRef> RoutingTable::all_peers() const {
-  std::vector<PeerRef> out;
-  out.reserve(size_);
-  for (const auto& bucket : buckets_)
-    for (const auto& entry : bucket.entries) out.push_back(entry.peer);
-  return out;
+  return gather(*directory_, entries_ | std::views::transform(&Entry::peer));
 }
 
 }  // namespace ipfs::dht

@@ -2,21 +2,23 @@
 // k = 20 peers, bucket index chosen by the common prefix length between
 // the local key and the peer's key (Section 2.3).
 //
-// Storage is built for 100k-node worlds: buckets are kept sparsely (only
-// ~log2(n) of the 256 possible prefix lengths are ever occupied, so empty
-// buckets cost nothing), each bucket is a contiguous vector rather than a
-// linked list, and closest() reuses a scratch buffer so steady-state
-// lookups allocate only their result vector.
+// Storage is built for 100k-node worlds: the whole table is one flat
+// vector of 36-byte entries, grouped by bucket in ascending index order
+// and least recently seen first within a bucket. An entry is the peer's
+// key plus a handle into a PeerDirectory, which holds each identity's
+// PeerRef once for every table that shares it; PeerRefs are built only
+// when the table hands peers out.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "dht/key.h"
 #include "dht/messages.h"
+#include "dht/peer_directory.h"
 
 namespace ipfs::dht {
 
@@ -25,20 +27,28 @@ constexpr std::size_t kBucketCount = 256; // i
 
 class RoutingTable {
  public:
-  // `diversity_cap` bounds how many entries of any one bucket may share a
-  // /16 IPv4 prefix (Henningsen et al.'s Sybil defense: one operator's
-  // address block cannot monopolize a bucket). 0 disables the check and
-  // keeps the table bit-identical to the uncapped behavior.
-  explicit RoutingTable(Key local_key, std::size_t diversity_cap = 0);
+  // `directory` holds the records of the table's peers and must outlive
+  // the table. `diversity_cap` bounds how many entries of any one bucket
+  // may share a /16 IPv4 prefix (Henningsen et al.'s Sybil defense: one
+  // operator's address block cannot monopolize a bucket). 0 disables the
+  // check and keeps the table bit-identical to the uncapped behavior.
+  RoutingTable(PeerDirectory& directory, Key local_key,
+               std::size_t diversity_cap = 0);
 
   // Inserts or refreshes a peer. Full buckets reject newcomers (original
   // Kademlia bias towards long-lived peers, which the paper's churn data
-  // justifies). Returns true if the peer is (now) in the table.
+  // justifies). Returns true if the peer is (now) in the table. An
+  // accepted peer's record in the directory is replaced by `peer`.
   bool upsert(const PeerRef& peer);
 
   // Same, with the peer's DHT key precomputed by the caller — skips one
   // SHA-256 per insert on bulk paths (world construction, crawls).
   bool upsert(const PeerRef& peer, const Key& key);
+
+  // Same, for a peer already in the directory. Reads the directory and
+  // never writes it, so tables sharing one directory can be filled from
+  // several threads at once.
+  bool upsert(PeerDirectory::Handle peer, const Key& key);
 
   void remove(const multiformats::PeerId& peer);
   bool contains(const multiformats::PeerId& peer) const;
@@ -50,10 +60,11 @@ class RoutingTable {
   // asks peers for all entries in their k-buckets, Section 4.1).
   std::vector<PeerRef> all_peers() const;
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return entries_.size(); }
   std::size_t bucket_size(std::size_t index) const;
 
   const Key& local_key() const { return local_key_; }
+  PeerDirectory& directory() const { return *directory_; }
 
   std::size_t diversity_cap() const { return diversity_cap_; }
 
@@ -69,32 +80,23 @@ class RoutingTable {
 
  private:
   struct Entry {
-    PeerRef peer;
-    Key key;  // cached SHA-256 of the PeerID
-  };
-
-  // One occupied bucket; buckets_ holds them sorted by index, so lookup
-  // is a binary search over the handful of occupied prefix lengths.
-  struct Bucket {
-    std::uint16_t index;
-    std::vector<Entry> entries;
+    Key key;                     // cached SHA-256 of the PeerID
+    PeerDirectory::Handle peer;  // the peer's record in *directory_
   };
 
   std::size_t bucket_index(const Key& key) const;
-  const Bucket* find_bucket(std::size_t index) const;
-  Bucket& ensure_bucket(std::size_t index);
+  // [first, last) offsets of bucket `index`'s run of entries_.
+  std::pair<std::size_t, std::size_t> bucket_bounds(std::size_t index) const;
+  // The entry for `key`, or entries_.end().
+  std::vector<Entry>::const_iterator find(const Key& key) const;
+  template <typename Intern>
+  bool place(const Key& key, const PeerRef& peer, Intern intern);
 
+  PeerDirectory* directory_;
   Key local_key_;
-  std::vector<Bucket> buckets_;  // sorted by Bucket::index
-  std::size_t size_ = 0;
+  std::vector<Entry> entries_;
   std::size_t diversity_cap_ = 0;
   std::uint64_t diversity_rejections_ = 0;
-
-  struct Candidate {
-    std::array<std::uint8_t, 32> distance;
-    const PeerRef* peer;
-  };
-  mutable std::vector<Candidate> scratch_;  // closest() workspace
 };
 
 }  // namespace ipfs::dht

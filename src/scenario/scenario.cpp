@@ -188,13 +188,15 @@ Scenario ScenarioBuilder::build() const {
 
   if (dht_servers_) {
     sim::Rng rng(seed_);
+    scenario.directory_ = std::make_unique<dht::PeerDirectory>();
     scenario.dht_nodes_.reserve(peers_);
     scenario.refs_.reserve(peers_);
     for (std::size_t i = 0; i < peers_; ++i) {
       auto dht = std::make_unique<dht::DhtNode>(
           *scenario.network_, scenario.nodes_[i], synthetic_peer_id(i),
           std::vector<multiformats::Multiaddr>{
-              synthetic_address(static_cast<std::uint32_t>(i))});
+              synthetic_address(static_cast<std::uint32_t>(i))},
+          /*shared_store=*/nullptr, scenario.directory_.get());
       dht->force_mode(dht::DhtNode::Mode::kServer);
       dht->attach_to_network();
       scenario.dht_nodes_.push_back(std::move(dht));

@@ -115,6 +115,8 @@ class Scenario {
   // Lazily-populated per-peer endpoints for transport(i); index-aligned
   // with nodes_ once created.
   std::vector<std::unique_ptr<transport::SimTransport>> transports_;
+  // Shared by every DHT server's routing table; null without servers.
+  std::unique_ptr<dht::PeerDirectory> directory_;
   std::vector<std::unique_ptr<dht::DhtNode>> dht_nodes_;
   // Declared after dht_nodes_ so engines (holding Timer handles) are
   // destroyed before the fabric members above them.

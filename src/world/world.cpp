@@ -74,9 +74,9 @@ void World::build_nodes() {
     for (const auto& ip : peer.ips)
       addresses.push_back(multiformats::make_tcp_multiaddr(ip, 4001));
 
-    auto dht = std::make_unique<dht::DhtNode>(*network_, node,
-                                              synthetic_peer_id(i),
-                                              std::move(addresses));
+    auto dht = std::make_unique<dht::DhtNode>(
+        *network_, node, synthetic_peer_id(i), std::move(addresses),
+        /*shared_store=*/nullptr, &directory_);
     dht->force_mode(dht::DhtNode::Mode::kServer);
     dht->attach_to_network();
 
@@ -126,7 +126,7 @@ void World::build_hydras() {
           *network_, node, synthetic_peer_id(identity),
           std::vector<multiformats::Multiaddr>{
               multiformats::make_tcp_multiaddr("44.0.0.1", 4001)},
-          shared);
+          shared, &directory_);
       dht->force_mode(dht::DhtNode::Mode::kServer);
       dht->attach_to_network();
       dht_nodes_.push_back(std::move(dht));
@@ -160,59 +160,46 @@ void World::seed_routing_tables() {
   // correct entries (peers at common-prefix-length b land in bucket b),
   // as a long-running network's tables would look. Offline and NAT'ed
   // peers are seeded too — the table staleness real lookups contend with.
+  // Every peer enters the shared directory here, before any table is
+  // filled, so the seeding workers below only read it.
   struct Keyed {
     std::array<std::uint8_t, 32> key;
-    std::uint32_t index;
+    dht::PeerDirectory::Handle peer;
   };
   std::vector<Keyed> sorted;
   sorted.reserve(dht_nodes_.size());
-  for (std::size_t i = 0; i < dht_nodes_.size(); ++i) {
-    sorted.push_back(
-        {dht::Key::for_peer(dht_nodes_[i]->self().id).bytes(),
-         static_cast<std::uint32_t>(i)});
+  for (const auto& node : dht_nodes_) {
+    const dht::Key& key = node->routing_table().local_key();
+    sorted.push_back({key.bytes(), directory_.intern(node->self(), key)});
   }
   std::sort(sorted.begin(), sorted.end(),
             [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
 
-  auto prefix_range = [&](const std::array<std::uint8_t, 32>& key, int bits) {
-    // [lo, hi) of sorted entries sharing the first `bits` bits of key.
-    std::array<std::uint8_t, 32> lo = key;
-    std::array<std::uint8_t, 32> hi = key;
-    for (int byte = 0; byte < 32; ++byte) {
-      const int bit_start = byte * 8;
-      for (int bit = 0; bit < 8; ++bit) {
-        if (bit_start + bit >= bits) {
-          lo[byte] &= static_cast<std::uint8_t>(0xff << (8 - bit));
-          hi[byte] |= static_cast<std::uint8_t>(0xff >> bit);
-          // Remaining bytes.
-          for (int rest = byte + 1; rest < 32; ++rest) {
-            lo[rest] = 0x00;
-            hi[rest] = 0xff;
-          }
-          byte = 32;  // break outer
-          break;
-        }
-      }
-    }
-    const auto lo_it = std::lower_bound(
-        sorted.begin(), sorted.end(), lo,
-        [](const Keyed& a, const std::array<std::uint8_t, 32>& b) {
-          return a.key < b;
-        });
-    const auto hi_it = std::upper_bound(
-        sorted.begin(), sorted.end(), hi,
-        [](const std::array<std::uint8_t, 32>& a, const Keyed& b) {
-          return a < b.key;
-        });
-    return std::pair<std::size_t, std::size_t>(lo_it - sorted.begin(),
-                                               hi_it - sorted.begin());
+  // [first, last) of the sorted entries sharing the first `bits` bits of
+  // key, given `within`, the range sharing its first bits - 1. Those agree
+  // on all earlier bits, so sorting put the ones whose next bit is 0
+  // first: one partition point splits them.
+  using Range = std::pair<std::size_t, std::size_t>;
+  const auto narrow = [&](const std::array<std::uint8_t, 32>& key, int bits,
+                          Range within) {
+    const int bit = bits - 1;
+    const auto bit_of = [bit](const std::array<std::uint8_t, 32>& bytes) {
+      return (bytes[bit / 8] >> (7 - bit % 8)) & 1;
+    };
+    const auto split = static_cast<std::size_t>(
+        std::partition_point(
+            sorted.begin() + within.first, sorted.begin() + within.second,
+            [&](const Keyed& entry) { return bit_of(entry.key) == 0; }) -
+        sorted.begin());
+    return bit_of(key) == 0 ? Range(within.first, split)
+                            : Range(split, within.second);
   };
 
   // Planning (bucket allocation and every rng draw) stays sequential in
   // node order, so the seeded draw stream — and with it every seeded
   // world — is bit-identical to the single-threaded seeder. The
-  // expensive part, copying PeerRefs into k-bucket entries, touches only
-  // the owning node's table, so blocks of finished plans fan out across
+  // expensive part, placing entries into k-buckets, touches only the
+  // owning node's table, so blocks of finished plans fan out across
   // worker threads; the result is independent of the worker count.
   const std::size_t node_total = dht_nodes_.size();
   const std::size_t workers = std::max<std::size_t>(
@@ -225,14 +212,13 @@ void World::seed_routing_tables() {
   const auto plan_node = [&](std::size_t i,
                              std::vector<std::uint32_t>& plan) {
     plan.clear();
-    const auto key = dht::Key::for_peer(dht_nodes_[i]->self().id).bytes();
+    const auto key = dht_nodes_[i]->routing_table().local_key().bytes();
     const std::size_t budget = config_.max_routing_entries;
 
-    auto [lo_prev, hi_prev] = prefix_range(key, 0);
-    std::vector<std::pair<std::size_t, std::size_t>> levels;
-    levels.push_back({lo_prev, hi_prev});
+    std::vector<Range> levels;
+    levels.push_back({0, sorted.size()});  // the empty prefix
     for (int bits = 1; bits <= 256; ++bits) {
-      const auto range = prefix_range(key, bits);
+      const Range range = narrow(key, bits, levels.back());
       levels.push_back(range);
       if (range.second - range.first <= 1) break;
     }
@@ -351,7 +337,7 @@ void World::seed_routing_tables() {
     auto& table = dht_nodes_[i]->routing_table();
     for (const std::uint32_t chosen : plan) {
       const Keyed& keyed = sorted[chosen];
-      table.upsert(dht_nodes_[keyed.index]->self(), dht::Key(keyed.key));
+      table.upsert(keyed.peer, dht::Key(keyed.key));
     }
   };
 

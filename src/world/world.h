@@ -102,6 +102,8 @@ class World {
   sim::LatencyModel latency_;
   std::unique_ptr<sim::Network> network_;
   Population population_;
+  // Every DHT node's routing table points into this one directory.
+  dht::PeerDirectory directory_;
   std::vector<std::unique_ptr<dht::DhtNode>> dht_nodes_;
   std::vector<std::unique_ptr<dht::RecordStore>> hydra_stores_;
   std::vector<std::unique_ptr<indexer::Indexer>> indexers_;

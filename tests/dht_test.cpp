@@ -79,7 +79,8 @@ PeerRef make_ref(std::uint64_t n) {
 }
 
 TEST(RoutingTableTest, InsertAndContains) {
-  RoutingTable table(Key::for_peer(synthetic_peer_id(0)));
+  PeerDirectory directory;
+  RoutingTable table(directory, Key::for_peer(synthetic_peer_id(0)));
   EXPECT_TRUE(table.upsert(make_ref(1)));
   EXPECT_TRUE(table.contains(synthetic_peer_id(1)));
   EXPECT_FALSE(table.contains(synthetic_peer_id(2)));
@@ -87,13 +88,15 @@ TEST(RoutingTableTest, InsertAndContains) {
 }
 
 TEST(RoutingTableTest, RejectsSelf) {
-  RoutingTable table(Key::for_peer(synthetic_peer_id(0)));
+  PeerDirectory directory;
+  RoutingTable table(directory, Key::for_peer(synthetic_peer_id(0)));
   EXPECT_FALSE(table.upsert(make_ref(0)));
   EXPECT_EQ(table.size(), 0u);
 }
 
 TEST(RoutingTableTest, UpsertRefreshesExistingEntry) {
-  RoutingTable table(Key::for_peer(synthetic_peer_id(0)));
+  PeerDirectory directory;
+  RoutingTable table(directory, Key::for_peer(synthetic_peer_id(0)));
   PeerRef ref = make_ref(1);
   table.upsert(ref);
   ref.node = 99;  // address change
@@ -105,7 +108,8 @@ TEST(RoutingTableTest, UpsertRefreshesExistingEntry) {
 }
 
 TEST(RoutingTableTest, BucketsCapAtK) {
-  RoutingTable table(Key::for_peer(synthetic_peer_id(0)));
+  PeerDirectory directory;
+  RoutingTable table(directory, Key::for_peer(synthetic_peer_id(0)));
   // Insert far more peers than one bucket holds; most land in the
   // shallow buckets (cpl 0,1,2...), which must each cap at 20.
   for (std::uint64_t i = 1; i <= 2000; ++i) table.upsert(make_ref(i));
@@ -116,7 +120,8 @@ TEST(RoutingTableTest, BucketsCapAtK) {
 }
 
 TEST(RoutingTableTest, ClosestReturnsSortedByDistance) {
-  RoutingTable table(Key::for_peer(synthetic_peer_id(0)));
+  PeerDirectory directory;
+  RoutingTable table(directory, Key::for_peer(synthetic_peer_id(0)));
   for (std::uint64_t i = 1; i <= 200; ++i) table.upsert(make_ref(i));
   const Key target = Key::for_peer(synthetic_peer_id(12345));
   const auto closest = table.closest(target, 20);
@@ -135,13 +140,90 @@ TEST(RoutingTableTest, ClosestReturnsSortedByDistance) {
 }
 
 TEST(RoutingTableTest, RemoveEvictsPeer) {
-  RoutingTable table(Key::for_peer(synthetic_peer_id(0)));
+  PeerDirectory directory;
+  RoutingTable table(directory, Key::for_peer(synthetic_peer_id(0)));
   table.upsert(make_ref(1));
   table.upsert(make_ref(2));
   table.remove(synthetic_peer_id(1));
   EXPECT_FALSE(table.contains(synthetic_peer_id(1)));
   EXPECT_TRUE(table.contains(synthetic_peer_id(2)));
   EXPECT_EQ(table.size(), 1u);
+}
+
+// --------------------------------------------------------------------------
+// RoutingTable over a PeerDirectory: records are per identity, not per node
+// --------------------------------------------------------------------------
+
+TEST(RoutingTableTest, IdentitiesSharingOneNodeKeepTheirOwnRecords) {
+  // Like an attacker's Sybils: five identities behind one front node,
+  // each with its own address.
+  constexpr sim::NodeId kFront = 7;
+  std::vector<PeerRef> sybils;
+  for (std::uint64_t n = 1; n <= 5; ++n)
+    sybils.push_back(PeerRef{synthetic_peer_id(n), kFront,
+                             {synthetic_address(100 + n)}});
+  PeerDirectory directory;
+  RoutingTable table(directory, Key::for_peer(synthetic_peer_id(0)));
+  for (const auto& sybil : sybils) ASSERT_TRUE(table.upsert(sybil));
+
+  const auto held = table.all_peers();
+  ASSERT_EQ(held.size(), sybils.size());
+  for (const auto& sybil : sybils) {
+    const auto it = std::find(held.begin(), held.end(), sybil);
+    ASSERT_NE(it, held.end());
+    EXPECT_EQ(it->node, kFront);
+    EXPECT_EQ(it->addresses, sybil.addresses);
+
+    const auto closest = table.closest(Key::for_peer(sybil.id), 1);
+    ASSERT_EQ(closest.size(), 1u);
+    EXPECT_EQ(closest[0].id, sybil.id);
+    EXPECT_EQ(closest[0].node, kFront);
+    EXPECT_EQ(closest[0].addresses, sybil.addresses);
+  }
+}
+
+TEST(RoutingTableTest, RefreshThroughOneTableShowsInAnother) {
+  PeerDirectory directory;
+  RoutingTable first(directory, Key::for_peer(synthetic_peer_id(0)));
+  RoutingTable second(directory, Key::for_peer(synthetic_peer_id(1000)));
+  PeerRef ref = make_ref(5);
+  ASSERT_TRUE(first.upsert(ref));
+  ASSERT_TRUE(second.upsert(ref));
+
+  ref.node = 99;
+  ref.addresses = {synthetic_address(99)};
+  ASSERT_TRUE(first.upsert(ref));
+  const auto peers = second.all_peers();
+  ASSERT_EQ(peers.size(), 1u);
+  EXPECT_EQ(peers[0].id, ref.id);
+  EXPECT_EQ(peers[0].node, 99u);
+  EXPECT_EQ(peers[0].addresses, ref.addresses);
+}
+
+TEST(RoutingTableTest, EntriesSurviveDirectoryGrowth) {
+  PeerDirectory directory;
+  RoutingTable table(directory, Key::for_peer(synthetic_peer_id(0)));
+  for (std::uint64_t n = 1; n <= 200; ++n) table.upsert(make_ref(n));
+  const auto before = table.all_peers();
+
+  // 10k more identities, reusing the table's peers' node handles with
+  // other ids and addresses: the directory reallocates many times over.
+  for (std::uint64_t n = 0; n < 10'000; ++n) {
+    const PeerRef other{synthetic_peer_id(10'000 + n),
+                        static_cast<sim::NodeId>(1 + n % 200),
+                        {synthetic_address(static_cast<std::uint32_t>(
+                            10'000 + n))}};
+    directory.intern(other, Key::for_peer(other.id));
+  }
+  ASSERT_GT(directory.size(), 10'000u);
+
+  const auto after = table.all_peers();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].id, before[i].id);
+    EXPECT_EQ(after[i].node, before[i].node);
+    EXPECT_EQ(after[i].addresses, before[i].addresses);
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -168,8 +250,9 @@ std::vector<std::uint64_t> same_bucket_indices(int cpl, std::uint64_t lo,
 TEST(RoutingTableTest, DiversityCapZeroMatchesUncappedTable) {
   // cap = 0 must be bit-identical to the pre-cap tables: same accept/
   // reject decisions, same iteration order, zero rejections.
-  RoutingTable uncapped(Key::for_peer(synthetic_peer_id(0)));
-  RoutingTable capped(Key::for_peer(synthetic_peer_id(0)), 0);
+  PeerDirectory directory;
+  RoutingTable uncapped(directory, Key::for_peer(synthetic_peer_id(0)));
+  RoutingTable capped(directory, Key::for_peer(synthetic_peer_id(0)), 0);
   for (std::uint64_t i = 1; i <= 500; ++i) {
     EXPECT_EQ(uncapped.upsert(make_ref(i)), capped.upsert(make_ref(i)));
   }
@@ -184,7 +267,8 @@ TEST(RoutingTableTest, DiversityCapZeroMatchesUncappedTable) {
 TEST(RoutingTableTest, DiversityCapRejectsSamePrefixOverflow) {
   const auto peers = same_bucket_indices(0, 1, 256, 3);
   ASSERT_EQ(peers.size(), 3u);  // all in 10.0/16, all in bucket cpl=0
-  RoutingTable table(Key::for_peer(synthetic_peer_id(0)), 2);
+  PeerDirectory directory;
+  RoutingTable table(directory, Key::for_peer(synthetic_peer_id(0)), 2);
   EXPECT_TRUE(table.upsert(make_ref(peers[0])));
   EXPECT_TRUE(table.upsert(make_ref(peers[1])));
   EXPECT_FALSE(table.upsert(make_ref(peers[2])));  // third same-/16 entry
@@ -196,7 +280,8 @@ TEST(RoutingTableTest, DiversityCapRejectsSamePrefixOverflow) {
 TEST(RoutingTableTest, RefreshOfExistingEntryBypassesTheCap) {
   const auto peers = same_bucket_indices(0, 1, 256, 1);
   ASSERT_EQ(peers.size(), 1u);
-  RoutingTable table(Key::for_peer(synthetic_peer_id(0)), 1);
+  PeerDirectory directory;
+  RoutingTable table(directory, Key::for_peer(synthetic_peer_id(0)), 1);
   PeerRef ref = make_ref(peers[0]);
   EXPECT_TRUE(table.upsert(ref));
   // The peer saturates its own class; refreshing it is not an insert and
@@ -211,7 +296,8 @@ TEST(RoutingTableTest, RefreshOfExistingEntryBypassesTheCap) {
 TEST(RoutingTableTest, RemoveFreesTheDiversitySlot) {
   const auto peers = same_bucket_indices(0, 1, 256, 2);
   ASSERT_EQ(peers.size(), 2u);
-  RoutingTable table(Key::for_peer(synthetic_peer_id(0)), 1);
+  PeerDirectory directory;
+  RoutingTable table(directory, Key::for_peer(synthetic_peer_id(0)), 1);
   EXPECT_TRUE(table.upsert(make_ref(peers[0])));
   EXPECT_FALSE(table.upsert(make_ref(peers[1])));
   table.remove(synthetic_peer_id(peers[0]));
@@ -227,7 +313,8 @@ TEST(RoutingTableTest, DistinctPrefixesDoNotShareTheCap) {
   const auto second = same_bucket_indices(0, 256, 512, 1);
   ASSERT_EQ(first.size(), 1u);
   ASSERT_EQ(second.size(), 1u);
-  RoutingTable table(Key::for_peer(synthetic_peer_id(0)), 1);
+  PeerDirectory directory;
+  RoutingTable table(directory, Key::for_peer(synthetic_peer_id(0)), 1);
   EXPECT_TRUE(table.upsert(make_ref(first[0])));
   EXPECT_TRUE(table.upsert(make_ref(second[0])));
   EXPECT_EQ(table.size(), 2u);
@@ -237,7 +324,8 @@ TEST(RoutingTableTest, DistinctPrefixesDoNotShareTheCap) {
 TEST(RoutingTableTest, AddressLessPeersAreExemptFromTheCap) {
   const auto peers = same_bucket_indices(0, 1, 256, 3);
   ASSERT_EQ(peers.size(), 3u);
-  RoutingTable table(Key::for_peer(synthetic_peer_id(0)), 1);
+  PeerDirectory directory;
+  RoutingTable table(directory, Key::for_peer(synthetic_peer_id(0)), 1);
   for (const auto n : peers) {
     PeerRef bare{synthetic_peer_id(n), static_cast<sim::NodeId>(n), {}};
     EXPECT_FALSE(RoutingTable::diversity_class(bare).has_value());

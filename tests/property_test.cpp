@@ -159,8 +159,9 @@ class RoutingTableProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RoutingTableProperty, ClosestMatchesBruteForce) {
   sim::Rng rng(GetParam());
+  dht::PeerDirectory directory;
   dht::RoutingTable table(
-      dht::Key::for_peer(testutil::synthetic_peer_id(rng.next())));
+      directory, dht::Key::for_peer(testutil::synthetic_peer_id(rng.next())));
   std::vector<dht::PeerRef> inserted;
   for (int i = 0; i < 300; ++i) {
     dht::PeerRef ref{testutil::synthetic_peer_id(rng.next()),
