@@ -18,6 +18,8 @@ const char* tier_name(gateway::ServedFrom source) {
       return "nginx cache";
     case gateway::ServedFrom::kNodeStore:
       return "node store ";
+    case gateway::ServedFrom::kOriginCache:
+      return "origin     ";
     case gateway::ServedFrom::kP2p:
       return "p2p network";
     case gateway::ServedFrom::kFailed:

@@ -56,8 +56,7 @@ AttackPlan::AttackPlan(sim::Network& network, AttackConfig config,
         });
     network_.set_message_handler(
         node, [this](sim::NodeId, const sim::MessagePtr& message) {
-          if (dynamic_cast<const dht::AddProviderRequest*>(message.get()) !=
-              nullptr)
+          if (message->kind() == sim::MessageKind::kAddProviderRequest)
             ++counters_.provider_records_swallowed;
         });
   };
@@ -311,8 +310,9 @@ void AttackPlan::handle_attacker_request(
     const std::function<void(sim::MessagePtr, std::size_t)>& respond) {
   (void)self;
   (void)from;
-  if (const auto* find =
-          dynamic_cast<const dht::FindNodeRequest*>(message.get())) {
+  const sim::MessageKind kind = message->kind();
+  if (kind == sim::MessageKind::kFindNodeRequest) {
+    const auto* find = static_cast<const dht::FindNodeRequest*>(message.get());
     auto response = std::make_shared<dht::FindNodeResponse>();
     if (armed_ && config_.eclipse_target &&
         find->target == *config_.eclipse_target) {
@@ -325,8 +325,9 @@ void AttackPlan::handle_attacker_request(
     respond(std::move(response), bytes);
     return;
   }
-  if (const auto* get =
-          dynamic_cast<const dht::GetProvidersRequest*>(message.get())) {
+  if (kind == sim::MessageKind::kGetProvidersRequest) {
+    const auto* get =
+        static_cast<const dht::GetProvidersRequest*>(message.get());
     auto response = std::make_shared<dht::GetProvidersResponse>();
     if (armed_ && config_.eclipse_target &&
         get->key == *config_.eclipse_target) {
@@ -347,20 +348,20 @@ void AttackPlan::handle_attacker_request(
     respond(std::move(response), bytes);
     return;
   }
-  if (dynamic_cast<const dht::AddProviderRequest*>(message.get()) != nullptr) {
+  if (kind == sim::MessageKind::kAddProviderRequest) {
     // Fire-and-forget on the honest side: swallowing it is invisible.
     ++counters_.provider_records_swallowed;
     return;
   }
-  if (dynamic_cast<const dht::DialBackRequest*>(message.get()) != nullptr) {
+  if (kind == sim::MessageKind::kDialBackRequest) {
     auto response = std::make_shared<dht::DialBackResponse>();
     response->reachable = true;
     respond(std::move(response), dht::kRequestBaseBytes);
     return;
   }
   // Anything else (GetValue, crawler sweeps, Bitswap probes): an empty
-  // FindNodeResponse fails every caller's dynamic_cast and surfaces as a
-  // clean miss, never a hang.
+  // FindNodeResponse carries no peer and no record, and a caller expecting
+  // another kind ignores it, so it surfaces as a clean miss, never a hang.
   respond(std::make_shared<dht::FindNodeResponse>(), dht::kRequestBaseBytes);
 }
 

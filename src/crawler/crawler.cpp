@@ -113,9 +113,11 @@ struct Crawler::Run : std::enable_shared_from_this<Crawler::Run> {
                 obs.ip_addresses = extract_ips(peer);
                 if (status == sim::RpcStatus::kOk) {
                   obs.reached = true;
-                  if (const auto* buckets =
-                          dynamic_cast<const dht::ListBucketsResponse*>(
-                              message.get())) {
+                  if (message->kind() ==
+                      sim::MessageKind::kListBucketsResponse) {
+                    const auto* buckets =
+                        static_cast<const dht::ListBucketsResponse*>(
+                            message.get());
                     for (const auto& entry : buckets->peers)
                       self_ptr->enqueue(entry);
                   }

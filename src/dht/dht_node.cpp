@@ -317,9 +317,9 @@ void DhtNode::run_autonat(std::vector<PeerRef> probes,
             finish_one(false);
             return;
           }
-          const auto* response =
-              dynamic_cast<const DialBackResponse*>(message.get());
-          finish_one(response != nullptr && response->reachable);
+          finish_one(
+              message->kind() == sim::MessageKind::kDialBackResponse &&
+              static_cast<const DialBackResponse*>(message.get())->reachable);
         });
   }
 }

@@ -185,13 +185,14 @@ void Lookup::on_response(const Distance& distance, sim::RpcStatus status,
   candidate.state = CandidateState::kResponded;
   if (host_.on_peer_responded) host_.on_peer_responded(candidate.peer);
 
-  std::vector<PeerRef> closer;
-  if (const auto* find_node = dynamic_cast<const FindNodeResponse*>(
-          message.get())) {
-    closer = find_node->closer;
-  } else if (const auto* providers = dynamic_cast<const GetProvidersResponse*>(
-                 message.get())) {
-    closer = providers->closer;
+  const sim::MessageKind kind = message->kind();
+  const std::vector<PeerRef>* closer = nullptr;
+  if (kind == sim::MessageKind::kFindNodeResponse) {
+    closer = &static_cast<const FindNodeResponse*>(message.get())->closer;
+  } else if (kind == sim::MessageKind::kGetProvidersResponse) {
+    const auto* providers =
+        static_cast<const GetProvidersResponse*>(message.get());
+    closer = &providers->closer;
     for (const auto& record : providers->providers) {
       // Several resolvers replicate the same record; carrying duplicates
       // forward would skew retrieval's dial ordering (the same provider
@@ -209,9 +210,9 @@ void Lookup::on_response(const Distance& distance, sim::RpcStatus status,
       }
       result_.providers.push_back(record);
     }
-  } else if (const auto* value = dynamic_cast<const GetValueResponse*>(
-                 message.get())) {
-    closer = value->closer;
+  } else if (kind == sim::MessageKind::kGetValueResponse) {
+    const auto* value = static_cast<const GetValueResponse*>(message.get());
+    closer = &value->closer;
     if (value->record) {
       result_.values.push_back(*value->record);
       if (!result_.value || value->record->sequence > result_.value->sequence)
@@ -219,7 +220,8 @@ void Lookup::on_response(const Distance& distance, sim::RpcStatus status,
     }
   }
 
-  for (const auto& peer : closer) add_candidate(peer);
+  if (closer != nullptr)
+    for (const auto& peer : *closer) add_candidate(peer);
   pump();
 }
 

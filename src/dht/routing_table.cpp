@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <functional>
 #include <ranges>
 #include <type_traits>
@@ -75,11 +76,8 @@ std::vector<RoutingTable::Entry>::const_iterator RoutingTable::find(
   return it == end ? entries_.end() : it;
 }
 
-// `intern` yields the peer's directory handle, recording `peer` there
-// first when the caller passed a PeerRef; it runs only once the peer is
-// accepted.
-template <typename Intern>
-bool RoutingTable::place(const Key& key, const PeerRef& peer, Intern intern) {
+bool RoutingTable::upsert(const PeerRef& peer) {
+  const Key key = Key::for_peer(peer.id);
   if (key == local_key_) return false;
   const auto [first, last] = bucket_bounds(bucket_index(key));
   const auto begin = entries_.begin() + first;
@@ -91,7 +89,7 @@ bool RoutingTable::place(const Key& key, const PeerRef& peer, Intern intern) {
       begin, end, [&](const Entry& entry) { return entry.key == key; });
   if (it != end) {
     // Refresh: move to the tail (most recently seen) and update addresses.
-    it->peer = intern();
+    it->peer = directory_->intern(peer, key);
     std::rotate(it, it + 1, end);
     return true;
   }
@@ -108,20 +106,35 @@ bool RoutingTable::place(const Key& key, const PeerRef& peer, Intern intern) {
       }
     }
   }
-  entries_.insert(end, Entry{key, intern()});
+  entries_.insert(end, Entry{key, directory_->intern(peer, key)});
   return true;
 }
 
-bool RoutingTable::upsert(const PeerRef& peer) {
-  return upsert(peer, Key::for_peer(peer.id));
+bool RoutingTable::in_table_order(const std::vector<Entry>& entries) const {
+  if (diversity_cap_ != 0) return false;
+  std::size_t bucket = 0, run_start = 0;  // the current bucket's run
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const Entry& entry = entries[i];
+    if (entry.key == local_key_ || entry.peer >= directory_->size())
+      return false;
+    const std::size_t index = bucket_index(entry.key);
+    if (index < bucket) return false;
+    if (index > bucket) {
+      bucket = index;
+      run_start = i;
+    }
+    if (i - run_start >= kBucketSize) return false;
+    const auto first = entries.begin() + run_start;
+    const auto last = entries.begin() + i;
+    if (std::ranges::find(first, last, entry.key, &Entry::key) != last)
+      return false;
+  }
+  return true;
 }
 
-bool RoutingTable::upsert(const PeerRef& peer, const Key& key) {
-  return place(key, peer, [&] { return directory_->intern(peer, key); });
-}
-
-bool RoutingTable::upsert(PeerDirectory::Handle peer, const Key& key) {
-  return place(key, (*directory_)[peer], [peer] { return peer; });
+void RoutingTable::assign(std::vector<Entry> entries) {
+  assert(in_table_order(entries));
+  entries_ = std::move(entries);
 }
 
 void RoutingTable::remove(const multiformats::PeerId& peer) {

@@ -35,20 +35,24 @@ class RoutingTable {
   RoutingTable(PeerDirectory& directory, Key local_key,
                std::size_t diversity_cap = 0);
 
+  struct Entry {
+    Key key;                     // cached SHA-256 of the PeerID
+    PeerDirectory::Handle peer;  // the peer's record in directory()
+  };
+
   // Inserts or refreshes a peer. Full buckets reject newcomers (original
   // Kademlia bias towards long-lived peers, which the paper's churn data
   // justifies). Returns true if the peer is (now) in the table. An
   // accepted peer's record in the directory is replaced by `peer`.
   bool upsert(const PeerRef& peer);
 
-  // Same, with the peer's DHT key precomputed by the caller — skips one
-  // SHA-256 per insert on bulk paths (world construction, crawls).
-  bool upsert(const PeerRef& peer, const Key& key);
-
-  // Same, for a peer already in the directory. Reads the directory and
-  // never writes it, so tables sharing one directory can be filled from
-  // several threads at once.
-  bool upsert(PeerDirectory::Handle peer, const Key& key);
+  // Replaces every entry at once, as upserting `entries` in order into an
+  // empty table would. They must already be in table order, ascending
+  // bucket index and least recently seen first, with at most k per bucket,
+  // no repeated key and not the local key; each handle must name a record
+  // in directory(). The diversity cap must be 0, since nothing is checked
+  // against it.
+  void assign(std::vector<Entry> entries);
 
   void remove(const multiformats::PeerId& peer);
   bool contains(const multiformats::PeerId& peer) const;
@@ -79,18 +83,13 @@ class RoutingTable {
   static std::optional<std::uint16_t> diversity_class(const PeerRef& peer);
 
  private:
-  struct Entry {
-    Key key;                     // cached SHA-256 of the PeerID
-    PeerDirectory::Handle peer;  // the peer's record in *directory_
-  };
-
   std::size_t bucket_index(const Key& key) const;
   // [first, last) offsets of bucket `index`'s run of entries_.
   std::pair<std::size_t, std::size_t> bucket_bounds(std::size_t index) const;
   // The entry for `key`, or entries_.end().
   std::vector<Entry>::const_iterator find(const Key& key) const;
-  template <typename Intern>
-  bool place(const Key& key, const PeerRef& peer, Intern intern);
+  // Whether `entries` meet assign()'s preconditions.
+  bool in_table_order(const std::vector<Entry>& entries) const;
 
   PeerDirectory* directory_;
   Key local_key_;

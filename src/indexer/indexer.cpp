@@ -13,17 +13,14 @@ Indexer::Indexer(transport::Transport& transport, IndexerConfig config)
   transport_.set_request_handler(
       [this](sim::NodeId, const sim::MessagePtr& message,
              std::function<void(sim::MessagePtr, std::size_t)> respond) {
-        if (const auto* query = dynamic_cast<const QueryRequest*>(
-                message.get())) {
-          answer_query(*query, respond);
-        }
+        if (message->kind() == sim::MessageKind::kQueryRequest)
+          answer_query(*static_cast<const QueryRequest*>(message.get()),
+                       respond);
       });
   transport_.set_message_handler(
       [this](sim::NodeId, const sim::MessagePtr& message) {
-        if (const auto* ad = dynamic_cast<const AdvertiseMessage*>(
-                message.get())) {
-          on_advertise(*ad);
-        }
+        if (message->kind() == sim::MessageKind::kAdvertiseMessage)
+          on_advertise(*static_cast<const AdvertiseMessage*>(message.get()));
       });
 }
 

@@ -228,8 +228,8 @@ void Pubsub::ensure_connected(sim::NodeId peer,
 }
 
 bool Pubsub::handle_message(sim::NodeId from, const sim::MessagePtr& message) {
-  const auto* rpc = dynamic_cast<const GossipRpc*>(message.get());
-  if (rpc == nullptr) return false;
+  if (message->kind() != sim::MessageKind::kGossipRpc) return false;
+  const auto* rpc = static_cast<const GossipRpc*>(message.get());
   remember_candidate(from);
 
   std::vector<SubOpts> announce_back;

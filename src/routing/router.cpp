@@ -118,9 +118,11 @@ void IndexerRouter::try_next(RequestId id) {
           const auto pending = pending_.find(id);
           if (pending == pending_.end()) return;  // cancelled in flight
           const auto* response =
-              dynamic_cast<const indexer::QueryResponse*>(message.get());
-          if (status != sim::RpcStatus::kOk || response == nullptr ||
-              response->providers.empty()) {
+              status == sim::RpcStatus::kOk &&
+                      message->kind() == sim::MessageKind::kQueryResponse
+                  ? static_cast<const indexer::QueryResponse*>(message.get())
+                  : nullptr;
+          if (response == nullptr || response->providers.empty()) {
             // Timed out, reset, or the indexer has not (yet) ingested an
             // advertisement for this key: fail over to the next one.
             transport_.metrics().counter("routing.indexer.failover").inc();

@@ -156,7 +156,6 @@ void Network::unlink(NodeId a, NodeId b) {
 
 void Network::connect(NodeId from, NodeId to, DialCallback cb) {
   assert(from != to);
-  ++dials_attempted_;
   hot_counter(c_dials_attempted_, "net.dials_attempted").inc();
   if (online_[from] == 0) return;  // an offline node observes nothing
 
@@ -195,7 +194,6 @@ void Network::connect(NodeId from, NodeId to, DialCallback cb) {
       metrics_.end_span(dial_span, ok);
       if (!callback_alive(from, epoch)) return;
       if (!ok) {
-        ++dials_failed_;
         hot_counter(c_dials_failed_, "net.dials_failed").inc();
         cb(false, now() - start);
         return;
@@ -211,7 +209,6 @@ void Network::connect(NodeId from, NodeId to, DialCallback cb) {
   if (online_[to] == 0 || !dst.dialable ||
       (injector_ != nullptr && injector_->fail_dial(from, to)) ||
       !rng_.chance(dst.dial_success_prob)) {
-    ++dials_failed_;
     hot_counter(c_dials_failed_, "net.dials_failed").inc();
     // Offline-but-dialable hosts usually refuse quickly (RST / ICMP);
     // NAT'ed and flaky targets hang until the transport gives up.
@@ -238,7 +235,6 @@ void Network::connect(NodeId from, NodeId to, DialCallback cb) {
     if (!callback_alive(from, epoch)) return;
     if (!ok) {
       // Peer churned out mid-handshake; surface as a (slow) failure.
-      ++dials_failed_;
       hot_counter(c_dials_failed_, "net.dials_failed").inc();
       cb(false, now() - start);
       return;
@@ -272,7 +268,6 @@ void Network::send(NodeId from, NodeId to, MessagePtr message,
   }
   auto deliver = [this, from, to, bytes, message = std::move(message)] {
     if (online_[to] == 0 || !configs_[to].responsive) return;
-    ++messages_delivered_;
     hot_counter(c_rx_messages_, "transport.rx.messages").inc();
     hot_counter(c_rx_bytes_, "transport.rx.bytes").inc(bytes);
     if (message_handlers_[to]) message_handlers_[to](from, message);
@@ -335,7 +330,6 @@ void Network::request(NodeId from, NodeId to, MessagePtr request,
     if (online_[to] == 0 || !configs_[to].responsive ||
         !request_handlers_[to])
       return;
-    ++messages_delivered_;
     hot_counter(c_rx_messages_, "transport.rx.messages").inc();
     hot_counter(c_rx_bytes_, "transport.rx.bytes").inc(request_bytes);
     auto respond = [this, to, from, request_id](MessagePtr response,

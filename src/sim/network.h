@@ -302,11 +302,6 @@ class Network {
   metrics::Registry& metrics() { return metrics_; }
   const metrics::Registry& metrics() const { return metrics_; }
 
-  // Counters for tests and benches.
-  std::uint64_t messages_delivered() const { return messages_delivered_; }
-  std::uint64_t dials_attempted() const { return dials_attempted_; }
-  std::uint64_t dials_failed() const { return dials_failed_; }
-
   // In-flight request/response exchanges. Zero once the simulator has
   // drained (every request either answered, timed out, or reset) — the
   // fuzz harness checks this to detect leaked pending entries.
@@ -376,9 +371,6 @@ class Network {
 
   std::unordered_map<std::uint64_t, PendingRequest> pending_;
   std::uint64_t next_request_id_ = 1;
-  std::uint64_t messages_delivered_ = 0;
-  std::uint64_t dials_attempted_ = 0;
-  std::uint64_t dials_failed_ = 0;
 };
 
 }  // namespace ipfs::sim

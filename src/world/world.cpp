@@ -1,7 +1,6 @@
 #include "world/world.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "bitswap/bitswap.h"
 #include "crypto/sha256.h"
@@ -160,63 +159,50 @@ void World::seed_routing_tables() {
   // correct entries (peers at common-prefix-length b land in bucket b),
   // as a long-running network's tables would look. Offline and NAT'ed
   // peers are seeded too — the table staleness real lookups contend with.
-  // Every peer enters the shared directory here, before any table is
-  // filled, so the seeding workers below only read it.
-  struct Keyed {
-    std::array<std::uint8_t, 32> key;
-    dht::PeerDirectory::Handle peer;
-  };
-  std::vector<Keyed> sorted;
+  using Entry = dht::RoutingTable::Entry;
+  std::vector<Entry> sorted;
   sorted.reserve(dht_nodes_.size());
   for (const auto& node : dht_nodes_) {
     const dht::Key& key = node->routing_table().local_key();
-    sorted.push_back({key.bytes(), directory_.intern(node->self(), key)});
+    sorted.push_back({key, directory_.intern(node->self(), key)});
   }
   std::sort(sorted.begin(), sorted.end(),
-            [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
+            [](const Entry& a, const Entry& b) { return a.key < b.key; });
 
   // [first, last) of the sorted entries sharing the first `bits` bits of
   // key, given `within`, the range sharing its first bits - 1. Those agree
   // on all earlier bits, so sorting put the ones whose next bit is 0
   // first: one partition point splits them.
   using Range = std::pair<std::size_t, std::size_t>;
-  const auto narrow = [&](const std::array<std::uint8_t, 32>& key, int bits,
-                          Range within) {
+  const auto narrow = [&](const dht::Key& key, int bits, Range within) {
     const int bit = bits - 1;
-    const auto bit_of = [bit](const std::array<std::uint8_t, 32>& bytes) {
-      return (bytes[bit / 8] >> (7 - bit % 8)) & 1;
+    const auto bit_of = [bit](const dht::Key& k) {
+      return (k.bytes()[bit / 8] >> (7 - bit % 8)) & 1;
     };
     const auto split = static_cast<std::size_t>(
         std::partition_point(
             sorted.begin() + within.first, sorted.begin() + within.second,
-            [&](const Keyed& entry) { return bit_of(entry.key) == 0; }) -
+            [&](const Entry& entry) { return bit_of(entry.key) == 0; }) -
         sorted.begin());
     return bit_of(key) == 0 ? Range(within.first, split)
                             : Range(split, within.second);
   };
 
-  // Planning (bucket allocation and every rng draw) stays sequential in
-  // node order, so the seeded draw stream — and with it every seeded
-  // world — is bit-identical to the single-threaded seeder. The
-  // expensive part, placing entries into k-buckets, touches only the
-  // owning node's table, so blocks of finished plans fan out across
-  // worker threads; the result is independent of the worker count.
-  const std::size_t node_total = dht_nodes_.size();
-  const std::size_t workers = std::max<std::size_t>(
-      1, std::min<std::size_t>(std::thread::hardware_concurrency(),
-                               node_total / 1024));
-  constexpr std::size_t kPlanBlock = 8192;
-  std::vector<std::vector<std::uint32_t>> plans(
-      std::min(kPlanBlock, node_total));
+  struct BucketRange {
+    std::size_t outer_lo, outer_hi, inner_lo, inner_hi, total;
+  };
+  std::vector<Range> levels;
+  std::vector<BucketRange> buckets;
+  std::vector<std::size_t> alloc;
+  std::vector<std::size_t> reserve;
+  std::vector<std::pair<std::size_t, std::size_t>> moved;  // pos -> t
+  const std::size_t budget = config_.max_routing_entries;
 
-  const auto plan_node = [&](std::size_t i,
-                             std::vector<std::uint32_t>& plan) {
-    plan.clear();
-    const auto key = dht_nodes_[i]->routing_table().local_key().bytes();
-    const std::size_t budget = config_.max_routing_entries;
+  for (const auto& node : dht_nodes_) {
+    dht::RoutingTable& table = node->routing_table();
+    const dht::Key& key = table.local_key();
 
-    std::vector<Range> levels;
-    levels.push_back({0, sorted.size()});  // the empty prefix
+    levels.assign(1, {0, sorted.size()});  // the empty prefix
     for (int bits = 1; bits <= 256; ++bits) {
       const Range range = narrow(key, bits, levels.back());
       levels.push_back(range);
@@ -226,11 +212,7 @@ void World::seed_routing_tables() {
     // Per-bucket candidate counts, deepest bucket first (the draw order
     // below). Bucket (depth-1) holds entries sharing depth-1 bits but
     // differing at bit depth-1: levels[depth-1] minus levels[depth].
-    struct BucketRange {
-      std::size_t outer_lo, outer_hi, inner_lo, inner_hi, total;
-    };
-    std::vector<BucketRange> buckets;
-    buckets.reserve(levels.size());
+    buckets.clear();
     for (std::size_t depth = levels.size(); depth-- > 1;) {
       const auto [outer_lo, outer_hi] = levels[depth - 1];
       const auto [inner_lo, inner_hi] = levels[depth];
@@ -248,14 +230,14 @@ void World::seed_routing_tables() {
     // then pour the remainder into the deepest buckets (closest
     // neighbours matter most for closest-peer correctness).
     constexpr std::size_t kLongRangeReserve = 2;
-    std::vector<std::size_t> alloc(buckets.size(), 0);
+    alloc.assign(buckets.size(), 0);
     std::size_t want = 0;
     for (std::size_t b = 0; b < buckets.size(); ++b) {
       alloc[b] = std::min(buckets[b].total, dht::kBucketSize);
       want += alloc[b];
     }
     if (want > budget) {
-      std::vector<std::size_t> reserve(buckets.size(), 0);
+      reserve.assign(buckets.size(), 0);
       std::size_t reserved = 0;
       for (std::size_t b = 0; b < buckets.size(); ++b) {
         reserve[b] = std::min(alloc[b], kLongRangeReserve);
@@ -287,6 +269,11 @@ void World::seed_routing_tables() {
       }
     }
 
+    // The table lists buckets shallowest first, so the deepest bucket,
+    // drawn first, fills the tail of the vector.
+    std::size_t end = 0;
+    for (const std::size_t take : alloc) end += take;
+    std::vector<Entry> entries(end);
     for (std::size_t b = 0; b < buckets.size(); ++b) {
       // The candidate set is [outer_lo, outer_hi) minus [inner_lo,
       // inner_hi): two contiguous runs of the sorted array, addressable
@@ -295,18 +282,18 @@ void World::seed_routing_tables() {
       // quadratic; at 100k peers that is the difference between
       // milliseconds and minutes.
       const auto [outer_lo, outer_hi, inner_lo, inner_hi, total] = buckets[b];
-      if (total == 0) continue;
+      const std::size_t take = alloc[b];
+      if (take == 0) continue;
+      end -= take;
       const std::size_t left_len = inner_lo - outer_lo;
       const auto candidate_at = [&](std::size_t t) {
         return t < left_len ? outer_lo + t : inner_hi + (t - left_len);
       };
-      const std::size_t take = alloc[b];
-      if (take == 0) continue;
       // Uniform sample without replacement: the same partial
       // Fisher-Yates the dense version ran, with the handful of
       // displaced positions tracked in a sparse overlay so the draw
       // sequence (and therefore every seeded world) is unchanged.
-      std::vector<std::pair<std::size_t, std::size_t>> moved;  // pos -> t
+      moved.clear();
       const auto value_at = [&](std::size_t pos) {
         for (const auto& [p, t] : moved)
           if (p == pos) return t;
@@ -327,38 +314,10 @@ void World::seed_routing_tables() {
                              static_cast<std::int64_t>(total - pick) - 1));
         const std::size_t chosen = value_at(swap_with);
         set_at(swap_with, value_at(pick));
-        plan.push_back(static_cast<std::uint32_t>(chosen));
+        entries[end + pick] = sorted[chosen];
       }
     }
-  };
-
-  const auto seed_node = [&](std::size_t i,
-                             const std::vector<std::uint32_t>& plan) {
-    auto& table = dht_nodes_[i]->routing_table();
-    for (const std::uint32_t chosen : plan) {
-      const Keyed& keyed = sorted[chosen];
-      table.upsert(keyed.peer, dht::Key(keyed.key));
-    }
-  };
-
-  for (std::size_t block = 0; block < node_total; block += kPlanBlock) {
-    const std::size_t block_end = std::min(node_total, block + kPlanBlock);
-    for (std::size_t i = block; i < block_end; ++i)
-      plan_node(i, plans[i - block]);
-    if (workers <= 1) {
-      for (std::size_t i = block; i < block_end; ++i)
-        seed_node(i, plans[i - block]);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-          for (std::size_t i = block + w; i < block_end; i += workers)
-            seed_node(i, plans[i - block]);
-        });
-      }
-      for (auto& thread : pool) thread.join();
-    }
+    table.assign(std::move(entries));
   }
 }
 

@@ -2,6 +2,10 @@
 // publication/retrieval walks, AutoNAT and record lifecycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+
 #include "dht/dht_node.h"
 #include "dht/key.h"
 #include "dht/record_store.h"
@@ -223,6 +227,64 @@ TEST(RoutingTableTest, EntriesSurviveDirectoryGrowth) {
     EXPECT_EQ(after[i].id, before[i].id);
     EXPECT_EQ(after[i].node, before[i].node);
     EXPECT_EQ(after[i].addresses, before[i].addresses);
+  }
+}
+
+TEST(RoutingTableTest, WholeTableMatchesUpserts) {
+  // assign() takes entries in table order: ascending bucket, then the
+  // order they arrived in. Draw peers in a shuffled order, keep the first
+  // k of each bucket, group them by bucket keeping that order, and the
+  // table built whole must match one filled by upserting the same list.
+  const Key self = Key::for_peer(synthetic_peer_id(0));
+  const auto bucket_of = [&self](const Key& key) {
+    return std::min<std::size_t>(self.common_prefix_len(key),
+                                 kBucketCount - 1);
+  };
+  std::vector<std::uint64_t> order(3000);
+  std::iota(order.begin(), order.end(), 1);
+  std::shuffle(order.begin(), order.end(), std::mt19937_64(11));
+
+  PeerDirectory directory;
+  std::vector<RoutingTable::Entry> entries;
+  std::vector<std::size_t> per_bucket(kBucketCount, 0);
+  for (const std::uint64_t n : order) {
+    const PeerRef ref = make_ref(n);
+    const Key key = Key::for_peer(ref.id);
+    if (per_bucket[bucket_of(key)]++ < kBucketSize)
+      entries.push_back({key, directory.intern(ref, key)});
+  }
+  std::ranges::stable_sort(entries, std::less<>{},
+                           [&](const RoutingTable::Entry& entry) {
+                             return bucket_of(entry.key);
+                           });
+
+  RoutingTable upserted(directory, self);
+  for (const auto& entry : entries) {
+    const PeerRef peer = directory[entry.peer];
+    ASSERT_TRUE(upserted.upsert(peer));
+  }
+  RoutingTable whole(directory, self);
+  whole.assign(entries);
+
+  const auto expect_same = [](const std::vector<PeerRef>& got,
+                              const std::vector<PeerRef>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id) << "position " << i;
+      EXPECT_EQ(got[i].node, want[i].node) << "position " << i;
+      EXPECT_EQ(got[i].addresses, want[i].addresses) << "position " << i;
+    }
+  };
+  EXPECT_EQ(whole.size(), entries.size());
+  expect_same(whole.all_peers(), upserted.all_peers());
+  for (std::size_t b = 0; b < kBucketCount; ++b)
+    EXPECT_EQ(whole.bucket_size(b), upserted.bucket_size(b))
+        << "bucket " << b;
+  for (std::uint64_t n = 5000; n < 5008; ++n) {
+    const Key target = Key::for_peer(synthetic_peer_id(n));
+    for (const std::size_t count : {1, 20, 500})
+      expect_same(whole.closest(target, count),
+                  upserted.closest(target, count));
   }
 }
 

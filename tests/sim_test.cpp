@@ -587,7 +587,7 @@ TEST_F(NetworkTest, NatPeersCannotBeDialed) {
   net_.connect(a, b, [&](bool success, Duration) { ok = success; });
   sim_.run();
   EXPECT_FALSE(ok);
-  EXPECT_EQ(net_.dials_failed(), 1u);
+  EXPECT_EQ(net_.metrics().counter_value("net.dials_failed"), 1u);
 }
 
 TEST_F(NetworkTest, RequestResponseRoundTrip) {
