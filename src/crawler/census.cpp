@@ -36,7 +36,7 @@ std::vector<CountryShare> country_distribution_of(
     // Multihoming: a peer with addresses in several countries is counted
     // once per country (as in Figure 5).
     std::set<int> seen_countries;
-    for (const auto& ip : obs.ip_addresses) {
+    for (const auto& ip : extract_ips(obs.peer)) {
       const auto* info = geodb.lookup(ip);
       if (info == nullptr) continue;
       if (!seen_countries.insert(info->country).second) continue;
@@ -54,7 +54,7 @@ std::vector<CountryShare> country_distribution(
 std::vector<std::size_t> peers_per_ip(const CrawlResult& crawl) {
   std::unordered_map<std::string, std::size_t> counts;
   for (const auto& obs : crawl.observations)
-    for (const auto& ip : obs.ip_addresses) ++counts[ip];
+    for (const auto& ip : extract_ips(obs.peer)) ++counts[ip];
   std::vector<std::size_t> out;
   out.reserve(counts.size());
   for (const auto& [ip, count] : counts) out.push_back(count);
@@ -67,7 +67,7 @@ std::vector<AsShare> as_distribution(const CrawlResult& crawl,
   // Unique IPs per AS.
   std::unordered_map<std::string, std::size_t> ip_to_as;
   for (const auto& obs : crawl.observations) {
-    for (const auto& ip : obs.ip_addresses) {
+    for (const auto& ip : extract_ips(obs.peer)) {
       const auto* info = geodb.lookup(ip);
       if (info != nullptr) ip_to_as.emplace(ip, info->as_index);
     }
@@ -94,7 +94,7 @@ std::vector<CloudShare> cloud_distribution(const CrawlResult& crawl,
                                            const world::GeoDatabase& geodb) {
   std::unordered_map<std::string, int> ip_to_cloud;
   for (const auto& obs : crawl.observations) {
-    for (const auto& ip : obs.ip_addresses) {
+    for (const auto& ip : extract_ips(obs.peer)) {
       const auto* info = geodb.lookup(ip);
       if (info != nullptr) ip_to_cloud.emplace(ip, info->cloud_provider);
     }

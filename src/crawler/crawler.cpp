@@ -11,7 +11,7 @@ std::vector<std::string> extract_ips(const dht::PeerRef& peer) {
   std::vector<std::string> out;
   for (const auto& address : peer.addresses) {
     const auto ip = address.value_for(multiformats::MultiaddrProtocol::kIp4);
-    if (!ip || ip->size() != 4) continue;
+    if (!ip) continue;
     out.push_back(std::to_string((*ip)[0]) + "." + std::to_string((*ip)[1]) +
                   "." + std::to_string((*ip)[2]) + "." +
                   std::to_string((*ip)[3]));
@@ -29,7 +29,7 @@ std::size_t CrawlResult::dialable() const {
 std::size_t CrawlResult::unique_ip_count() const {
   std::unordered_set<std::string> ips;
   for (const auto& obs : observations)
-    for (const auto& ip : obs.ip_addresses) ips.insert(ip);
+    for (auto& ip : extract_ips(obs.peer)) ips.insert(std::move(ip));
   return ips.size();
 }
 
@@ -91,7 +91,6 @@ struct Crawler::Run : std::enable_shared_from_this<Crawler::Run> {
             obs.peer = peer;
             obs.reached = false;
             obs.connect_duration = elapsed;
-            obs.ip_addresses = extract_ips(peer);
             self_ptr->result.observations.push_back(std::move(obs));
             --self_ptr->in_flight;
             self_ptr->pump();
@@ -110,7 +109,6 @@ struct Crawler::Run : std::enable_shared_from_this<Crawler::Run> {
                     rpc_start - connect_start;
                 obs.crawl_duration =
                     self_ptr->network->now() - rpc_start;
-                obs.ip_addresses = extract_ips(peer);
                 if (status == sim::RpcStatus::kOk) {
                   obs.reached = true;
                   if (message->kind() ==

@@ -20,7 +20,6 @@ struct PeerObservation {
   bool reached = false;             // connected AND answered the crawl RPC
   sim::Duration connect_duration = 0;
   sim::Duration crawl_duration = 0;  // RPC round trip after connecting
-  std::vector<std::string> ip_addresses;  // extracted from multiaddrs
 };
 
 struct CrawlResult {

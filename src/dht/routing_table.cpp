@@ -12,10 +12,10 @@ namespace ipfs::dht {
 namespace {
 
 // Copies the records of `handles` out of the directory. The records lie
-// scattered across it, and each copy bumps refcounts with locked
-// instructions that hold back the loads after them, so the misses would
-// be paid one at a time; fetching every record, then its address list,
-// first lets them overlap.
+// scattered across it, and each copy bumps the PeerId's refcount with a
+// locked instruction that holds back the loads after it, so the misses
+// would be paid one at a time; fetching every record, then its address
+// list, first lets them overlap.
 std::vector<PeerRef> gather(const PeerDirectory& directory,
                             std::ranges::sized_range auto&& handles) {
   for (const PeerDirectory::Handle handle : handles)
@@ -45,8 +45,7 @@ std::optional<std::uint16_t> RoutingTable::diversity_class(
   for (const auto& address : peer.addresses) {
     const auto ip4 =
         address.value_for(multiformats::MultiaddrProtocol::kIp4);
-    if (ip4 && ip4->size() == 4)
-      return static_cast<std::uint16_t>(((*ip4)[0] << 8) | (*ip4)[1]);
+    if (ip4) return static_cast<std::uint16_t>(((*ip4)[0] << 8) | (*ip4)[1]);
   }
   return std::nullopt;
 }

@@ -138,20 +138,44 @@ std::string ip6_to_string(std::span<const std::uint8_t> bytes) {
   return out;
 }
 
-}  // namespace
+// One component of a packed address: its protocol and a view of its
+// payload.
+struct Component {
+  const ProtocolSpec* spec;
+  std::span<const std::uint8_t> value;
+};
 
-Multiaddr::Multiaddr(std::vector<MultiaddrComponent> components)
-    : components_(std::make_shared<const std::vector<MultiaddrComponent>>(
-          std::move(components))) {}
-
-const std::vector<MultiaddrComponent>& Multiaddr::empty_components() {
-  static const std::vector<MultiaddrComponent> empty;
-  return empty;
+// Reads the component at the front of `data` and advances `data` past
+// it. nullopt if the bytes there are not a well-formed component.
+std::optional<Component> next_component(std::span<const std::uint8_t>& data) {
+  const auto code = varint_decode(data);
+  if (!code) return std::nullopt;
+  const ProtocolSpec* spec = spec_by_code(code->value);
+  if (spec == nullptr) return std::nullopt;
+  data = data.subspan(code->consumed);
+  std::uint64_t size = spec->fixed_bytes;
+  if (spec->kind == PayloadKind::kLengthPrefixed) {
+    const auto length = varint_decode(data);
+    if (!length) return std::nullopt;
+    data = data.subspan(length->consumed);
+    size = length->value;
+  }
+  if (data.size() < size) return std::nullopt;
+  const Component component{spec, data.first(size)};
+  data = data.subspan(size);
+  return component;
 }
+
+std::span<const std::uint8_t> as_bytes(const std::string& packed) {
+  return {reinterpret_cast<const std::uint8_t*>(packed.data()), packed.size()};
+}
+
+}  // namespace
 
 std::optional<Multiaddr> Multiaddr::parse(std::string_view text) {
   if (text.empty() || text[0] != '/') return std::nullopt;
-  std::vector<MultiaddrComponent> components;
+  std::vector<std::uint8_t> packed;
+  packed.reserve(text.size());  // only a compressed ip6 packs longer
 
   std::size_t pos = 1;
   while (pos <= text.size()) {
@@ -166,7 +190,7 @@ std::optional<Multiaddr> Multiaddr::parse(std::string_view text) {
     const ProtocolSpec* spec = spec_by_name(name);
     if (spec == nullptr) return std::nullopt;
 
-    MultiaddrComponent component{spec->protocol, {}};
+    std::vector<std::uint8_t> payload;
     if (spec->kind != PayloadKind::kNone) {
       if (end == text.size()) return std::nullopt;  // missing value
       const std::size_t value_start = end + 1;
@@ -179,13 +203,13 @@ std::optional<Multiaddr> Multiaddr::parse(std::string_view text) {
         case MultiaddrProtocol::kIp4: {
           auto bytes = parse_ip4(value);
           if (!bytes) return std::nullopt;
-          component.value = std::move(*bytes);
+          payload = std::move(*bytes);
           break;
         }
         case MultiaddrProtocol::kIp6: {
           auto bytes = parse_ip6(value);
           if (!bytes) return std::nullopt;
-          component.value = std::move(*bytes);
+          payload = std::move(*bytes);
           break;
         }
         case MultiaddrProtocol::kTcp:
@@ -196,131 +220,89 @@ std::optional<Multiaddr> Multiaddr::parse(std::string_view text) {
           if (ec != std::errc{} || ptr != value.data() + value.size() ||
               port > 65535)
             return std::nullopt;
-          component.value = {static_cast<std::uint8_t>(port >> 8),
-                             static_cast<std::uint8_t>(port & 0xff)};
+          payload = {static_cast<std::uint8_t>(port >> 8),
+                     static_cast<std::uint8_t>(port & 0xff)};
           break;
         }
         case MultiaddrProtocol::kP2p: {
           // PeerIDs render as base58btc multihashes.
           auto bytes = base58btc_decode(value);
           if (!bytes || !Multihash::decode(*bytes)) return std::nullopt;
-          component.value = std::move(*bytes);
+          payload = std::move(*bytes);
           break;
         }
         default:  // dns names: raw UTF-8 bytes
-          component.value.assign(value.begin(), value.end());
+          payload.assign(value.begin(), value.end());
           break;
       }
       pos = value_end + 1;
     } else {
       pos = end + 1;
     }
-    components.push_back(std::move(component));
+    varint_encode(static_cast<std::uint64_t>(spec->protocol), packed);
+    if (spec->kind == PayloadKind::kLengthPrefixed)
+      varint_encode(payload.size(), packed);
+    packed.insert(packed.end(), payload.begin(), payload.end());
     if (end == text.size() ||
         (spec->kind != PayloadKind::kNone && pos > text.size()))
       break;
   }
 
-  if (components.empty()) return std::nullopt;
-  return Multiaddr(std::move(components));
+  if (packed.empty()) return std::nullopt;
+  return Multiaddr(std::string(packed.begin(), packed.end()));
 }
 
 std::optional<Multiaddr> Multiaddr::decode(
     std::span<const std::uint8_t> data) {
-  std::vector<MultiaddrComponent> components;
-  while (!data.empty()) {
-    const auto code = varint_decode(data);
-    if (!code) return std::nullopt;
-    data = data.subspan(code->consumed);
-    const ProtocolSpec* spec = spec_by_code(code->value);
-    if (spec == nullptr) return std::nullopt;
-
-    MultiaddrComponent component{spec->protocol, {}};
-    switch (spec->kind) {
-      case PayloadKind::kNone:
-        break;
-      case PayloadKind::kFixed:
-        if (data.size() < spec->fixed_bytes) return std::nullopt;
-        component.value.assign(data.begin(), data.begin() + spec->fixed_bytes);
-        data = data.subspan(spec->fixed_bytes);
-        break;
-      case PayloadKind::kLengthPrefixed: {
-        const auto length = varint_decode(data);
-        if (!length) return std::nullopt;
-        data = data.subspan(length->consumed);
-        if (data.size() < length->value) return std::nullopt;
-        component.value.assign(data.begin(), data.begin() + length->value);
-        data = data.subspan(length->value);
-        break;
-      }
-    }
-    components.push_back(std::move(component));
-  }
-  if (components.empty()) return std::nullopt;
-  return Multiaddr(std::move(components));
+  if (data.empty()) return std::nullopt;
+  for (auto rest = data; !rest.empty();)
+    if (!next_component(rest)) return std::nullopt;
+  return Multiaddr(std::string(data.begin(), data.end()));
 }
 
 std::vector<std::uint8_t> Multiaddr::encode() const {
-  std::vector<std::uint8_t> out;
-  for (const auto& component : components()) {
-    varint_encode(static_cast<std::uint64_t>(component.protocol), out);
-    const ProtocolSpec* spec =
-        spec_by_code(static_cast<std::uint64_t>(component.protocol));
-    if (spec->kind == PayloadKind::kLengthPrefixed)
-      varint_encode(component.value.size(), out);
-    out.insert(out.end(), component.value.begin(), component.value.end());
-  }
-  return out;
+  return {bytes_.begin(), bytes_.end()};
 }
 
+// The walks below trust their bytes: only `parse` and `decode` make a
+// non-empty address, and both leave well-formed components.
 std::string Multiaddr::to_string() const {
   std::string out;
-  for (const auto& component : components()) {
-    const ProtocolSpec* spec =
-        spec_by_code(static_cast<std::uint64_t>(component.protocol));
+  for (auto rest = as_bytes(bytes_); !rest.empty();) {
+    const auto [spec, value] = *next_component(rest);
     out.push_back('/');
     out += spec->name;
     if (spec->kind == PayloadKind::kNone) continue;
     out.push_back('/');
-    switch (component.protocol) {
+    switch (spec->protocol) {
       case MultiaddrProtocol::kIp4:
-        out += ip4_to_string(component.value);
+        out += ip4_to_string(value);
         break;
       case MultiaddrProtocol::kIp6:
-        out += ip6_to_string(component.value);
+        out += ip6_to_string(value);
         break;
       case MultiaddrProtocol::kTcp:
       case MultiaddrProtocol::kUdp:
-        out += std::to_string((unsigned{component.value[0]} << 8) |
-                              component.value[1]);
+        out += std::to_string((unsigned{value[0]} << 8) | value[1]);
         break;
       case MultiaddrProtocol::kP2p:
-        out += base58btc_encode(component.value);
+        out += base58btc_encode(value);
         break;
       default:
-        out.append(component.value.begin(), component.value.end());
+        out.append(value.begin(), value.end());
         break;
     }
   }
   return out;
 }
 
-std::optional<std::vector<std::uint8_t>> Multiaddr::value_for(
+std::optional<std::span<const std::uint8_t>> Multiaddr::value_for(
     MultiaddrProtocol protocol) const {
-  for (const auto& component : components())
-    if (component.protocol == protocol) return component.value;
+  for (auto rest = as_bytes(bytes_); !rest.empty();) {
+    const auto [spec, value] = *next_component(rest);
+    if (spec->protocol == protocol) return value;
+  }
   return std::nullopt;
-}
-
-Multiaddr Multiaddr::with(MultiaddrProtocol protocol,
-                          std::vector<std::uint8_t> value) const {
-  auto copy = components();
-  copy.push_back({protocol, std::move(value)});
-  return Multiaddr(std::move(copy));
-}
-
-bool Multiaddr::is_relayed() const {
-  return value_for(MultiaddrProtocol::kP2pCircuit).has_value();
 }
 
 Multiaddr make_tcp_multiaddr(std::string_view ip4, std::uint16_t port) {

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -27,56 +26,44 @@ enum class MultiaddrProtocol : std::uint64_t {
   kWss = 0x01de,
 };
 
-struct MultiaddrComponent {
-  MultiaddrProtocol protocol;
-  std::vector<std::uint8_t> value;  // binary address payload (may be empty)
-
-  bool operator==(const MultiaddrComponent&) const = default;
-};
-
-// Addresses are immutable after construction and copied with every
-// PeerRef that flows through routing tables, DHT messages and crawl
-// results, so the component list lives behind a shared buffer: a copy is
-// a refcount bump rather than a fresh allocation per component payload.
+// An address is its packed binary form and nothing else: the bytes
+// `encode()` returns, each component a varint protocol code followed by
+// its payload. Addresses are copied with every PeerRef that flows
+// through DHT replies and crawl results. A `std::string` holds the
+// bytes because short addresses stay in its inline buffer, so a copy
+// neither allocates nor touches a refcount; /ip4/…/tcp/… packs to 8
+// bytes. Longer ones (ip6, dns, /p2p/…) allocate like any string. A
+// plain vector of components would add two or three allocations to
+// every copied address: the vector and each payload.
 class Multiaddr {
  public:
   Multiaddr() = default;
-  explicit Multiaddr(std::vector<MultiaddrComponent> components);
 
   // Parses the human-readable path form. nullopt on any malformed segment.
   static std::optional<Multiaddr> parse(std::string_view text);
 
-  // Parses the packed binary form.
+  // Parses the packed binary form. nullopt unless `data` is one or more
+  // well-formed components.
   static std::optional<Multiaddr> decode(std::span<const std::uint8_t> data);
 
   std::vector<std::uint8_t> encode() const;
   std::string to_string() const;
 
-  const std::vector<MultiaddrComponent>& components() const {
-    return components_ ? *components_ : empty_components();
-  }
-  bool empty() const { return components().empty(); }
+  bool empty() const { return bytes_.empty(); }
 
-  // First component payload for `protocol`, if present.
-  std::optional<std::vector<std::uint8_t>> value_for(
+  // First component payload for `protocol`, if present, as a view into
+  // this address.
+  std::optional<std::span<const std::uint8_t>> value_for(
       MultiaddrProtocol protocol) const;
 
-  // Appends a component (builder style).
-  Multiaddr with(MultiaddrProtocol protocol,
-                 std::vector<std::uint8_t> value = {}) const;
-
-  // True if the address contains a relay hop (p2p-circuit).
-  bool is_relayed() const;
-
-  bool operator==(const Multiaddr& other) const {
-    return components_ == other.components_ ||
-           components() == other.components();
-  }
+  // `parse` and `decode` produce canonical bytes (varints are minimal),
+  // so equal addresses have equal bytes.
+  bool operator==(const Multiaddr&) const = default;
 
  private:
-  static const std::vector<MultiaddrComponent>& empty_components();
+  explicit Multiaddr(std::string bytes) : bytes_(std::move(bytes)) {}
 
-  std::shared_ptr<const std::vector<MultiaddrComponent>> components_;
+  std::string bytes_;
 };
 
 // Convenience constructors used across the simulator.

@@ -230,7 +230,9 @@ TEST(MultiaddrTest, ParsesFigure2Address) {
   const auto text = "/ip4/1.2.3.4/tcp/3333/p2p/" + peer.to_base58();
   const auto addr = Multiaddr::parse(text);
   ASSERT_TRUE(addr.has_value());
-  EXPECT_EQ(addr->components().size(), 3u);
+  const auto id = addr->value_for(MultiaddrProtocol::kP2p);
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(std::vector<std::uint8_t>(id->begin(), id->end()), peer.encode());
   EXPECT_EQ(addr->to_string(), text);
 }
 
@@ -260,11 +262,19 @@ TEST(MultiaddrTest, ParsesDnsAndWebsocket) {
   EXPECT_EQ(addr->to_string(), "/dns4/example.com/tcp/443/wss");
 }
 
-TEST(MultiaddrTest, RelayAddressesAreDetected) {
-  const auto direct = Multiaddr::parse("/ip4/10.0.0.1/tcp/4001");
-  const auto relayed = direct->with(MultiaddrProtocol::kP2pCircuit);
-  EXPECT_FALSE(direct->is_relayed());
-  EXPECT_TRUE(relayed.is_relayed());
+TEST(MultiaddrTest, ParsesRelayAddress) {
+  const std::string text = "/ip4/10.0.0.1/tcp/4001/p2p-circuit";
+  const auto addr = Multiaddr::parse(text);
+  ASSERT_TRUE(addr.has_value());
+  EXPECT_EQ(addr->to_string(), text);
+  // p2p-circuit is a bare protocol code (0x0122, two varint bytes).
+  const std::vector<std::uint8_t> packed = {0x04, 10,   0,    0,   1,
+                                            0x06, 0x0f, 0xa1, 0xa2, 0x02};
+  EXPECT_EQ(addr->encode(), packed);
+  const auto decoded = Multiaddr::decode(packed);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, *addr);
+  EXPECT_EQ(decoded->to_string(), text);
 }
 
 TEST(MultiaddrTest, RejectsMalformedInput) {
@@ -274,6 +284,28 @@ TEST(MultiaddrTest, RejectsMalformedInput) {
   EXPECT_FALSE(Multiaddr::parse("/ip4/1.2.3.4/tcp/99999").has_value());
   EXPECT_FALSE(Multiaddr::parse("/ip4/1.2.3.4/tcp").has_value());
   EXPECT_FALSE(Multiaddr::parse("/nosuchproto/1").has_value());
+}
+
+TEST(MultiaddrTest, DecodeRejectsMalformedBytes) {
+  using Bytes = std::vector<std::uint8_t>;
+  // The well-formed baseline: /ip4/1.2.3.4/tcp/80.
+  ASSERT_TRUE(
+      Multiaddr::decode(Bytes{0x04, 1, 2, 3, 4, 0x06, 0x00, 0x50}).has_value());
+
+  EXPECT_FALSE(Multiaddr::decode(Bytes{}).has_value());
+  // 0x07 names no protocol in the table.
+  EXPECT_FALSE(Multiaddr::decode(Bytes{0x07, 1, 2, 3, 4}).has_value());
+  // ip4 carries four bytes, tcp two.
+  EXPECT_FALSE(Multiaddr::decode(Bytes{0x04, 1, 2, 3}).has_value());
+  EXPECT_FALSE(Multiaddr::decode(Bytes{0x04, 1, 2, 3, 4, 0x06, 0x00})
+                   .has_value());
+  // dns4 announces five name bytes and carries two.
+  EXPECT_FALSE(Multiaddr::decode(Bytes{0x36, 0x05, 'a', 'b'}).has_value());
+  // The ip4 code in two varint bytes where one would do.
+  EXPECT_FALSE(Multiaddr::decode(Bytes{0x84, 0x00, 1, 2, 3, 4}).has_value());
+  // A length prefix in a non-minimal varint.
+  EXPECT_FALSE(
+      Multiaddr::decode(Bytes{0x36, 0x81, 0x00, 'a'}).has_value());
 }
 
 TEST(MultiaddrTest, ConvenienceConstructors) {
