@@ -81,7 +81,7 @@ struct RebalancePanel {
 
 RebalancePanel run_rebalance_panel(std::size_t replicas, std::size_t vnodes,
                                    std::size_t keys) {
-  gateway::HashRing ring(gateway::HashRingConfig{vnodes, 1.25});
+  gateway::HashRing ring(gateway::HashRingConfig{vnodes});
   for (std::size_t i = 0; i < replicas; ++i) ring.add_replica(i);
 
   RebalancePanel panel;

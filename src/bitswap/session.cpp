@@ -79,7 +79,9 @@ Session::PeerState* Session::pick_peer(
   PeerState* best = nullptr;
   for (auto& peer : peers_) {
     if (peer.dead) continue;
-    if (peer.in_flight >= config_.per_peer_window) continue;
+    // Cap per peer, so one fast provider cannot absorb the whole window
+    // (parallelism across providers is the point of a session).
+    if (peer.in_flight >= Bitswap::kFetchWindow) continue;
     if (std::find(exclude.begin(), exclude.end(), peer.node) !=
         exclude.end())
       continue;

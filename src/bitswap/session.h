@@ -24,9 +24,6 @@ namespace ipfs::bitswap {
 struct SessionConfig {
   // Total WANT_BLOCKs in flight across the session.
   int window = 32;
-  // Cap per peer, so one fast provider cannot absorb the whole window
-  // (parallelism across providers is the point of a session).
-  int per_peer_window = Bitswap::kFetchWindow;
   // WANT_HAVE-probe every peer for the root before the first WANT_BLOCK;
   // seeds the latency score and demotes peers that answer DONT_HAVE.
   bool probe_want_have = true;

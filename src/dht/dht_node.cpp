@@ -188,7 +188,8 @@ bool DhtNode::handle_request(
     case sim::MessageKind::kListBucketsRequest: {
       auto response = std::make_shared<ListBucketsResponse>();
       response->peers = routing_table_.all_peers();
-      respond(std::move(response), response_size_for(response->peers.size()));
+      const std::size_t size = response_size_for(response->peers.size());
+      respond(std::move(response), size);
       break;
     }
     case sim::MessageKind::kDialBackRequest: {
@@ -501,15 +502,8 @@ void DhtNode::schedule_expiry_sweep() {
       });
 }
 
-void DhtNode::find_providers(const Key& key, Lookup::Callback done,
-                             metrics::SpanId parent_span) {
-  start_lookup(LookupType::kGetProviders, key,
-               routing_table_.closest(key, kReplication), std::move(done),
-               std::nullopt, parent_span);
-}
-
-const Lookup* DhtNode::find_providers_cancellable(
-    const Key& key, Lookup::Callback done, metrics::SpanId parent_span) {
+const Lookup* DhtNode::find_providers(const Key& key, Lookup::Callback done,
+                                      metrics::SpanId parent_span) {
   return start_lookup(LookupType::kGetProviders, key,
                       routing_table_.closest(key, kReplication),
                       std::move(done), std::nullopt, parent_span);

@@ -119,17 +119,12 @@ class DhtNode {
   // --- Retrieval support (Section 3.2) ------------------------------------
 
   // `parent_span` parents the walk's trace span under the caller's phase
-  // (e.g. a retrieval's provider_walk) — purely observational.
-  void find_providers(const Key& key, Lookup::Callback done,
-                      metrics::SpanId parent_span = 0);
-
-  // Cancellable variant for the routing layer (routing::DhtRouter): the
-  // returned handle identifies the walk for cancel_lookup(). Valid until
-  // the callback fires; a raced RaceRouter holds it to put down the
-  // losing walk.
-  const Lookup* find_providers_cancellable(const Key& key,
-                                           Lookup::Callback done,
-                                           metrics::SpanId parent_span = 0);
+  // (e.g. a retrieval's provider_walk) — purely observational. The
+  // returned handle identifies the walk for cancel_lookup() and is valid
+  // until the callback fires; a raced RaceRouter holds it to put down
+  // the losing walk.
+  const Lookup* find_providers(const Key& key, Lookup::Callback done,
+                               metrics::SpanId parent_span = 0);
 
   // Aborts the identified walk WITHOUT invoking its callback and cancels
   // its deadline timer (no dangling foreground events). No-op for

@@ -6,6 +6,10 @@ namespace ipfs::gateway {
 
 namespace {
 
+// A replica accepts a routed request only while its in-flight count is
+// below ceil(kBoundedLoadFactor * (total_inflight + 1) / replicas).
+constexpr double kBoundedLoadFactor = 1.25;
+
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -50,8 +54,7 @@ std::uint64_t HashRing::load_bound(std::uint64_t total_load) const {
   if (replicas_.empty()) return 0;
   const double fair =
       static_cast<double>(total_load + 1) / static_cast<double>(replicas_.size());
-  return static_cast<std::uint64_t>(
-      std::ceil(config_.bounded_load_factor * fair));
+  return static_cast<std::uint64_t>(std::ceil(kBoundedLoadFactor * fair));
 }
 
 std::optional<std::size_t> HashRing::pick(

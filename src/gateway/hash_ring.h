@@ -4,9 +4,8 @@
 // removing one replica of N moves only that replica's ~1/N of the key
 // space, onto the ring successors — everyone else's edge cache stays
 // warm. The bounded-load walk additionally skips replicas already at
-// `bounded_load_factor` times the fair share of in-flight requests, so a
-// flash crowd on one shard spills to the next point instead of melting
-// its owner.
+// 1.25 times the fair share of in-flight requests, so a flash crowd on
+// one shard spills to the next point instead of melting its owner.
 #pragma once
 
 #include <cstdint>
@@ -20,9 +19,6 @@ namespace ipfs::gateway {
 struct HashRingConfig {
   // Virtual nodes per replica; more points = smoother key-space split.
   std::size_t vnodes = 64;
-  // A replica accepts a routed request only while its in-flight count is
-  // below ceil(factor * (total_inflight + 1) / replicas).
-  double bounded_load_factor = 1.25;
 };
 
 class HashRing {

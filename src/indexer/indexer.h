@@ -36,10 +36,6 @@ struct IndexerConfig {
   // same provider re-advertises the same key.
   sim::Duration provider_ttl = sim::hours(24);
 
-  IndexerConfig& with_net(sim::NodeConfig config) {
-    net = config;
-    return *this;
-  }
   IndexerConfig& with_ingest_lag(sim::Duration lag) {
     ingest_lag = lag;
     return *this;

@@ -33,8 +33,6 @@ struct IpfsNodeConfig {
   // (Section 3.1: "any peer that later retrieves the data becomes a
   // temporary content provider themselves").
   bool provide_after_fetch = true;
-  // Bitswap discovery window before falling back to the DHT.
-  sim::Duration bitswap_timeout = bitswap::kDiscoveryTimeout;
   // Skip the remainder of the Bitswap window once every connected peer
   // answered DONT_HAVE (the optimization discussed in Section 6.4).
   bool bitswap_early_exit = false;

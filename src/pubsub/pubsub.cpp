@@ -12,6 +12,14 @@ namespace {
 constexpr std::size_t kRpcBaseBytes = 16;
 constexpr std::size_t kMessageIdBytes = 12;  // origin (4) + seqno (8)
 
+// libp2p gossipsub v1.1 defaults.
+constexpr std::size_t kGossipDegree = 6;  // D_lazy: IHAVE targets per heartbeat
+constexpr std::size_t kPrunePx = 6;       // peers exchanged in a PRUNE
+constexpr std::size_t kHistoryLength = 5;  // mcache windows kept for IWANT
+constexpr std::size_t kHistoryGossip = 3;  // windows advertised via IHAVE
+constexpr sim::Duration kFanoutTtl = sim::seconds(60);
+constexpr std::size_t kSeenCapacity = 8192;  // dedup entries (FIFO eviction)
+
 // Mixes the node id into the engine seed so every engine draws an
 // independent stream even when a scenario hands all of them the same
 // config seed.
@@ -170,7 +178,7 @@ void Pubsub::publish_via_fanout(TopicState& state, const Topic& topic,
              static_cast<std::size_t>(config_.degree) - state.fanout.size()))
       state.fanout.push_back(peer);
   }
-  state.fanout_expires = now + config_.fanout_ttl;
+  state.fanout_expires = now + kFanoutTtl;
 
   for (const sim::NodeId peer : state.fanout) {
     auto rpc = std::make_shared<GossipRpc>();
@@ -443,7 +451,7 @@ void Pubsub::maintain_mesh(const Topic& topic, TopicState& state) {
       std::vector<sim::NodeId> px_pool;
       for (const sim::NodeId peer : state.peers)
         if (peer != victim) px_pool.push_back(peer);
-      prune.px = sample(std::move(px_pool), config_.prune_px);
+      prune.px = sample(std::move(px_pool), kPrunePx);
       transport_.metrics().counter("pubsub.prune_sent").inc();
       transport_.metrics().instant("pubsub.mesh_drop", node_, topic, 0, victim);
       auto rpc = std::make_shared<GossipRpc>();
@@ -454,13 +462,13 @@ void Pubsub::maintain_mesh(const Topic& topic, TopicState& state) {
 }
 
 void Pubsub::emit_gossip(const Topic& topic, TopicState& state) {
-  // Advertise ids from the most recent history_gossip windows to a
+  // Advertise ids from the most recent kHistoryGossip windows to a
   // random sample of non-mesh topic peers.
   ControlIHave ihave;
   ihave.topic = topic;
   std::size_t windows = 0;
   for (const auto& window : mcache_windows_) {
-    if (windows++ >= config_.history_gossip) break;
+    if (windows++ >= kHistoryGossip) break;
     for (const MessageId& id : window) {
       const auto it = mcache_.find(id);
       if (it != mcache_.end() && it->second.topic == topic)
@@ -474,9 +482,7 @@ void Pubsub::emit_gossip(const Topic& topic, TopicState& state) {
     if (std::find(state.mesh.begin(), state.mesh.end(), peer) ==
         state.mesh.end())
       pool.push_back(peer);
-  for (const sim::NodeId peer :
-       sample(std::move(pool),
-              static_cast<std::size_t>(config_.gossip_degree))) {
+  for (const sim::NodeId peer : sample(std::move(pool), kGossipDegree)) {
     auto rpc = std::make_shared<GossipRpc>();
     rpc->ihave.push_back(ihave);
     transport_.metrics().counter("pubsub.ihave_sent").inc();
@@ -486,7 +492,7 @@ void Pubsub::emit_gossip(const Topic& topic, TopicState& state) {
 
 void Pubsub::shift_mcache() {
   mcache_windows_.emplace_front();
-  while (mcache_windows_.size() > config_.history_length) {
+  while (mcache_windows_.size() > kHistoryLength) {
     for (const MessageId& id : mcache_windows_.back()) mcache_.erase(id);
     mcache_windows_.pop_back();
   }
@@ -495,7 +501,7 @@ void Pubsub::shift_mcache() {
 void Pubsub::mark_seen(const MessageId& id) {
   if (!seen_set_.insert(id).second) return;
   seen_order_.push_back(id);
-  while (seen_order_.size() > config_.seen_capacity) {
+  while (seen_order_.size() > kSeenCapacity) {
     seen_set_.erase(seen_order_.front());
     seen_order_.pop_front();
   }

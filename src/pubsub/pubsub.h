@@ -14,7 +14,7 @@
 //     a bounded message cache are advertised to non-mesh topic peers,
 //     which request anything they missed,
 //   - *fanout* for publishers not subscribed to the topic: a cached peer
-//     set used for publishing only, expiring after fanout_ttl,
+//     set used for publishing only, expiring after kFanoutTtl (60 s),
 //   - message-id dedup via a bounded seen-cache, so each subscriber
 //     delivers any message at most once.
 //
@@ -123,14 +123,8 @@ struct PubsubConfig {
   int degree = 6;      // D: target mesh degree
   int degree_lo = 4;   // D_lo: graft below this
   int degree_hi = 12;  // D_hi: prune above this
-  int gossip_degree = 6;     // D_lazy: IHAVE targets per heartbeat
-  std::size_t prune_px = 6;  // peers exchanged in a PRUNE
 
   sim::Duration heartbeat_interval = sim::seconds(1);
-  std::size_t history_length = 5;  // mcache windows kept for IWANT
-  std::size_t history_gossip = 3;  // windows advertised via IHAVE
-  sim::Duration fanout_ttl = sim::seconds(60);
-  std::size_t seen_capacity = 8192;  // dedup cache entries (FIFO eviction)
 
   // Seed for the engine's private rng stream (mesh/gossip peer sampling).
   // The engine never draws from the network fabric's rng, so enabling
@@ -145,10 +139,6 @@ struct PubsubConfig {
   }
   PubsubConfig& with_heartbeat(sim::Duration interval) {
     heartbeat_interval = interval;
-    return *this;
-  }
-  PubsubConfig& with_seed(std::uint64_t s) {
-    seed = s;
     return *this;
   }
 };
@@ -252,7 +242,7 @@ class Pubsub {
   std::map<Topic, TopicState> topics_;
   std::vector<sim::NodeId> candidates_;
 
-  // Dedup cache: FIFO-evicted once seen_capacity ids are tracked.
+  // Dedup cache: FIFO-evicted once kSeenCapacity ids are tracked.
   std::set<MessageId> seen_set_;
   std::deque<MessageId> seen_order_;
 

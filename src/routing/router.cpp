@@ -32,7 +32,7 @@ ContentRouter::RequestId DhtRouter::find_providers(const dht::Key& key,
   // The walk may complete synchronously (no candidates), so the entry
   // must exist before the call and the handle is only stored if the
   // callback has not already settled the request.
-  const dht::Lookup* walk = dht_.find_providers_cancellable(
+  const dht::Lookup* walk = dht_.find_providers(
       key,
       [this, id, done = std::move(done)](dht::LookupResult result) {
         const auto it = pending_.find(id);

@@ -52,14 +52,6 @@ struct RoutingConfig {
     mode = m;
     return *this;
   }
-  RoutingConfig& with_indexers(std::vector<sim::NodeId> nodes) {
-    indexers = std::move(nodes);
-    return *this;
-  }
-  RoutingConfig& with_indexer_timeout(sim::Duration t) {
-    indexer_timeout = t;
-    return *this;
-  }
 };
 
 struct FindResult {

@@ -78,14 +78,6 @@ struct NodeConfig {
     dialable = d;
     return *this;
   }
-  NodeConfig& with_responsive(bool r) {
-    responsive = r;
-    return *this;
-  }
-  NodeConfig& with_transport(Transport t) {
-    transport = t;
-    return *this;
-  }
   NodeConfig& with_upload(double bytes_per_sec) {
     upload_bytes_per_sec = bytes_per_sec;
     return *this;
@@ -98,18 +90,6 @@ struct NodeConfig {
                              double down_bytes_per_sec) {
     upload_bytes_per_sec = up_bytes_per_sec;
     download_bytes_per_sec = down_bytes_per_sec;
-    return *this;
-  }
-  NodeConfig& with_dial_success(double p) {
-    dial_success_prob = p;
-    return *this;
-  }
-  NodeConfig& with_relay(std::uint32_t node) {
-    relay = node;
-    return *this;
-  }
-  NodeConfig& with_dcutr_success(double p) {
-    dcutr_success_prob = p;
     return *this;
   }
 };

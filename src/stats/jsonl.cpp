@@ -1,9 +1,7 @@
 #include "stats/jsonl.h"
 
-#include <algorithm>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
 
 namespace ipfs::stats {
@@ -176,20 +174,6 @@ std::vector<metrics::TraceEvent> parse_trace_jsonl(std::istream& in) {
     events.push_back(std::move(event));
   }
   return events;
-}
-
-std::string fold_trials_jsonl(std::vector<TrialJsonl> trials) {
-  std::stable_sort(trials.begin(), trials.end(),
-                   [](const TrialJsonl& a, const TrialJsonl& b) {
-                     return a.seed < b.seed;
-                   });
-  std::ostringstream out;
-  for (const auto& trial : trials) {
-    out << "{\"type\":\"trial\",\"seed\":" << trial.seed << "}\n";
-    out << trial.jsonl;
-    if (!trial.jsonl.empty() && trial.jsonl.back() != '\n') out << '\n';
-  }
-  return out.str();
 }
 
 }  // namespace ipfs::stats

@@ -36,17 +36,4 @@ void export_registry_jsonl(const metrics::Registry& registry,
 // inverse of export_trace_jsonl; used by tooling and the round-trip tests.
 std::vector<metrics::TraceEvent> parse_trace_jsonl(std::istream& in);
 
-// One trial's exported JSONL, tagged with the seed that produced it.
-struct TrialJsonl {
-  std::uint64_t seed = 0;
-  std::string jsonl;
-};
-
-// Folds per-trial JSONL exports from the thread-parallel trial runner
-// into one artifact: stable-sorts by seed (never completion order) and
-// concatenates, prefixing each trial with a {"type":"trial","seed":S}
-// marker line. Byte-identical output for the same trial set regardless
-// of thread interleaving.
-std::string fold_trials_jsonl(std::vector<TrialJsonl> trials);
-
 }  // namespace ipfs::stats

@@ -7,6 +7,16 @@
 #include "world/geography.h"
 
 namespace ipfs::workload {
+namespace {
+
+// Zipf exponent of content popularity.
+constexpr double kZipfExponent = 1.0;
+// Log-space spread of object sizes around the median (Figure 11a).
+constexpr double kSizeSigma = 0.9;
+// Diurnal modulation depth (Figure 4b's swing around the mean rate).
+constexpr double kDiurnalDepth = 0.45;
+
+}  // namespace
 
 GatewayWorkload::GatewayWorkload(const GatewayWorkloadConfig& config,
                                  sim::Rng rng)
@@ -19,7 +29,7 @@ GatewayWorkload::GatewayWorkload(const GatewayWorkloadConfig& config,
     object.size = std::min<std::uint64_t>(
         config_.size_cap_bytes,
         static_cast<std::uint64_t>(size_rng.lognormal_median(
-            config_.size_median_bytes, config_.size_sigma)));
+            config_.size_median_bytes, kSizeSigma)));
     object.size = std::max<std::uint64_t>(object.size, 1024);
     object.pinned = size_rng.uniform() < config_.pinned_share;
     catalog_.push_back(object);
@@ -51,12 +61,11 @@ double GatewayWorkload::rate_multiplier(sim::Time t) const {
       static_cast<double>(sim::hours(24));
   const double angle = 2.0 * std::numbers::pi * day_fraction;
   const double wave = 0.7 * std::sin(angle - 1.2) + 0.3 * std::sin(2 * angle);
-  return std::max(0.1, 1.0 + config_.diurnal_depth * wave);
+  return std::max(0.1, 1.0 + kDiurnalDepth * wave);
 }
 
 std::size_t GatewayWorkload::pick_rank() {
-  return static_cast<std::size_t>(rng_.zipf(catalog_.size(),
-                                            config_.zipf_exponent)) -
+  return static_cast<std::size_t>(rng_.zipf(catalog_.size(), kZipfExponent)) -
          1;
 }
 

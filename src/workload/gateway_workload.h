@@ -19,19 +19,15 @@ namespace ipfs::workload {
 
 struct GatewayWorkloadConfig {
   std::size_t catalog_size = 300;
-  double zipf_exponent = 1.0;
   // Fraction of catalog objects pinned in the gateway's node store (the
   // Web3/NFT Storage content, Section 3.4).
   double pinned_share = 0.58;
   // Object size distribution (Figure 11a: median 664.59 kB).
   double size_median_bytes = 600.0 * 1024;
-  double size_sigma = 0.9;
   std::uint64_t size_cap_bytes = 4ull * 1024 * 1024;
   // Arrival process.
   std::uint64_t requests_total = 20000;
   sim::Duration duration = sim::hours(24);
-  // Diurnal modulation depth (Figure 4b's swing around the mean rate).
-  double diurnal_depth = 0.45;
 };
 
 struct RequestLogEntry {

@@ -3,6 +3,13 @@
 #include "world/geography.h"
 
 namespace ipfs::workload {
+namespace {
+
+// Pause after a cycle's last retrieval (or its failed publication)
+// before the next publication starts.
+constexpr sim::Duration kGapBetweenCycles = sim::seconds(20);
+
+}  // namespace
 
 const std::vector<PerfRegion>& aws_regions() {
   static const std::vector<PerfRegion> kRegions = {
@@ -118,7 +125,7 @@ void PerfExperiment::run_cycle(std::size_t cycle, std::function<void()> done) {
         if (!publish_trace.ok) {
           // Nothing to retrieve; move on.
           world_.network().schedule_after(
-              config_.gap_between_cycles,
+              kGapBetweenCycles,
               [this, cycle, done = std::move(done)] {
                 run_cycle(cycle + 1, std::move(done));
               });
@@ -148,7 +155,7 @@ void PerfExperiment::run_cycle(std::size_t cycle, std::function<void()> done) {
                   }
                 }
                 world_.network().schedule_after(
-                    config_.gap_between_cycles, [this, cycle, done] {
+                    kGapBetweenCycles, [this, cycle, done] {
                       run_cycle(cycle + 1, done);
                     });
               });

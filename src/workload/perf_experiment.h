@@ -27,7 +27,6 @@ const std::vector<PerfRegion>& aws_regions();
 struct PerfExperimentConfig {
   std::size_t cycles = 60;  // publications, round-robin over regions
   std::size_t object_bytes = 512 * 1024;  // 0.5 MB (Section 4.3)
-  sim::Duration gap_between_cycles = sim::seconds(20);
   bool bitswap_early_exit = false;  // Figure 10b's what-if toggle
   bool parallel_dht_lookup = false;  // Section 6.4's proposed optimization
 };

@@ -6,6 +6,15 @@
 namespace ipfs::world {
 namespace {
 
+// Transport mix: WebSocket and QUIC shares; the rest dial over TCP.
+constexpr double kWebsocketShare = 0.05;
+constexpr double kQuicShare = 0.15;
+// 8.8 % of peers advertise addresses in multiple countries (Figure 5).
+constexpr double kMultihomingShare = 0.088;
+// Peers that land on an already-used IP (Figure 7c: 7.7 % of IPs host
+// more than one PeerID, with a heavy farm tail).
+constexpr double kSharedIpPeerShare = 0.25;
+
 // Samples an index from `weights` (need not be normalized).
 std::size_t weighted_pick(const std::vector<double>& weights, sim::Rng& rng) {
   double total = 0.0;
@@ -81,12 +90,12 @@ Population generate_population(const PopulationConfig& config, sim::Rng rng) {
     // style processes: always dialable (their flaky dials are what hang
     // for the full 45 s handshake timeout in Figure 9c).
     const double t = rng.uniform();
-    if (t < config.websocket_share && peer.dialable) {
+    if (t < kWebsocketShare && peer.dialable) {
       // WebSocket servers are dialable but churn like everyone else;
       // dialing one that just went offline can hang for the full 45 s
       // handshake timeout — the paper's heavy publication tail.
       peer.transport = sim::Transport::kWebSocket;
-    } else if (t < config.websocket_share + config.quic_share) {
+    } else if (t < kWebsocketShare + kQuicShare) {
       peer.transport = sim::Transport::kQuic;
     } else {
       peer.transport = sim::Transport::kTcp;
@@ -95,7 +104,7 @@ Population generate_population(const PopulationConfig& config, sim::Rng rng) {
     // IP assignment: mostly fresh, sometimes from the shared pool.
     std::string ip;
     int ip_country = peer.country;
-    if (rng.chance(config.shared_ip_peer_share) && !shared_pool.empty()) {
+    if (rng.chance(kSharedIpPeerShare) && !shared_pool.empty()) {
       const auto rank = rng.zipf(shared_pool.size(), 1.2);
       ip = shared_pool[rank - 1];
       ip_country = shared_pool_country[rank - 1];
@@ -113,7 +122,7 @@ Population generate_population(const PopulationConfig& config, sim::Rng rng) {
                                           peer.cloud_provider});
 
     // Multihoming: a second address in a different country.
-    if (rng.chance(config.multihoming_share)) {
+    if (rng.chance(kMultihomingShare)) {
       int other_country = static_cast<int>(weighted_pick(country_weights, rng));
       if (other_country == peer.country)
         other_country =

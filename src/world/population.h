@@ -21,16 +21,8 @@ struct PopulationConfig {
   double undialable_share = 0.30;
   // Dial success to online, dialable peers (flaky reachability).
   double dial_success_prob = 0.96;
-  double websocket_share = 0.05;
-  double quic_share = 0.15;
-  // 8.8 % of peers advertise addresses in multiple countries (Figure 5).
-  double multihoming_share = 0.088;
-  // Peers that land on an already-used IP (Figure 7c: 7.7 % of IPs host
-  // more than one PeerID, with a heavy farm tail).
-  double shared_ip_peer_share = 0.25;
   // Steady-state online fraction for churning peers.
   double online_fraction = 0.75;
-  double session_sigma = 1.4;  // log-space spread of session lengths
 };
 
 struct PeerProfile {

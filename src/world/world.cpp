@@ -322,7 +322,7 @@ void World::seed_routing_tables() {
 }
 
 void World::start_churn() {
-  const double sigma = config_.population.session_sigma;
+  constexpr double kSigma = 1.4;  // log-space spread of session lengths
   for (std::size_t i = 0; i < population_.peers.size(); ++i) {
     const PeerProfile& peer = population_.peers[i];
     if (peer.stable) continue;       // bootstrap/cloud peers stay up
@@ -331,12 +331,12 @@ void World::start_churn() {
     const double offline_median = peer.offline_median_minutes;
     churn_->manage(
         dht_nodes_[i]->node(),
-        [session_median, sigma](sim::Rng& rng) {
-          return sim::minutes(rng.lognormal_median(session_median, sigma));
+        [session_median](sim::Rng& rng) {
+          return sim::minutes(rng.lognormal_median(session_median, kSigma));
         },
-        [offline_median, sigma](sim::Rng& rng) {
+        [offline_median](sim::Rng& rng) {
           return sim::minutes(
-              rng.lognormal_median(offline_median, sigma * 0.7));
+              rng.lognormal_median(offline_median, kSigma * 0.7));
         });
   }
 }

@@ -77,7 +77,7 @@ TEST(HashRingTest, AdditionOnlyStealsKeysForTheNewReplica) {
 }
 
 TEST(HashRingTest, BoundedLoadWalkSkipsSaturatedReplicas) {
-  HashRing ring(HashRingConfig{16, 1.25});
+  HashRing ring(HashRingConfig{16});
   ring.add_replica(0);
   ring.add_replica(1);
 

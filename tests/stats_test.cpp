@@ -138,8 +138,8 @@ TEST(FormatTest, HumanReadableUnits) {
 
 // --------------------------------------------------------------------------
 // Trial folding. The parallel bench runner hands trials back in whatever
-// order threads finish; fold_trials / fold_trials_jsonl must erase that
-// order so multi-threaded runs export byte-identical results.
+// order threads finish; fold_trials must erase that order so
+// multi-threaded runs export byte-identical results.
 // --------------------------------------------------------------------------
 
 TEST(FoldTrialsTest, OrderOfCompletionDoesNotMatter) {
@@ -158,19 +158,6 @@ TEST(FoldTrialsTest, DuplicateSeedsKeepInputOrder) {
   const std::vector<TrialSamples> trials = {
       {7, {1.0}}, {7, {2.0}}, {3, {0.5}}};
   EXPECT_EQ(fold_trials(trials), (std::vector<double>{0.5, 1.0, 2.0}));
-}
-
-TEST(FoldTrialsJsonlTest, OrderOfCompletionDoesNotMatter) {
-  const std::vector<TrialJsonl> forward = {
-      {10, "{\"v\":1}\n"}, {20, "{\"v\":2}"}};  // note: missing newline
-  const std::vector<TrialJsonl> shuffled = {
-      {20, "{\"v\":2}"}, {10, "{\"v\":1}\n"}};
-  const auto a = fold_trials_jsonl(forward);
-  const auto b = fold_trials_jsonl(shuffled);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a,
-            "{\"type\":\"trial\",\"seed\":10}\n{\"v\":1}\n"
-            "{\"type\":\"trial\",\"seed\":20}\n{\"v\":2}\n");
 }
 
 }  // namespace
