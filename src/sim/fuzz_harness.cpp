@@ -642,6 +642,7 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
     std::vector<std::uint8_t> data;
     multiformats::Cid cid;  // filled at publish time (add() is deterministic)
     std::size_t publisher = 0;
+    sim::Duration offset = 0;  // publish time after workload start
     bool published_locally = false;
   };
   std::vector<FuzzObject> objects(params.publish_count);
@@ -659,7 +660,6 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
   std::vector<std::vector<PlannedRetrieval>> planned(params.publish_count);
 
   const sim::Duration window = params.workload_window;
-  const sim::Time workload_start = network.now();
   for (std::size_t oi = 0; oi < params.publish_count; ++oi) {
     FuzzObject& object = objects[oi];
     const auto size = static_cast<std::size_t>(workload_rng.uniform_int(
@@ -694,75 +694,8 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
       planned[oi].push_back(retrieval);
     }
 
-    const sim::Duration publish_offset =
+    object.offset =
         sim::seconds(workload_rng.uniform(0.0, sim::to_seconds(window) / 4.0));
-    network.schedule_at(workload_start + publish_offset, [&, oi] {
-      FuzzObject& obj = objects[oi];
-      OpRecord& op = stats.ops[oi];
-      op.start = network.now();
-      if (!network.online(nodes[obj.publisher]->node())) return;  // crashed
-      op.attempted = true;
-      obj.cid = nodes[obj.publisher]->add(obj.data).root;
-      obj.published_locally = true;
-      nodes[obj.publisher]->provide(obj.cid, [&, oi](node::PublishTrace trace) {
-        OpRecord& publish_op = stats.ops[oi];
-        if (publish_op.completed) {
-          std::ostringstream out;
-          out << "publish obj=" << oi << " completed twice";
-          violations.push_back(out.str());
-          return;
-        }
-        publish_op.completed = true;
-        publish_op.ok = trace.ok;
-        publish_op.elapsed = network.now() - publish_op.start;
-
-        // Retrievals chase the publish (never race it): schedule them
-        // only once the provider records are out.
-        for (const PlannedRetrieval& retrieval : planned[oi]) {
-          network.schedule_after(retrieval.delay_after_publish, [&, oi,
-                                                                   retrieval] {
-            OpRecord& op = stats.ops[retrieval.op_index];
-            op.start = network.now();
-            const auto& node = nodes[retrieval.retriever];
-            if (!network.online(node->node())) return;  // crashed right now
-            op.attempted = true;
-            node->retrieve(objects[oi].cid, [&, oi,
-                                             retrieval](node::RetrievalTrace trace) {
-              OpRecord& op = stats.ops[retrieval.op_index];
-              if (op.completed) {
-                std::ostringstream out;
-                out << "retrieval obj=" << oi << " op=" << retrieval.op_index
-                    << " completed twice";
-                violations.push_back(out.str());
-                return;
-              }
-              op.completed = true;
-              op.ok = trace.ok;
-              op.elapsed = network.now() - op.start;
-              stats.bytes_fetched += trace.bytes;
-              const bool via_indexer =
-                  trace.routing_source == routing::Source::kIndexer;
-              if (trace.ok && via_indexer) ++stats.indexer_routed;
-              if (trace.ok) {
-                const auto reassembled = merkledag::cat(
-                    nodes[retrieval.retriever]->store(), objects[oi].cid);
-                if (!reassembled || *reassembled != objects[oi].data) {
-                  // (9) An indexer-routed fetch must be byte-identical to
-                  // the DHT path: delegation changes provider discovery,
-                  // never the fetched content.
-                  std::ostringstream out;
-                  out << (via_indexer ? "indexer-routed content mismatch"
-                                      : "content mismatch")
-                      << ": retrieval obj=" << oi << " node=" << op.node
-                      << " reported ok but bytes differ";
-                  violations.push_back(out.str());
-                }
-              }
-            });
-          });
-        }
-      });
-    });
   }
 
   // ---- Attack plan (docs/ADVERSARY.md) -----------------------------------
@@ -924,6 +857,80 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
     op.offset = sim::seconds(pubsub_rng.uniform(0.0, sim::to_seconds(window)));
     op.data = deterministic_bytes(
         static_cast<std::size_t>(pubsub_rng.uniform_int(16, 256)), pubsub_rng);
+  }
+
+  // The workload window opens only now: a flash-crowd schedule's gateway
+  // bootstrap above drains the network, and every offset counts from
+  // the clock it leaves behind. The draws were all made up front.
+  const sim::Time workload_start = network.now();
+  for (std::size_t oi = 0; oi < params.publish_count; ++oi) {
+    network.schedule_at(workload_start + objects[oi].offset, [&, oi] {
+      FuzzObject& obj = objects[oi];
+      OpRecord& op = stats.ops[oi];
+      op.start = network.now();
+      if (!network.online(nodes[obj.publisher]->node())) return;  // crashed
+      op.attempted = true;
+      obj.cid = nodes[obj.publisher]->add(obj.data).root;
+      obj.published_locally = true;
+      nodes[obj.publisher]->provide(obj.cid, [&, oi](node::PublishTrace trace) {
+        OpRecord& publish_op = stats.ops[oi];
+        if (publish_op.completed) {
+          std::ostringstream out;
+          out << "publish obj=" << oi << " completed twice";
+          violations.push_back(out.str());
+          return;
+        }
+        publish_op.completed = true;
+        publish_op.ok = trace.ok;
+        publish_op.elapsed = network.now() - publish_op.start;
+
+        // Retrievals chase the publish (never race it): schedule them
+        // only once the provider records are out.
+        for (const PlannedRetrieval& retrieval : planned[oi]) {
+          network.schedule_after(retrieval.delay_after_publish, [&, oi,
+                                                                   retrieval] {
+            OpRecord& op = stats.ops[retrieval.op_index];
+            op.start = network.now();
+            const auto& node = nodes[retrieval.retriever];
+            if (!network.online(node->node())) return;  // crashed right now
+            op.attempted = true;
+            node->retrieve(objects[oi].cid, [&, oi,
+                                             retrieval](node::RetrievalTrace trace) {
+              OpRecord& op = stats.ops[retrieval.op_index];
+              if (op.completed) {
+                std::ostringstream out;
+                out << "retrieval obj=" << oi << " op=" << retrieval.op_index
+                    << " completed twice";
+                violations.push_back(out.str());
+                return;
+              }
+              op.completed = true;
+              op.ok = trace.ok;
+              op.elapsed = network.now() - op.start;
+              stats.bytes_fetched += trace.bytes;
+              const bool via_indexer =
+                  trace.routing_source == routing::Source::kIndexer;
+              if (trace.ok && via_indexer) ++stats.indexer_routed;
+              if (trace.ok) {
+                const auto reassembled = merkledag::cat(
+                    nodes[retrieval.retriever]->store(), objects[oi].cid);
+                if (!reassembled || *reassembled != objects[oi].data) {
+                  // (9) An indexer-routed fetch must be byte-identical to
+                  // the DHT path: delegation changes provider discovery,
+                  // never the fetched content.
+                  std::ostringstream out;
+                  out << (via_indexer ? "indexer-routed content mismatch"
+                                      : "content mismatch")
+                      << ": retrieval obj=" << oi << " node=" << op.node
+                      << " reported ok but bytes differ";
+                  violations.push_back(out.str());
+                }
+              }
+            });
+          });
+        }
+      });
+    });
   }
   for (std::size_t pi = 0; pi < pubsub_ops.size(); ++pi) {
     network.schedule_at(workload_start + pubsub_ops[pi].offset, [&, pi] {

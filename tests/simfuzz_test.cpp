@@ -57,12 +57,17 @@ TEST(SimFuzz, SameSeedProducesByteIdenticalStats) {
 }
 
 // SHA-256 over the fingerprints and trace streams of the pinned
-// schedules below. Taken by running TraceStreamsMatchPinnedDigest at the
-// commit before the single event core replaced the timer wheel, the heap
-// backend and the sharded engine, so it proves that rewrite moved no
-// seeded output.
+// schedules below. First taken at the commit before the single event
+// core replaced the timer wheel, the heap backend and the sharded
+// engine, so it proved that rewrite moved no seeded output. Re-pinned
+// once since, when run_schedule stopped opening the workload window
+// before a flash-crowd schedule's gateway bootstrap drained the network:
+// that drain used to run the whole publish and retrieve workload before
+// the fault plan armed, and the pubsub publishes then landed in the
+// past. Only the four flash-crowd schedules (909095, 909097, 909099 and
+// attack family 3, seed 3003) changed; the other 26 hash as before.
 constexpr const char* kPinnedTraceDigest =
-    "86c15fc4b79f7db45d4874154cb2bdeadd14427f43e7f0f883635f8214f89053";
+    "d78afd9ccbbb435e6cd11d0bcd9be3d43f8550c10024c46feee38317a0320d6a";
 
 TEST(SimFuzz, TraceStreamsMatchPinnedDigest) {
   // Determinism gate for the event core: every counter, histogram, span
