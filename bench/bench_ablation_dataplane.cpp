@@ -3,9 +3,9 @@
 // Four gated legs, each isolating one claim of the Bitswap 1.2.0 +
 // persistent-async-blockstore subsystem:
 //
-//   A. GB-scale DAG fetch: a Session striping WANT_BLOCKs over 8
-//      providers must beat a single-peer serial fetch_dag by >= 3x
-//      (the providers' uplinks aggregate, paper ref [20]).
+//   A. GB-scale DAG fetch: the same DAG walk (bitswap::Session) at 8
+//      providers must beat it at one (Bitswap::fetch_dag, a one-peer
+//      session) by >= 3x (the providers' uplinks aggregate, ref [20]).
 //   B. Loss tolerance: the same 8-peer session still completes with 5%
 //      message loss injected by a FaultPlan — dropped RPCs surface as
 //      timeouts, the session reroutes, content still verifies.
@@ -119,8 +119,8 @@ int main() {
   const multiformats::Cid root =
       seed_providers(object, provider_stores, kProviders);
 
-  // Serial baseline: one peer, plain fetch_dag (kFetchWindow pipeline,
-  // no striping).
+  // Serial baseline: fetch_dag, a one-peer session without the probe
+  // (kFetchWindow wants in flight, no striping).
   double serial_seconds = 0.0;
   {
     blockstore::BlockStore store;

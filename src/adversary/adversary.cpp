@@ -348,11 +348,6 @@ void AttackPlan::handle_attacker_request(
     respond(std::move(response), bytes);
     return;
   }
-  if (kind == sim::MessageKind::kAddProviderRequest) {
-    // Fire-and-forget on the honest side: swallowing it is invisible.
-    ++counters_.provider_records_swallowed;
-    return;
-  }
   if (kind == sim::MessageKind::kDialBackRequest) {
     auto response = std::make_shared<dht::DialBackResponse>();
     response->reachable = true;

@@ -1,6 +1,6 @@
 #include "bitswap/bitswap.h"
 
-#include "merkledag/merkledag.h"
+#include "bitswap/session.h"
 #include "transport/sim_transport.h"
 
 namespace ipfs::bitswap {
@@ -25,11 +25,6 @@ Bitswap::Bitswap(sim::Network& network, sim::NodeId node,
                  blockstore::BlockStore& store)
     : Bitswap(std::make_unique<transport::SimTransport>(network, node),
               store) {}
-
-std::string Bitswap::want_key(const Cid& cid) {
-  const auto bytes = cid.encode();
-  return std::string(bytes.begin(), bytes.end());
-}
 
 bool Bitswap::handle_request(
     sim::NodeId from, const sim::MessagePtr& message,
@@ -82,10 +77,9 @@ struct Bitswap::Discovery {
   transport::Timer timer;
 };
 
-void Bitswap::discover(const Cid& cid, sim::Duration timeout,
+void Bitswap::discover(const Cid& cid,
                        std::function<void(std::optional<sim::NodeId>)> done,
                        bool early_exit) {
-  ++discovery_attempts_;
   metrics::Registry& metrics = transport_.metrics();
   metrics.counter("bitswap.discovery_attempts").inc();
   const auto peers = transport_.connections();
@@ -97,37 +91,32 @@ void Bitswap::discover(const Cid& cid, sim::Duration timeout,
     return;
   }
 
-  wantlist_.insert(want_key(cid));
   auto state = std::make_shared<Discovery>();
   state->total = peers.size();
   state->span = metrics.begin_span("bitswap.discover", node_, cid.to_string());
   const std::uint64_t discovery_id = next_discovery_id_++;
   discoveries_.emplace(discovery_id, state);
 
-  auto finish = [this, cid, state, discovery_id,
+  auto finish = [this, state, discovery_id,
                  done = std::move(done)](std::optional<sim::NodeId> peer) {
     if (state->finished) return;
     state->finished = true;
     state->timer.cancel();
     discoveries_.erase(discovery_id);
-    wantlist_.erase(want_key(cid));
-    if (peer) {
-      ++discovery_hits_;
-      transport_.metrics().counter("bitswap.discovery_hits").inc();
-    }
+    if (peer) transport_.metrics().counter("bitswap.discovery_hits").inc();
     transport_.metrics().end_span(state->span, peer.has_value());
     done(peer);
   };
 
   state->timer = transport_.schedule_after(
-      timeout, [finish] { finish(std::nullopt); });
+      kDiscoveryTimeout, [finish] { finish(std::nullopt); });
 
   for (const sim::NodeId peer : peers) {
     auto request = std::make_shared<WantHaveRequest>();
     request->cid = cid;
     metrics.counter("bitswap.want_have.tx").inc();
     transport_.request(
-        peer, std::move(request), kWantMessageBytes, timeout,
+        peer, std::move(request), kWantMessageBytes, kDiscoveryTimeout,
         [this, state, finish, peer, early_exit](
             sim::RpcStatus status, const sim::MessagePtr& message) {
           if (state->finished) return;
@@ -171,7 +160,6 @@ void Bitswap::probe_have(sim::NodeId peer, const Cid& cid,
 
 void Bitswap::fetch_block(sim::NodeId peer, const Cid& cid,
                           std::function<void(BlockResult)> done) {
-  wantlist_.insert(want_key(cid));
   auto request = std::make_shared<WantBlockRequest>();
   request->cid = cid;
   request->send_dont_have = true;
@@ -180,7 +168,6 @@ void Bitswap::fetch_block(sim::NodeId peer, const Cid& cid,
       peer, std::move(request), kWantMessageBytes, kBlockTimeout,
       [this, peer, cid, done = std::move(done)](sim::RpcStatus status,
                                                 const sim::MessagePtr& message) {
-        wantlist_.erase(want_key(cid));
         BlockResult result;
         if (status != sim::RpcStatus::kOk || message == nullptr ||
             message->kind() != sim::MessageKind::kBlockResponse) {
@@ -222,104 +209,22 @@ void Bitswap::fetch_block(sim::NodeId peer, const Cid& cid,
       });
 }
 
-struct Bitswap::DagFetch {
-  std::vector<Cid> pending;
-  // CIDs ever enqueued; shared links in the DAG would otherwise be
-  // dispatched once per parent (see Session::Fetch::enqueued).
-  std::unordered_set<std::string> enqueued;
-  int in_flight = 0;
-  bool failed = false;
-  bool finished = false;
-  FetchStats stats;
-  sim::Time started = 0;
-  metrics::SpanId span = 0;  // bitswap.fetch_dag trace span
-  std::function<void(FetchStats)> done;
-
-  bool mark_new(const Cid& cid) {
-    return enqueued.insert(want_key(cid)).second;
-  }
-};
-
 void Bitswap::fetch_dag(sim::NodeId peer, const Cid& root,
                         std::function<void(FetchStats)> done) {
-  auto state = std::make_shared<DagFetch>();
-  state->started = transport_.now();
-  state->mark_new(root);
-  state->pending.push_back(root);
-  state->done = std::move(done);
-  state->span = transport_.metrics().begin_span("bitswap.fetch_dag", node_,
-                                              root.to_string(), 0, peer);
-  pump_dag_fetch(peer, std::move(state));
-}
-
-void Bitswap::pump_dag_fetch(sim::NodeId peer,
-                             std::shared_ptr<DagFetch> state) {
-  if (state->finished) return;
-
-  // Resolve local hits (deduplicated chunks) without network traffic.
-  while (!state->pending.empty()) {
-    const Cid next = state->pending.back();
-    const auto local = store_.get(next);
-    if (!local) break;
-    state->pending.pop_back();
-    if (next.content_codec() == multiformats::Multicodec::kDagPb) {
-      if (const auto node = merkledag::DagNode::decode(*local)) {
-        for (const auto& link : node->links) {
-          if (state->mark_new(link.cid))
-            state->pending.push_back(link.cid);
-          else
-            transport_.metrics()
-                .counter("bitswap.duplicate_wants_suppressed")
-                .inc();
-        }
-      }
-    }
-  }
-
-  if (state->failed ||
-      (state->pending.empty() && state->in_flight == 0)) {
-    state->finished = true;
-    state->stats.ok = !state->failed;
-    state->stats.elapsed = transport_.now() - state->started;
-    transport_.metrics().end_span(state->span, state->stats.ok,
-                                state->stats.bytes);
-    state->done(state->stats);
-    return;
-  }
-
-  while (!state->pending.empty() && state->in_flight < kFetchWindow) {
-    const Cid next = state->pending.back();
-    state->pending.pop_back();
-    ++state->in_flight;
-    fetch_block(peer, next,
-                [this, peer, next, state](BlockResult block) {
-                  --state->in_flight;
-                  if (state->finished) return;
-                  if (!block) {
-                    state->failed = true;
-                  } else {
-                    ++state->stats.blocks;
-                    state->stats.bytes += block.data->size();
-                    if (next.content_codec() ==
-                        multiformats::Multicodec::kDagPb) {
-                      if (const auto node =
-                              merkledag::DagNode::decode(*block.data)) {
-                        for (const auto& link : node->links) {
-                          if (state->mark_new(link.cid))
-                            state->pending.push_back(link.cid);
-                          else
-                            transport_.metrics()
-                                .counter("bitswap.duplicate_wants_suppressed")
-                                .inc();
-                        }
-                      } else {
-                        state->failed = true;
-                      }
-                    }
-                  }
-                  pump_dag_fetch(peer, state);
-                });
-  }
+  SessionConfig config;
+  config.probe_want_have = false;
+  auto session = std::make_shared<Session>(*this, config);
+  session->add_peer(peer);
+  Session& walk = *session;
+  // The fetch keeps its completion callback until its last want answers,
+  // and the callback keeps the session.
+  walk.start(root,
+             transport_.metrics().begin_span("bitswap.fetch_dag", node_,
+                                             root.to_string(), 0, peer),
+             [session = std::move(session),
+              done = std::move(done)](const SessionFetchStats& stats) {
+               done(stats);
+             });
 }
 
 void Bitswap::handle_crash() {
@@ -329,7 +234,6 @@ void Bitswap::handle_crash() {
     transport_.metrics().end_span(discovery->span, false);
   }
   discoveries_.clear();
-  wantlist_.clear();
 }
 
 const Ledger& Bitswap::ledger_for(sim::NodeId peer) { return ledgers_[peer]; }

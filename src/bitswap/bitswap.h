@@ -12,10 +12,9 @@
 #pragma once
 
 #include <functional>
-#include <map>
+#include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "blockstore/blockstore.h"
 #include "multiformats/cid.h"
@@ -107,15 +106,15 @@ class Bitswap {
       const std::function<void(sim::MessagePtr, std::size_t)>& respond);
 
   // Opportunistic discovery: WANT_HAVE to all connected peers; reports the
-  // first peer answering HAVE, or nullopt after `timeout`. Fires exactly
-  // once. With no connected peers it reports failure immediately.
+  // first peer answering HAVE, or nullopt after kDiscoveryTimeout. Fires
+  // exactly once. With no connected peers it reports failure immediately.
   //
   // By default the full timeout is always paid on a miss, matching go-ipfs
   // (and footnote 4 of the paper: every DHT-resolved retrieval carries the
   // 1 s Bitswap delay). `early_exit` lets a miss complete as soon as all
   // connected peers answered DONT_HAVE — the optimization the paper's
   // Section 6.4 discussion contemplates.
-  void discover(const Cid& cid, sim::Duration timeout,
+  void discover(const Cid& cid,
                 std::function<void(std::optional<sim::NodeId>)> done,
                 bool early_exit = false);
 
@@ -129,20 +128,21 @@ class Bitswap {
   void fetch_block(sim::NodeId peer, const Cid& cid,
                    std::function<void(BlockResult)> done);
 
-  // Fetches the whole DAG below `root` from `peer`, pipelining up to
-  // kFetchWindow outstanding WANT_BLOCKs (sessions keep the pipe full so
-  // per-block round trips are hidden behind the transfer).
+  // Fetches the whole DAG below `root` from `peer`: a one-peer Session
+  // (session.h) without the WANT_HAVE probe, so up to kFetchWindow
+  // WANT_BLOCKs are in flight and per-block round trips hide behind the
+  // transfer. Traced as `bitswap.fetch_dag`.
   void fetch_dag(sim::NodeId peer, const Cid& root,
                  std::function<void(FetchStats)> done);
 
+  // WANT_BLOCKs in flight to one peer.
   static constexpr int kFetchWindow = 8;
 
   // Applies a process crash (sim/faults.h): in-flight discoveries are
   // abandoned without their callbacks firing (their timeout timers are
   // requester-owned, so the network's epoch muting alone cannot stop
-  // them) and the wantlist is dropped. The ledgers survive — accounting
-  // lives in the datastore, and the fuzz harness checks conservation
-  // against them across crashes.
+  // them). The ledgers survive — accounting lives in the datastore, and
+  // the fuzz harness checks conservation against them across crashes.
   void handle_crash();
 
   const Ledger& ledger_for(sim::NodeId peer);
@@ -152,33 +152,22 @@ class Bitswap {
   blockstore::BlockStore& store() { return store_; }
   transport::Transport& transport() { return transport_; }
   sim::NodeId self() const { return node_; }
-  const std::unordered_set<std::string>& wantlist() const { return wantlist_; }
-
-  std::uint64_t discovery_attempts() const { return discovery_attempts_; }
-  std::uint64_t discovery_hits() const { return discovery_hits_; }
 
  private:
   Bitswap(std::unique_ptr<transport::Transport> transport,
           blockstore::BlockStore& store);
 
-  struct DagFetch;
   struct Discovery;
-  void pump_dag_fetch(sim::NodeId peer, std::shared_ptr<DagFetch> state);
-
-  static std::string want_key(const Cid& cid);
 
   // Declared first so an owned backend outlives transport_ users.
   std::unique_ptr<transport::Transport> owned_transport_;
   transport::Transport& transport_;
   sim::NodeId node_;
   blockstore::BlockStore& store_;
-  std::unordered_set<std::string> wantlist_;
   std::unordered_map<sim::NodeId, Ledger> ledgers_;
   // In-flight discover() calls, so handle_crash() can abandon them.
   std::unordered_map<std::uint64_t, std::shared_ptr<Discovery>> discoveries_;
   std::uint64_t next_discovery_id_ = 1;
-  std::uint64_t discovery_attempts_ = 0;
-  std::uint64_t discovery_hits_ = 0;
 };
 
 }  // namespace ipfs::bitswap

@@ -18,34 +18,35 @@ void Session::add_peer(sim::NodeId peer) {
   peers_.push_back(state);
 }
 
-// One block in flight, with the peers already tried for it.
+// One DAG walk: the blocks still to want, and the peers already tried
+// for each block that failed.
 struct Session::Fetch {
-  multiformats::Cid root;
   std::vector<multiformats::Cid> pending;
-  // Per-CID list of peers that already failed it (string-keyed).
-  std::map<std::string, std::vector<sim::NodeId>> failed_on;
+  // Per-CID list of peers that already failed it.
+  std::map<multiformats::Cid, std::vector<sim::NodeId>> failed_on;
   // Every CID ever enqueued (pending, in flight, or already landed). A
   // DAG with shared links yields the same child from several parents;
   // without this set both copies would be dispatched before either
   // lands, double-fetching the block and double-counting stats.
-  std::set<std::string> enqueued;
+  std::set<multiformats::Cid> enqueued;
   int in_flight = 0;
-  std::size_t probes_outstanding = 0;
   bool finished = false;
   bool failed = false;
   SessionFetchStats stats;
   sim::Time started = 0;
-  metrics::SpanId span = 0;  // bitswap.session_fetch trace span
+  metrics::SpanId span = 0;  // the entry point's trace span
   std::function<void(SessionFetchStats)> done;
-
-  static std::string key_of(const multiformats::Cid& cid) {
-    const auto bytes = cid.encode();
-    return std::string(bytes.begin(), bytes.end());
-  }
 
   // True when the CID was not seen before (and is now marked seen).
   bool mark_new(const multiformats::Cid& cid) {
-    return enqueued.insert(key_of(cid)).second;
+    return enqueued.insert(cid).second;
+  }
+
+  // Peers that already failed `cid`; empty for a block that never failed.
+  std::span<const sim::NodeId> tried(const multiformats::Cid& cid) const {
+    const auto it = failed_on.find(cid);
+    if (it == failed_on.end()) return {};
+    return it->second;
   }
 };
 
@@ -74,8 +75,7 @@ double Session::score(const PeerState& peer) const {
          static_cast<double>(peer.in_flight + 1);
 }
 
-Session::PeerState* Session::pick_peer(
-    const std::vector<sim::NodeId>& exclude) {
+Session::PeerState* Session::pick_peer(std::span<const sim::NodeId> exclude) {
   PeerState* best = nullptr;
   for (auto& peer : peers_) {
     if (peer.dead) continue;
@@ -102,16 +102,29 @@ Session::PeerState* Session::pick_peer(
   return best;
 }
 
+bool Session::can_still_take(std::span<const sim::NodeId> tried) const {
+  return std::any_of(peers_.begin(), peers_.end(), [&](const PeerState& peer) {
+    return !peer.dead &&
+           std::find(tried.begin(), tried.end(), peer.node) == tried.end();
+  });
+}
+
 void Session::fetch_dag(const multiformats::Cid& root,
                         std::function<void(SessionFetchStats)> done) {
+  start(root,
+        transport_.metrics().begin_span("bitswap.session_fetch",
+                                        bitswap_.self(), root.to_string()),
+        std::move(done));
+}
+
+void Session::start(const multiformats::Cid& root, metrics::SpanId span,
+                    std::function<void(SessionFetchStats)> done) {
   auto fetch = std::make_shared<Fetch>();
-  fetch->root = root;
   fetch->started = transport_.now();
   fetch->mark_new(root);
   fetch->pending.push_back(root);
   fetch->done = std::move(done);
-  fetch->span = transport_.metrics().begin_span(
-      "bitswap.session_fetch", bitswap_.self(), root.to_string());
+  fetch->span = span;
   if (peers_.empty()) {
     fetch->stats.ok = false;
     transport_.metrics().end_span(fetch->span, false);
@@ -119,7 +132,7 @@ void Session::fetch_dag(const multiformats::Cid& root,
     return;
   }
   if (!config_.probe_want_have) {
-    pump(std::move(fetch));
+    pump(fetch);
     return;
   }
 
@@ -127,7 +140,6 @@ void Session::fetch_dag(const multiformats::Cid& root,
   // probes seed have_latency_ms (the initial ranking) and demote peers
   // without the content. WANT_BLOCK dispatch starts as soon as the
   // first probe answers — the slowest peer must not gate the transfer.
-  fetch->probes_outstanding = peers_.size();
   for (auto& peer : peers_) {
     const sim::NodeId node = peer.node;
     const sim::Time sent_at = transport_.now();
@@ -144,61 +156,66 @@ void Session::fetch_dag(const multiformats::Cid& root,
               }
             }
           }
-          if (fetch->probes_outstanding > 0) --fetch->probes_outstanding;
-          if (!fetch->finished) pump(fetch);
+          pump(fetch);
         });
   }
-  pump(std::move(fetch));
+  pump(fetch);
 }
 
-void Session::pump(std::shared_ptr<Fetch> fetch) {
+void Session::pump(const std::shared_ptr<Fetch>& fetch) {
   if (fetch->finished) return;
 
   start_wants(fetch);
+  // A want that fails synchronously (an unreachable peer) re-enters
+  // pump from inside start_wants and may have finished the fetch.
+  if (fetch->finished) return;
 
-  // Termination / failure checks (after dispatch, so a pick_peer dead
-  // end with nothing in flight fails the fetch rather than stalling).
   // Outstanding probes never block completion: they only feed scores.
-  if ((fetch->failed || fetch->pending.empty()) && fetch->in_flight == 0) {
+  // A failure ends the fetch at once; the wants still in flight are
+  // dropped when they answer.
+  if (fetch->failed || (fetch->pending.empty() && fetch->in_flight == 0)) {
     fetch->finished = true;
-    fetch->stats.ok = !fetch->failed && fetch->pending.empty();
+    fetch->stats.ok = !fetch->failed;
     fetch->stats.elapsed = transport_.now() - fetch->started;
     for (const auto& peer : peers_)
       fetch->stats.per_peer[peer.node] = peer.stats;
     transport_.metrics().end_span(fetch->span, fetch->stats.ok,
-                                fetch->stats.bytes);
+                                  fetch->stats.bytes);
     fetch->done(fetch->stats);
   }
 }
 
-void Session::start_wants(std::shared_ptr<Fetch> fetch) {
+bool Session::expand(Fetch& fetch, const multiformats::Cid& cid,
+                     const blockstore::BlockData& data) {
+  if (cid.content_codec() != multiformats::Multicodec::kDagPb) return true;
+  const auto node = merkledag::DagNode::decode(*data);
+  if (!node) return false;
+  for (const auto& link : node->links) {
+    if (fetch.mark_new(link.cid))
+      fetch.pending.push_back(link.cid);
+    else
+      transport_.metrics().counter("bitswap.duplicate_wants_suppressed").inc();
+  }
+  return true;
+}
+
+void Session::start_wants(const std::shared_ptr<Fetch>& fetch) {
   while (!fetch->pending.empty() && fetch->in_flight < config_.window &&
          !fetch->failed) {
     const multiformats::Cid next = fetch->pending.back();
 
-    // Local hits (deduplicated chunks) resolve without network traffic.
+    // A held block (a deduplicated chunk) is never wanted.
     if (const auto local = bitswap_.store().get(next)) {
       fetch->pending.pop_back();
-      if (next.content_codec() == multiformats::Multicodec::kDagPb) {
-        if (const auto dag_node = merkledag::DagNode::decode(*local)) {
-          for (const auto& link : dag_node->links) {
-            if (fetch->mark_new(link.cid))
-              fetch->pending.push_back(link.cid);
-            else
-              transport_.metrics()
-                  .counter("bitswap.duplicate_wants_suppressed")
-                  .inc();
-          }
-        }
-      }
+      if (!expand(*fetch, next, local)) fetch->failed = true;
       continue;
     }
 
-    const auto& tried = fetch->failed_on[Fetch::key_of(next)];
+    const auto tried = fetch->tried(next);
     PeerState* peer = pick_peer(tried);
     if (peer == nullptr) {
-      if (fetch->in_flight > 0) break;  // retry when a slot frees up
-      // Every session peer failed this block.
+      // Untried live peers that are only busy: wait for a slot.
+      if (fetch->in_flight > 0 && can_still_take(tried)) break;
       fetch->failed = true;
       break;
     }
@@ -240,37 +257,29 @@ void Session::start_wants(std::shared_ptr<Fetch> fetch) {
           if (fetch->finished) return;
 
           if (!block) {
-            // Requeue on the remaining peers (already in `enqueued`; a
-            // retry is a re-dispatch of the same want, not a duplicate).
-            fetch->failed_on[Fetch::key_of(next)].push_back(node);
-            fetch->pending.push_back(next);
-            if (block.dont_have) {
-              ++fetch->stats.dont_have_reroutes;
-              transport_.metrics()
-                  .counter("bitswap.session_dont_have_reroutes")
-                  .inc();
+            auto& tried = fetch->failed_on[next];
+            tried.push_back(node);
+            if (!can_still_take(tried)) {
+              // No live peer is left to ask: the DAG cannot complete.
+              fetch->failed = true;
             } else {
-              ++fetch->stats.retried_blocks;
-              transport_.metrics().counter("bitswap.session_retries").inc();
+              // Requeue on the remaining peers (already in `enqueued`; a
+              // retry is a re-dispatch of the same want, not a duplicate).
+              fetch->pending.push_back(next);
+              if (block.dont_have) {
+                ++fetch->stats.dont_have_reroutes;
+                transport_.metrics()
+                    .counter("bitswap.session_dont_have_reroutes")
+                    .inc();
+              } else {
+                ++fetch->stats.retried_blocks;
+                transport_.metrics().counter("bitswap.session_retries").inc();
+              }
             }
           } else {
             ++fetch->stats.blocks;
             fetch->stats.bytes += block.data->size();
-            if (next.content_codec() == multiformats::Multicodec::kDagPb) {
-              if (const auto dag_node =
-                      merkledag::DagNode::decode(*block.data)) {
-                for (const auto& link : dag_node->links) {
-                  if (fetch->mark_new(link.cid))
-                    fetch->pending.push_back(link.cid);
-                  else
-                    transport_.metrics()
-                        .counter("bitswap.duplicate_wants_suppressed")
-                        .inc();
-                }
-              } else {
-                fetch->failed = true;
-              }
-            }
+            if (!expand(*fetch, next, block.data)) fetch->failed = true;
           }
           pump(fetch);
         });

@@ -4,18 +4,21 @@
 // 1.2.0 want tiers.
 //
 // A session tracks a set of peers known (or believed) to hold an object
-// and stripes WANT_BLOCK requests across them. Peers are ranked by a
-// score fed from three observations — HAVE-probe latency, delivered
-// block throughput, and the DONT_HAVE ratio — so WANT_BLOCKs flow to
-// the peers most likely to answer fast. An explicit DONT_HAVE re-routes
-// the want to the next-best peer immediately (no block timeout burned),
-// and blocks a peer fails to deliver are retried on the remaining
-// peers, so a session survives individual provider failures.
+// and stripes WANT_BLOCK requests across them. It is the only DAG walk:
+// Bitswap::fetch_dag runs a one-peer session without the probe. Peers
+// are ranked by a score fed from three observations — HAVE-probe
+// latency, delivered block throughput, and the DONT_HAVE ratio — so
+// WANT_BLOCKs flow to the peers most likely to answer fast. An explicit
+// DONT_HAVE re-routes the want to the next-best peer immediately (no
+// block timeout burned), and blocks a peer fails to deliver are retried
+// on the remaining peers, so a session survives individual provider
+// failures.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 
 #include "bitswap/bitswap.h"
 
@@ -51,7 +54,9 @@ struct SessionFetchStats : FetchStats {
 
 class Session {
  public:
-  // The session shares its Bitswap's transport (clock, metrics).
+  // The session shares its Bitswap's transport (clock, metrics). It must
+  // outlive the requests it sends: a failed fetch reports while other
+  // wants (and probes) may still be in flight.
   explicit Session(Bitswap& bitswap, SessionConfig config = {});
 
   // Adds a candidate provider. Duplicates are ignored.
@@ -60,12 +65,16 @@ class Session {
 
   // Fetches the DAG below `root`, striping block requests over the
   // session peers (up to SessionConfig::window in flight in total,
-  // assigned to the best-scoring peers). Fails only when a block cannot
-  // be delivered by ANY session peer.
+  // assigned to the best-scoring peers). Blocks already in the local
+  // store are never wanted. Fails as soon as a block cannot be delivered
+  // by ANY live session peer, without waiting for the other wants.
+  // Reports exactly once.
   void fetch_dag(const multiformats::Cid& root,
                  std::function<void(SessionFetchStats)> done);
 
  private:
+  friend class Bitswap;  // Bitswap::fetch_dag opens its own span
+
   struct PeerState {
     sim::NodeId node;
     int in_flight = 0;
@@ -75,9 +84,17 @@ class Session {
   };
 
   struct Fetch;
-  void pump(std::shared_ptr<Fetch> fetch);
-  void start_wants(std::shared_ptr<Fetch> fetch);
-  PeerState* pick_peer(const std::vector<sim::NodeId>& exclude);
+  // Runs the walk below `root` under `span`, which the entry point opened.
+  void start(const multiformats::Cid& root, metrics::SpanId span,
+             std::function<void(SessionFetchStats)> done);
+  void pump(const std::shared_ptr<Fetch>& fetch);
+  void start_wants(const std::shared_ptr<Fetch>& fetch);
+  // Queues the children of a dag-pb block; false if it does not decode.
+  bool expand(Fetch& fetch, const multiformats::Cid& cid,
+              const blockstore::BlockData& data);
+  PeerState* pick_peer(std::span<const sim::NodeId> exclude);
+  // True while some live peer outside `tried` could still take a block.
+  bool can_still_take(std::span<const sim::NodeId> tried) const;
   // Lower is better: expected wait for the next block from this peer.
   // Blends block latency (or the HAVE probe's until a block lands), a
   // DONT_HAVE-ratio penalty, and the queue already in flight there.

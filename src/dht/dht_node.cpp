@@ -98,7 +98,6 @@ bool DhtNode::handle_request(
       case sim::MessageKind::kFindNodeRequest:
       case sim::MessageKind::kGetProvidersRequest:
       case sim::MessageKind::kGetValueRequest:
-      case sim::MessageKind::kAddProviderRequest:
       case sim::MessageKind::kPutValueRequest:
       case sim::MessageKind::kListBucketsRequest:
         // Politely ignored (the requester times out and moves on).
@@ -152,15 +151,6 @@ bool DhtNode::handle_request(
       const std::size_t size = response_size_for(
           response->closer.size() + response->providers.size());
       respond(std::move(response), size);
-      break;
-    }
-    case sim::MessageKind::kAddProviderRequest: {
-      const auto* add_provider =
-          static_cast<const AddProviderRequest*>(message.get());
-      ProviderRecord record{add_provider->provider, transport_.now()};
-      records_->add_provider(add_provider->key, std::move(record));
-      transport_.metrics().counter("dht.provider_records_stored").inc();
-      // No response needed: the publisher fires and forgets (Section 3.1).
       break;
     }
     case sim::MessageKind::kPutValueRequest: {
@@ -221,7 +211,7 @@ bool DhtNode::handle_request(
 }
 
 bool DhtNode::handle_message(sim::NodeId from, const sim::MessagePtr& message) {
-  // ADD_PROVIDER also arrives as a fire-and-forget datagram.
+  // ADD_PROVIDER arrives as a fire-and-forget datagram (Section 3.1).
   if (message->kind() == sim::MessageKind::kAddProviderRequest) {
     const auto* add_provider =
         static_cast<const AddProviderRequest*>(message.get());

@@ -14,8 +14,6 @@ Registry::Registry(std::function<sim::Time()> clock)
 
 Counter& Registry::counter(const std::string& name) { return counters_[name]; }
 
-Gauge& Registry::gauge(const std::string& name) { return gauges_[name]; }
-
 DurationHistogram& Registry::histogram(const std::string& name) {
   return histograms_[name];
 }

@@ -1,5 +1,5 @@
 // Unified observability substrate for the simulation: one per-simulation
-// Registry of named counters, gauges and duration histograms, plus a
+// Registry of named counters and duration histograms, plus a
 // structured trace-event stream (span begin/end with phase labels, node
 // id, CID, and simulated timestamps).
 //
@@ -37,16 +37,6 @@ class Counter {
 
  private:
   std::uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  void add(double d) { value_ += d; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
 };
 
 // Duration histogram retaining raw samples (in seconds), so consumers can
@@ -90,7 +80,6 @@ class Registry {
   // Named instruments, created on first use. References stay valid for
   // the registry's lifetime (node-based map storage).
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   DurationHistogram& histogram(const std::string& name);
 
   // Convenience read: 0 when the counter was never touched.
@@ -143,7 +132,6 @@ class Registry {
   }
 
   const std::map<std::string, Counter>& counters() const { return counters_; }
-  const std::map<std::string, Gauge>& gauges() const { return gauges_; }
   const std::map<std::string, DurationHistogram>& histograms() const {
     return histograms_;
   }
@@ -162,7 +150,6 @@ class Registry {
 
   std::function<sim::Time()> clock_;
   std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
   std::map<std::string, DurationHistogram> histograms_;
   std::unordered_map<SpanId, OpenSpan> open_spans_;
   std::vector<TraceEvent> events_;

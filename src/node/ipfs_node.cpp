@@ -221,7 +221,7 @@ void IpfsNode::retrieve(const Cid& cid,
   const metrics::SpanId discovery_span = transport_.metrics().begin_span(
       "retrieve.bitswap_discovery", node_, cid.to_string(), ctx->span);
   bitswap_.discover(
-      cid, bitswap::kDiscoveryTimeout,
+      cid,
       [this, cid, ctx, discovery_span,
        done = std::move(done)](std::optional<sim::NodeId> holder) {
         ctx->trace.bitswap_discovery =
@@ -288,7 +288,7 @@ void IpfsNode::retrieve_parallel(std::shared_ptr<RetrievalCtx> ctx,
       "retrieve.provider_walk", node_, ctx->trace.cid.to_string(), ctx->span);
 
   bitswap_.discover(
-      ctx->trace.cid, bitswap::kDiscoveryTimeout,
+      ctx->trace.cid,
       [this, race, ctx, discovery_span, done_shared,
        fail_if_both_missed](std::optional<sim::NodeId> holder) {
         race->bitswap_done = true;

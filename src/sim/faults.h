@@ -11,8 +11,8 @@
 // Crash vs. churn: sim::ChurnProcess models voluntary session cycling
 // (peers leave and later rejoin with their state intact at the network
 // level). A FaultPlan crash is harsher — the process dies, losing soft
-// state (routing table, in-flight lookups, wantlists) while keeping the
-// blockstore on disk. The protocol-level consequences are applied by
+// state (routing table, in-flight lookups and discoveries) while keeping
+// the blockstore on disk. The protocol-level consequences are applied by
 // crash listeners (see dht::DhtNode::handle_crash / node::IpfsNode).
 #pragma once
 

@@ -1,7 +1,6 @@
 #include "sim/rng.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -31,18 +30,6 @@ std::uint64_t hash_name(std::string_view name) {
 Rng::Rng(std::uint64_t seed) : seed_(seed) {
   std::uint64_t sm = seed;
   for (auto& s : state_) s = splitmix64(sm);
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = std::rotl(state_[3], 45);
-  return result;
 }
 
 double Rng::uniform() {

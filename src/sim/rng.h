@@ -5,6 +5,7 @@
 // experiment is exactly reproducible from its printed seed.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string_view>
 
@@ -15,7 +16,19 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed);
 
-  std::uint64_t next();
+  // One xoshiro256** step. Inline: bulk byte generation (catalog objects,
+  // bench payloads) calls it once per 8 bytes.
+  std::uint64_t next() {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   // Uniform double in [0, 1).
   double uniform();

@@ -96,11 +96,6 @@ void export_metrics_jsonl(const metrics::Registry& registry,
     write_escaped(out, name);
     out << ",\"value\":" << counter.value() << "}\n";
   }
-  for (const auto& [name, gauge] : registry.gauges()) {
-    out << "{\"type\":\"gauge\",\"name\":";
-    write_escaped(out, name);
-    out << ",\"value\":" << gauge.value() << "}\n";
-  }
   for (const auto& [name, hist] : registry.histograms()) {
     out << "{\"type\":\"histogram\",\"name\":";
     write_escaped(out, name);
@@ -159,7 +154,7 @@ std::vector<metrics::TraceEvent> parse_trace_jsonl(std::istream& in) {
     else if (type == "instant")
       event.kind = metrics::EventKind::kInstant;
     else
-      continue;  // instrument line (counter/gauge/histogram)
+      continue;  // instrument line (counter/histogram)
     event.span = field_u64(line, "span");
     event.parent = field_u64(line, "parent");
     event.name = field_string(line, "name");

@@ -3,7 +3,6 @@
 // JSON library. Schema (see docs/OBSERVABILITY.md):
 //
 //   {"type":"counter","name":N,"value":V}
-//   {"type":"gauge","name":N,"value":V}
 //   {"type":"histogram","name":N,"count":C,"sum_us":S,"samples_s":[...]}
 //   {"type":"span_begin","span":I,"parent":P,"name":N,"t_us":T,
 //    "node":X,"peer":Y,"cid":C}
@@ -21,7 +20,7 @@
 
 namespace ipfs::stats {
 
-// Instruments only (counters, gauges, histograms), sorted by name.
+// Instruments only (counters, histograms), sorted by name.
 void export_metrics_jsonl(const metrics::Registry& registry,
                           std::ostream& out);
 

@@ -157,6 +157,36 @@ TEST_F(BitswapTest, FetchDagFailsOnIncompleteRemote) {
   EXPECT_FALSE(stats.ok);
 }
 
+TEST_F(BitswapTest, FetchDagSkipsBlocksItHolds) {
+  // The requester already holds the root and the first four of eight
+  // leaves, so only the other four are wanted.
+  const auto data = random_bytes(8 * merkledag::kDefaultChunkSize, 11);
+  const auto import = merkledag::import_bytes(store_b_, data);
+  const auto root = merkledag::DagNode::decode(*store_b_.get(import.root));
+  ASSERT_TRUE(root.has_value());
+  ASSERT_EQ(root->links.size(), 8u);
+  store_a_.put(*blockstore::Block::verify(import.root,
+                                          store_b_.get(import.root)));
+  for (std::size_t i = 0; i < 4; ++i) {
+    const auto& cid = root->links[i].cid;
+    store_a_.put(*blockstore::Block::verify(cid, store_b_.get(cid)));
+  }
+
+  const std::uint64_t wants_before =
+      network_.metrics().counter_value("bitswap.want_block.tx");
+  FetchStats stats;
+  bitswap_a_->fetch_dag(node_b_, import.root,
+                        [&](FetchStats s) { stats = s; });
+  sim_.run();
+
+  EXPECT_TRUE(stats.ok);
+  EXPECT_EQ(stats.blocks, 4u);
+  EXPECT_EQ(network_.metrics().counter_value("bitswap.want_block.tx") -
+                wants_before,
+            4u);
+  EXPECT_EQ(merkledag::cat(store_a_, import.root), data);
+}
+
 TEST_F(BitswapTest, DiscoveryFindsConnectedHolder) {
   const auto block = blockstore::Block::from_data(
       multiformats::Multicodec::kRaw, random_bytes(100, 6));
@@ -165,16 +195,15 @@ TEST_F(BitswapTest, DiscoveryFindsConnectedHolder) {
   std::optional<sim::NodeId> holder;
   const sim::Time start = sim_.now();
   sim::Time end = 0;
-  bitswap_a_->discover(block.cid, kDiscoveryTimeout,
-                       [&](std::optional<sim::NodeId> h) {
-                         holder = h;
-                         end = sim_.now();
-                       });
+  bitswap_a_->discover(block.cid, [&](std::optional<sim::NodeId> h) {
+    holder = h;
+    end = sim_.now();
+  });
   sim_.run();
   ASSERT_TRUE(holder.has_value());
   EXPECT_EQ(*holder, node_b_);
   EXPECT_LT(end - start, sim::seconds(1));  // HAVE arrives well before 1 s
-  EXPECT_EQ(bitswap_a_->discovery_hits(), 1u);
+  EXPECT_EQ(network_.metrics().counter_value("bitswap.discovery_hits"), 1u);
 }
 
 TEST_F(BitswapTest, DiscoveryMissWaitsFullTimeout) {
@@ -182,11 +211,10 @@ TEST_F(BitswapTest, DiscoveryMissWaitsFullTimeout) {
       multiformats::Multicodec::kRaw, random_bytes(10, 7));
   const sim::Time start = sim_.now();
   sim::Time end = 0;
-  bitswap_a_->discover(cid, kDiscoveryTimeout,
-                       [&](std::optional<sim::NodeId> h) {
-                         EXPECT_FALSE(h.has_value());
-                         end = sim_.now();
-                       });
+  bitswap_a_->discover(cid, [&](std::optional<sim::NodeId> h) {
+    EXPECT_FALSE(h.has_value());
+    end = sim_.now();
+  });
   sim_.run();
   // go-ipfs pays the full 1 s window (paper footnote 4).
   EXPECT_EQ(end - start, kDiscoveryTimeout);
@@ -198,8 +226,7 @@ TEST_F(BitswapTest, DiscoveryMissWithEarlyExitReturnsSooner) {
   const sim::Time start = sim_.now();
   sim::Time end = 0;
   bitswap_a_->discover(
-      cid, kDiscoveryTimeout,
-      [&](std::optional<sim::NodeId>) { end = sim_.now(); },
+      cid, [&](std::optional<sim::NodeId>) { end = sim_.now(); },
       /*early_exit=*/true);
   sim_.run();
   EXPECT_LT(end - start, kDiscoveryTimeout);
@@ -210,22 +237,11 @@ TEST_F(BitswapTest, DiscoveryWithNoConnectionsFailsImmediately) {
   const auto cid = multiformats::Cid::from_data(
       multiformats::Multicodec::kRaw, random_bytes(10, 9));
   bool called = false;
-  bitswap_a_->discover(cid, kDiscoveryTimeout,
-                       [&](std::optional<sim::NodeId> h) {
-                         called = true;
-                         EXPECT_FALSE(h.has_value());
-                       });
+  bitswap_a_->discover(cid, [&](std::optional<sim::NodeId> h) {
+    called = true;
+    EXPECT_FALSE(h.has_value());
+  });
   EXPECT_TRUE(called);  // synchronous failure
-}
-
-TEST_F(BitswapTest, WantlistReflectsInFlightRequests) {
-  const auto block = blockstore::Block::from_data(
-      multiformats::Multicodec::kRaw, random_bytes(100, 10));
-  store_b_.put(block);
-  bitswap_a_->fetch_block(node_b_, block.cid, [](BlockResult) {});
-  EXPECT_EQ(bitswap_a_->wantlist().size(), 1u);
-  sim_.run();
-  EXPECT_TRUE(bitswap_a_->wantlist().empty());
 }
 
 TEST_F(BitswapTest, FetchDagRequestsSharedLinkOnlyOnce) {

@@ -20,7 +20,7 @@ struct ClockedRegistry {
   metrics::Registry registry{[this] { return now; }};
 };
 
-TEST(MetricsRegistryTest, CountersGaugesAndHistograms) {
+TEST(MetricsRegistryTest, CountersAndHistograms) {
   ClockedRegistry clocked;
   auto& registry = clocked.registry;
 
@@ -28,10 +28,6 @@ TEST(MetricsRegistryTest, CountersGaugesAndHistograms) {
   registry.counter("a").inc(4);
   EXPECT_EQ(registry.counter_value("a"), 5u);
   EXPECT_EQ(registry.counter_value("never-touched"), 0u);
-
-  registry.gauge("g").set(2.5);
-  registry.gauge("g").add(-1.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("g").value(), 1.5);
 
   registry.histogram("h").record(sim::seconds(2));
   registry.histogram("h").record(sim::seconds(4));
@@ -160,7 +156,6 @@ TEST(MetricsJsonlTest, InstrumentExportCarriesCountersAndHistograms) {
   ClockedRegistry clocked;
   auto& registry = clocked.registry;
   registry.counter("net.dials_attempted").inc(7);
-  registry.gauge("load").set(0.5);
   registry.histogram("net.dial").record(sim::milliseconds(250));
 
   std::stringstream jsonl;
@@ -169,7 +164,6 @@ TEST(MetricsJsonlTest, InstrumentExportCarriesCountersAndHistograms) {
   EXPECT_NE(text.find(
                 R"({"type":"counter","name":"net.dials_attempted","value":7})"),
             std::string::npos);
-  EXPECT_NE(text.find(R"("name":"load")"), std::string::npos);
   EXPECT_NE(text.find(R"("sum_us":250000)"), std::string::npos);
 
   // Instrument lines are ignored by the trace parser.

@@ -257,6 +257,66 @@ TEST_F(SessionTest, AllProvidersCrashingFailsWithTypedError) {
   EXPECT_FALSE(stats.ok);
 }
 
+TEST_F(SessionTest, UnreachablePeerCompletesOnce) {
+  // The only peer is disconnected, so every request fails synchronously
+  // inside the dispatch loop. The fetch must still report exactly once.
+  const auto data = random_bytes(600 * 1024, 11);
+  const auto root = seed_providers(data, 1);
+  network_.disconnect(requester_node_, provider_nodes_[0]);
+
+  Session session(*requester_);
+  session.add_peer(provider_nodes_[0]);
+  int completions = 0;
+  SessionFetchStats stats;
+  stats.ok = true;
+  session.fetch_dag(root, [&](SessionFetchStats s) {
+    stats = s;
+    ++completions;
+  });
+  sim_.run();
+
+  EXPECT_EQ(completions, 1);
+  EXPECT_FALSE(stats.ok);
+}
+
+TEST_F(SessionTest, FailsAtOnceWhenEveryPeerFailedABlock) {
+  // Both providers lack the first leaf the session wants (the root's
+  // last link; wants pop from the top of a stack). Once both answered
+  // DONT_HAVE for it no peer can deliver the DAG, so the fetch fails
+  // then, without waiting for the other wants to drain.
+  const auto data = random_bytes(32 * merkledag::kDefaultChunkSize, 12);
+  const auto root = seed_providers(data, 2);
+  const auto root_node =
+      merkledag::DagNode::decode(*provider_stores_[0].get(root));
+  ASSERT_TRUE(root_node.has_value());
+  ASSERT_EQ(root_node->links.size(), 32u);
+  const auto missing = root_node->links.back().cid;
+  ASSERT_TRUE(provider_stores_[0].remove(missing));
+  ASSERT_TRUE(provider_stores_[1].remove(missing));
+
+  SessionConfig config;
+  config.probe_want_have = false;
+  Session session(*requester_, config);
+  session.add_peer(provider_nodes_[0]);
+  session.add_peer(provider_nodes_[1]);
+  int completions = 0;
+  std::size_t outstanding_at_done = 0;
+  SessionFetchStats stats;
+  stats.ok = true;
+  session.fetch_dag(root, [&](SessionFetchStats s) {
+    stats = s;
+    ++completions;
+    outstanding_at_done = network_.pending_request_count();
+  });
+  sim_.run();
+
+  EXPECT_EQ(completions, 1);
+  EXPECT_FALSE(stats.ok);
+  EXPECT_EQ(stats.per_peer[provider_nodes_[0]].dont_haves, 1u);
+  EXPECT_EQ(stats.per_peer[provider_nodes_[1]].dont_haves, 1u);
+  EXPECT_GT(outstanding_at_done, 0u);
+}
+
 TEST_F(SessionTest, RestartedPeerKeepsBlockstoreAndServesAgain) {
   const auto data = random_bytes(1024 * 1024, 10);
   const auto root = seed_providers(data, 1);
