@@ -93,19 +93,19 @@ ArmResult run_retrieval_arm(bool attacked, bool defended, std::uint64_t seed,
       .single_region(20.0)
       .dht_servers(true);
   if (defended)
-    builder.indexers(1)
-        .indexer_config(
-            indexer::IndexerConfig().with_ingest_lag(sim::seconds(1)))
-        .routing(routing::RoutingConfig::Mode::kRace);
+    builder.indexers(1).indexer_config(
+        indexer::IndexerConfig().with_ingest_lag(sim::seconds(1)));
   if (attacked) builder.eclipse(dht::Key::for_cid(cid));
   scenario::Scenario s = builder.build();
 
   node::IpfsNodeConfig publisher_config;
   publisher_config.identity_seed = 0x9AB;
   publisher_config.provide_after_fetch = false;
-  // The routing config carries the indexer list (when built), so
-  // provide() pushes advertisements alongside the DHT provider records.
-  publisher_config.routing = s.routing_config();
+  // The defended arm's routing config races the indexer against the
+  // walk and carries the indexer list, so provide() pushes advertisements
+  // alongside the DHT provider records. Undefended nodes keep the DHT
+  // baseline.
+  if (defended) publisher_config.routing = s.routing_config();
   node::IpfsNode publisher(s.network(), publisher_config);
 
   std::vector<std::unique_ptr<node::IpfsNode>> retrievers;
@@ -113,8 +113,8 @@ ArmResult run_retrieval_arm(bool attacked, bool defended, std::uint64_t seed,
     node::IpfsNodeConfig config;
     config.identity_seed = 0xFE7C + static_cast<std::uint64_t>(round);
     config.provide_after_fetch = false;
-    config.routing = s.routing_config();
     if (defended) {
+      config.routing = s.routing_config();
       config.provider_quorum = kProviderQuorum;
       config.bucket_diversity_cap = kDiversityCap;
     }

@@ -5,10 +5,10 @@
 // A localhost cluster (scripts/daemon_smoke.sh drives a 3-process one):
 //
 //   ./ipfsd --index 0 --port 9100 --serve-ms 4000 &
-//   ./ipfsd --index 1 --port 9101 --peer 0:9100 --bootstrap 0 \
-//           --publish "hello interplanetary world" --serve-ms 4000 &
-//   ./ipfsd --index 2 --port 9102 --peer 0:9100 --bootstrap 0 \
-//           --fetch "hello interplanetary world" --serve-ms 4000
+//   JOIN="--peer 0:9100 --bootstrap 0 --serve-ms 4000"
+//   MSG="hello interplanetary world"
+//   ./ipfsd --index 1 --port 9101 $JOIN --publish "$MSG" &
+//   ./ipfsd --index 2 --port 9102 $JOIN --fetch "$MSG"
 //
 // The publisher imports the string, walks the DHT for the closest peers
 // and fire-and-forgets provider records; the fetcher derives the same

@@ -67,7 +67,6 @@ AttackPlan::AttackPlan(sim::Network& network, AttackConfig config,
     for (std::size_t i = 0; i < kSybilFrontNodes; ++i) {
       const sim::NodeId node = network_.add_node(attacker_cfg);
       sybil_fronts_.push_back(node);
-      attacker_nodes_.push_back(node);
       install_handler(node);
     }
   }
@@ -77,7 +76,6 @@ AttackPlan::AttackPlan(sim::Network& network, AttackConfig config,
     const dht::Key& target = *config_.eclipse_target;
     for (std::size_t i = 0; i < config_.eclipse.attackers; ++i) {
       const sim::NodeId node = network_.add_node(attacker_cfg);
-      attacker_nodes_.push_back(node);
       install_handler(node);
       eclipse_refs_.push_back(
           mint_ref(node, [this, &target](const dht::Key& key) {

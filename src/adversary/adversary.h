@@ -159,10 +159,6 @@ class AttackPlan : public sim::FaultInjector {
 
   // --- Introspection -------------------------------------------------------
 
-  // Real attacker nodes: sybil fronts first, then eclipse attackers.
-  const std::vector<sim::NodeId>& attacker_nodes() const {
-    return attacker_nodes_;
-  }
   const std::vector<dht::PeerRef>& eclipse_refs() const {
     return eclipse_refs_;
   }
@@ -176,9 +172,6 @@ class AttackPlan : public sim::FaultInjector {
   // True for every identity this plan minted (sybils, eclipse attackers,
   // the ghost). The simfuzz occupancy invariant filters tables with this.
   bool is_adversarial_id(const multiformats::PeerId& id) const;
-  bool is_adversarial_key(const dht::Key& key) const {
-    return forged_keys_.contains(key);
-  }
 
   bool partition_active() const;
 
@@ -242,7 +235,6 @@ class AttackPlan : public sim::FaultInjector {
   sim::Time armed_at_ = 0;
   Counters counters_;
 
-  std::vector<sim::NodeId> attacker_nodes_;  // sybil fronts + eclipse
   std::vector<sim::NodeId> sybil_fronts_;
   std::vector<dht::PeerRef> eclipse_refs_;
   dht::PeerRef ghost_ref_;

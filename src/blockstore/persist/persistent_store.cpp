@@ -229,13 +229,6 @@ void PersistentBlockStore::flush() {
   dirty_files_.clear();
 }
 
-std::uint64_t PersistentBlockStore::live_segment_bytes() const {
-  std::uint64_t total = 0;
-  for (const std::uint32_t id : segments_)
-    total += storage_->size(segment_name(id));
-  return total;
-}
-
 std::uint64_t PersistentBlockStore::scan_log(
     const std::string& file,
     const std::function<void(std::uint8_t, Cid, std::uint64_t,

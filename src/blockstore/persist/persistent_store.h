@@ -83,7 +83,6 @@ class PersistentBlockStore : public BlockStore {
   std::uint64_t recovered_truncated_bytes() const {
     return recovered_truncated_bytes_;
   }
-  std::uint64_t live_segment_bytes() const;
 
  private:
   struct Location {

@@ -60,15 +60,7 @@ bool MemStorage::sync(const std::string& name) {
   const auto it = files_.find(name);
   if (it == files_.end()) return false;
   it->second.synced = it->second.bytes.size();
-  ++sync_calls_;
   return true;
-}
-
-std::uint64_t MemStorage::unsynced_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& [name, file] : files_)
-    total += file.bytes.size() - file.synced;
-  return total;
 }
 
 void MemStorage::drop_unsynced(std::uint64_t seed) {

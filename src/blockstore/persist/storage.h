@@ -73,18 +73,12 @@ class MemStorage final : public Storage {
   bool sync(const std::string& name) override;
   void drop_unsynced(std::uint64_t seed) override;
 
-  std::uint64_t sync_calls() const { return sync_calls_; }
-  // Bytes currently past the durability watermark (would be at risk in a
-  // crash right now).
-  std::uint64_t unsynced_bytes() const;
-
  private:
   struct File {
     std::vector<std::uint8_t> bytes;
     std::uint64_t synced = 0;  // durable prefix length
   };
   std::map<std::string, File> files_;
-  std::uint64_t sync_calls_ = 0;
 };
 
 class PosixStorage final : public Storage {

@@ -121,8 +121,8 @@ class DhtNode {
   // `parent_span` parents the walk's trace span under the caller's phase
   // (e.g. a retrieval's provider_walk) — purely observational. The
   // returned handle identifies the walk for cancel_lookup() and is valid
-  // until the callback fires; a raced RaceRouter holds it to put down
-  // the losing walk.
+  // until the callback fires; routing::ContentRouter holds it in race
+  // mode to put down an out-raced walk.
   const Lookup* find_providers(const Key& key, Lookup::Callback done,
                                metrics::SpanId parent_span = 0);
 
@@ -188,12 +188,6 @@ class DhtNode {
   RecordStore& record_store() { return *records_; }
   sim::NodeId node() const { return self_.node; }
   transport::Transport& transport() { return transport_; }
-
-  // Peers the crawler can enumerate (Section 4.1): the full k-bucket
-  // contents, as the crawler's per-bucket FIND_NODE sweep would recover.
-  std::vector<PeerRef> crawlable_peers() const {
-    return routing_table_.all_peers();
-  }
 
  private:
   // Bridge for the sim convenience constructor: the owned backend is

@@ -42,7 +42,6 @@ class RecordStore {
   std::size_t stale_provider_count(sim::Time now, sim::Duration slack) const;
 
   std::size_t provider_key_count() const { return providers_.size(); }
-  std::size_t value_count() const { return values_.size(); }
 
  private:
   sim::Duration provider_expiry_;

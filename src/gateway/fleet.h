@@ -55,7 +55,6 @@ class GatewayFleet {
   const Gateway& replica(std::size_t index) const { return *replicas_[index]; }
   blockstore::LruBlockStore& origin() { return *origin_; }
   const HashRing& ring() const { return ring_; }
-  std::uint64_t inflight(std::size_t index) const { return inflight_[index]; }
   // Requests the bounded-load walk sent somewhere other than the ring
   // owner (the spill count).
   std::uint64_t routed_spills() const { return routed_spills_; }

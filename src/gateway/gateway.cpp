@@ -5,12 +5,6 @@
 
 namespace ipfs::gateway {
 
-Gateway::Gateway(transport::Transport& transport, const GatewayConfig& config)
-    : config_(config),
-      node_(transport, config.node),
-      transport_(node_.transport()),
-      nginx_cache_(config.nginx_cache_bytes, config.edge_cache) {}
-
 Gateway::Gateway(sim::Network& network, const GatewayConfig& config)
     : config_(config),
       node_(network, config.node),

@@ -78,11 +78,8 @@ struct TierStats {
 
 class Gateway {
  public:
-  // Primary constructor: the gateway's co-located node runs over
-  // `transport` (any backend).
-  Gateway(transport::Transport& transport, const GatewayConfig& config);
-  // Simulator convenience: the node joins `network` as a fresh fabric
-  // node (config.node.net).
+  // The gateway's co-located node joins `network` as a fresh fabric node
+  // (config.node.net).
   Gateway(sim::Network& network, const GatewayConfig& config);
 
   // Joins the P2P network like any node.

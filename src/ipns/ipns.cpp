@@ -24,7 +24,7 @@ std::vector<std::uint8_t> IpnsRecord::signed_payload() const {
   constexpr std::string_view kDomain = "ipns-record:";  // domain separation
   std::vector<std::uint8_t> payload;
   payload.reserve(kDomain.size() + value.size() + 16);
-  payload.insert(payload.end(), kDomain.begin(), kDomain.end());
+  payload.assign(kDomain.begin(), kDomain.end());
   payload.insert(payload.end(), value.begin(), value.end());
   put_u64(payload, sequence);
   put_u64(payload, validity_us);

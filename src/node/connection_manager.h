@@ -34,9 +34,6 @@ class ConnectionManager {
   // between retrievals, Section 4.3).
   std::size_t disconnect_all();
 
-  std::size_t connection_count() const {
-    return transport_.connections().size();
-  }
   const ConnManagerConfig& config() const { return config_; }
 
  private:

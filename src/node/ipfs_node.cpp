@@ -52,7 +52,7 @@ IpfsNode::IpfsNode(transport::Transport& transport,
       store_(blockstore::make_store(config.store, &transport.metrics())),
       dht_(transport, peer_id_for(keypair_),
            {listen_address_for(config.identity_seed)}),
-      router_(routing::make_router(transport, dht_, config.routing)),
+      router_(transport, dht_, config.routing),
       bitswap_(transport, *store_),
       conn_manager_(transport, config.conn_manager) {
   dht_.set_provider_quorum(config.provider_quorum);
@@ -236,7 +236,7 @@ void IpfsNode::retrieve(const Cid& cid,
         // (step 5: the DHT walk, a delegated indexer query, or a race).
         const metrics::SpanId walk_span = transport_.metrics().begin_span(
             "retrieve.provider_walk", node_, cid.to_string(), ctx->span);
-        router_->find_providers(
+        router_.find_providers(
             dht::Key::for_cid(cid),
             [this, ctx, walk_span,
              done = std::move(done)](routing::FindResult result) {
@@ -306,7 +306,7 @@ void IpfsNode::retrieve_parallel(std::shared_ptr<RetrievalCtx> ctx,
       },
       config_.bitswap_early_exit);
 
-  router_->find_providers(
+  router_.find_providers(
       dht::Key::for_cid(ctx->trace.cid),
       [this, race, ctx, walk_span, done_shared,
        fail_if_both_missed](routing::FindResult result) {
@@ -471,7 +471,7 @@ void IpfsNode::follow_name(const multiformats::PeerId& name) {
 void IpfsNode::handle_crash() {
   // The router first: it cancels its in-flight walks through dht_ and
   // closes its spans while the lookup handles are still registered.
-  router_->handle_crash();
+  router_.handle_crash();
   dht_.handle_crash();
   bitswap_.handle_crash();
   // Persistent backends drop their un-flushed tail and replay the log;

@@ -195,7 +195,6 @@ class IpfsNode {
   ConnectionManager& connection_manager() { return conn_manager_; }
   pubsub::Pubsub* pubsub() { return pubsub_.get(); }
   ipns::PubsubResolver* name_resolver() { return name_resolver_.get(); }
-  routing::ContentRouter& router() { return *router_; }
 
   transport::Transport& transport() { return transport_; }
   dht::PeerRef self() const { return dht_.self(); }
@@ -261,7 +260,7 @@ class IpfsNode {
   std::unique_ptr<blockstore::BlockStore> store_;
   dht::DhtNode dht_;
   // References dht_, so member order is load-bearing.
-  std::unique_ptr<routing::ContentRouter> router_;
+  routing::ContentRouter router_;
   bitswap::Bitswap bitswap_;
   AddressBook address_book_;
   ConnectionManager conn_manager_;

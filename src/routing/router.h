@@ -1,27 +1,26 @@
-// Pluggable content routing: who answers "which peers provide this CID?"
+// Content routing: who answers "which peers provide this CID?"
 //
 // The paper's retrieval breakdown (Section 6.2, Fig. 10) shows the DHT
 // walk dominating fetch latency; the production network's answer is
 // delegated routing to network indexers (cid.contact — see "The Cloud
 // Strikes Back", Balduf et al., and docs/ROUTING.md for the
-// centralization trade-off). This layer makes the choice a config knob:
+// centralization trade-off). RoutingConfig::mode picks the paths a
+// ContentRouter runs:
 //
-//   DhtRouter      — the paper's baseline: an iterative dht::Lookup walk.
-//   IndexerRouter  — one-RTT delegated query against a configured list of
-//                    indexers, with per-indexer timeout and failover.
-//   RaceRouter     — launches both and cancels the loser, first success
-//                    wins (kubo's parallel router composition).
+//   kDht      — the paper's baseline: an iterative dht::Lookup walk.
+//   kIndexer  — one-RTT delegated query against a configured list of
+//               indexers, with per-indexer timeout and failover.
+//   kRace     — both at once; the first success wins and the other path
+//               is stopped (kubo's parallel router composition).
 //
-// Every implementation reports through metrics::Registry: a
-// routing.find.<impl> span per lookup (parented under the caller's
-// phase span), with the winning source surfaced to the caller so the
-// retrieval layer can record routing.source.* counters and
-// routing.latency.* histograms.
+// Each path reports through metrics::Registry as a routing.find.<path>
+// span (routing.find.race parents both in race mode), and the winning
+// source is surfaced to the caller so the retrieval layer can record
+// routing.source.* counters and routing.latency.* histograms.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -41,17 +40,13 @@ struct RoutingConfig {
   enum class Mode { kDht, kIndexer, kRace };
 
   Mode mode = Mode::kDht;
-  // Delegated indexers in query order (IndexerRouter fails over down the
-  // list). Empty with kIndexer/kRace means the indexer path always fails.
+  // Delegated indexers in query order (the indexer path fails over down
+  // the list). Empty with kIndexer/kRace means the indexer path always
+  // fails.
   std::vector<sim::NodeId> indexers;
   // Per-indexer RPC budget before failing over to the next one. Dials to
   // a dead indexer additionally pay the transport's dial timeout.
   sim::Duration indexer_timeout = sim::seconds(2);
-
-  RoutingConfig& with_mode(Mode m) {
-    mode = m;
-    return *this;
-  }
 };
 
 struct FindResult {
@@ -60,121 +55,62 @@ struct FindResult {
   Source source = Source::kNone;
 };
 
+// Runs the paths `config.mode` selects for each provider lookup. The
+// indexer path dials an indexer and sends a QueryRequest; an unreachable,
+// timed-out or empty-handed indexer fails over to the next in the list,
+// and the path fails once the list is exhausted. The DHT path is
+// dht::DhtNode's iterative provider walk. The first success settles the
+// lookup and stops the other path, so it leaves no foreground timers; the
+// lookup fails when every path it started has failed, so with every
+// indexer down race mode degrades to exactly the DHT baseline.
 class ContentRouter {
  public:
   using Callback = std::function<void(FindResult)>;
+
+  ContentRouter(transport::Transport& transport, dht::DhtNode& dht,
+                RoutingConfig config);
+  // In-flight callbacks hold `this`.
+  ContentRouter(const ContentRouter&) = delete;
+  ContentRouter& operator=(const ContentRouter&) = delete;
+
+  // Starts a provider lookup. The callback fires exactly once, unless the
+  // node crashes first, in which case it never fires.
+  void find_providers(const dht::Key& key, Callback done,
+                      metrics::SpanId parent_span);
+
+  // Crash semantics (sim/faults.h): every in-flight lookup is abandoned
+  // without its callback, its open spans are closed and its walk is
+  // cancelled.
+  void handle_crash();
+
+ private:
   using RequestId = std::uint64_t;
 
-  virtual ~ContentRouter() = default;
-
-  // Starts a provider lookup. The callback fires exactly once — unless
-  // the request is cancelled or the node crashes first, in which case it
-  // never fires. Returns an id for cancel(); ids are never reused.
-  virtual RequestId find_providers(const dht::Key& key, Callback done,
-                                   metrics::SpanId parent_span) = 0;
-
-  // Abandons the request WITHOUT invoking its callback, cancelling any
-  // foreground timers it owns (a cancelled DHT walk must not keep
-  // Simulator::run() alive until the 3 min lookup deadline). Unknown or
-  // already-completed ids are a no-op.
-  virtual void cancel(RequestId request) = 0;
-
-  // Crash semantics (sim/faults.h): every in-flight request is abandoned
-  // without its callback, and open spans are closed.
-  virtual void handle_crash() = 0;
-};
-
-// The paper's baseline: wraps dht::DhtNode's iterative provider walk.
-class DhtRouter : public ContentRouter {
- public:
-  explicit DhtRouter(dht::DhtNode& dht);
-
-  RequestId find_providers(const dht::Key& key, Callback done,
-                           metrics::SpanId parent_span) override;
-  void cancel(RequestId request) override;
-  void handle_crash() override;
-
- private:
-  struct Pending {
-    const dht::Lookup* walk = nullptr;
-    metrics::SpanId span = 0;
-  };
-
-  dht::DhtNode& dht_;
-  std::unordered_map<RequestId, Pending> pending_;
-  RequestId next_id_ = 1;
-};
-
-// One-RTT delegated lookup: dial an indexer, send a QueryRequest, use
-// the records it returns. An unreachable, timed-out or empty-handed
-// indexer triggers failover to the next in the configured list; the
-// lookup fails once the list is exhausted.
-class IndexerRouter : public ContentRouter {
- public:
-  IndexerRouter(transport::Transport& transport, RoutingConfig config);
-
-  RequestId find_providers(const dht::Key& key, Callback done,
-                           metrics::SpanId parent_span) override;
-  void cancel(RequestId request) override;
-  void handle_crash() override;
-
- private:
-  struct Pending {
+  struct Request {
     dht::Key key;
     Callback done;
+    int paths_left = 1;  // paths of the mode that have not failed yet
+    metrics::SpanId race_span = 0;  // kRace only
+    // Each path's span is nonzero while the path runs.
+    metrics::SpanId indexer_span = 0;
     std::size_t next_indexer = 0;
-    metrics::SpanId span = 0;
+    metrics::SpanId dht_span = 0;
+    const dht::Lookup* walk = nullptr;
   };
+  using Requests = std::unordered_map<RequestId, Request>;
 
-  void try_next(RequestId id);
-  void settle(RequestId id, FindResult result);
+  void try_next_indexer(RequestId id);
+  // The path whose span was just ended produced `result`: a success
+  // stops the other path and settles; a failure settles once every path
+  // of the mode has failed.
+  void path_done(Requests::iterator it, FindResult result);
 
   transport::Transport& transport_;
-  sim::NodeId self_;
+  dht::DhtNode& dht_;
   RoutingConfig config_;
-  std::unordered_map<RequestId, Pending> pending_;
+  Requests requests_;
   RequestId next_id_ = 1;
 };
-
-// First-success race between the indexer path and the DHT walk; the
-// loser is cancelled so it leaves no dangling timers. Both arms failing
-// fails the lookup — so with every indexer down the race degrades to
-// exactly the DHT baseline.
-class RaceRouter : public ContentRouter {
- public:
-  RaceRouter(transport::Transport& transport, dht::DhtNode& dht,
-             RoutingConfig config);
-
-  RequestId find_providers(const dht::Key& key, Callback done,
-                           metrics::SpanId parent_span) override;
-  void cancel(RequestId request) override;
-  void handle_crash() override;
-
- private:
-  struct Race {
-    Callback done;
-    metrics::SpanId span = 0;
-    RequestId dht_req = 0;
-    RequestId indexer_req = 0;
-    bool dht_done = false;
-    bool indexer_done = false;
-  };
-
-  void on_arm(RequestId id, Source arm, FindResult result);
-  void settle(RequestId id, FindResult result);
-
-  metrics::Registry& metrics_;
-  sim::NodeId self_;
-  DhtRouter dht_router_;
-  IndexerRouter indexer_router_;
-  std::unordered_map<RequestId, Race> races_;
-  RequestId next_id_ = 1;
-};
-
-// Builds the router selected by `config.mode`.
-std::unique_ptr<ContentRouter> make_router(transport::Transport& transport,
-                                           dht::DhtNode& dht,
-                                           const RoutingConfig& config);
 
 // Provider-side advertisement push (provide/reprovide): dials every
 // configured indexer and fires an AdvertiseMessage at it — fire and

@@ -83,11 +83,6 @@ ScenarioBuilder& ScenarioBuilder::indexer_config(indexer::IndexerConfig config) 
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::routing(routing::RoutingConfig::Mode mode) {
-  routing_mode_ = mode;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::faults(sim::FaultConfig config) {
   fault_config_ = config;
   return *this;
@@ -251,7 +246,7 @@ Scenario ScenarioBuilder::build() const {
   // Indexers go in last — after every peer node — so turning the knob
   // leaves pre-existing node ids and rng streams bit-identical. They
   // draw no randomness of their own.
-  scenario.routing_.mode = routing_mode_;
+  scenario.routing_.mode = routing::RoutingConfig::Mode::kRace;
   for (std::size_t i = 0; i < indexer_count_; ++i) {
     scenario.indexers_.push_back(std::make_unique<indexer::Indexer>(
         *scenario.network_, indexer_config_));

@@ -65,7 +65,6 @@ class Scenario {
  public:
   sim::Simulator& simulator() { return *simulator_; }
   sim::Network& network() { return *network_; }
-  const sim::LatencyModel& latency_model() const { return *latency_; }
 
   std::size_t size() const { return nodes_.size(); }
   sim::NodeId node(std::size_t i) const { return nodes_[i]; }
@@ -82,7 +81,6 @@ class Scenario {
 
   // Empty unless pubsub(true) was set.
   pubsub::Pubsub& pubsub(std::size_t i) { return *pubsub_nodes_[i]; }
-  bool has_pubsub() const { return !pubsub_nodes_.empty(); }
 
   // Null unless faults() was configured. The plan is constructed but
   // not armed; call faults().arm() to start background fault processes.
@@ -101,8 +99,8 @@ class Scenario {
   std::size_t indexer_count() const { return indexers_.size(); }
   indexer::Indexer& indexer(std::size_t i) { return *indexers_[i]; }
 
-  // Routing config carrying the builder's routing(mode) choice plus the
-  // NodeIds of every built indexer — what an IpfsNodeConfig wants.
+  // Race mode over the NodeIds of every built indexer — what an
+  // IpfsNodeConfig wants.
   const routing::RoutingConfig& routing_config() const { return routing_; }
 
  private:
@@ -168,12 +166,11 @@ class ScenarioBuilder {
 
   // Network indexers for delegated content routing (docs/ROUTING.md).
   // build() appends `n` indexer nodes after every peer node; build_world()
-  // maps the knobs onto WorldConfig::indexer_count / ::indexer. routing()
-  // selects the ContentRouter mode the scenario's routing_config() (and
-  // World::routing_config()) hands to IpfsNodeConfig::routing.
+  // maps the knobs onto WorldConfig::indexer_count / ::indexer. The
+  // scenario's routing_config() races the built indexers against the
+  // DHT walk; World::routing_config(mode) takes the mode as an argument.
   ScenarioBuilder& indexers(std::size_t n);
   ScenarioBuilder& indexer_config(indexer::IndexerConfig config);
-  ScenarioBuilder& routing(routing::RoutingConfig::Mode mode);
 
   // Constructs (but does not arm) a FaultPlan over the built network.
   ScenarioBuilder& faults(sim::FaultConfig config);
@@ -228,7 +225,6 @@ class ScenarioBuilder {
   std::size_t trace_capacity_ = 0;
   std::size_t indexer_count_ = 0;
   indexer::IndexerConfig indexer_config_{};
-  routing::RoutingConfig::Mode routing_mode_ = routing::RoutingConfig::Mode::kDht;
 
   bool enable_churn_ = true;
   std::size_t bootstrap_count_ = 6;

@@ -57,11 +57,6 @@ struct FaultConfig {
   double crashes_per_hour_per_node = 0.0;
   Duration min_downtime = seconds(10);
   Duration max_downtime = minutes(2);
-
-  bool any_message_faults() const {
-    return drop_prob > 0 || duplicate_prob > 0 || reorder_prob > 0 ||
-           dial_failure_prob > 0;
-  }
 };
 
 class FaultPlan : public FaultInjector {

@@ -362,7 +362,6 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
           .indexers(params.indexer_count)
           .indexer_config(indexer::IndexerConfig().with_ingest_lag(
               params.indexer_ingest_lag))
-          .routing(routing::RoutingConfig::Mode::kRace)
           .build();
   sim::Network& network = fabric.network();
 

@@ -109,7 +109,7 @@ struct ScheduleParams {
 
   // Delegated content routing (docs/ROUTING.md): when indexer_count > 0
   // the schedule appends that many indexer nodes and every IPFS node
-  // routes provider discovery through a RaceRouter over them. With
+  // races them against the DHT walk for provider discovery. With
   // indexer_crashes set, each indexer is crashed once at a random point
   // inside the workload window and restarted after a short downtime, all
   // from a dedicated rng fork (invariant 10 above). indexer_count = 0

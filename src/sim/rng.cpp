@@ -73,14 +73,6 @@ double Rng::lognormal_median(double median, double sigma) {
   return median * std::exp(normal(0.0, sigma));
 }
 
-double Rng::pareto(double lo, double hi, double alpha) {
-  // Inverse-CDF sampling of a bounded Pareto.
-  const double u = uniform();
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
-}
-
 std::uint64_t Rng::zipf(std::uint64_t n, double s) {
   // Inverse of the continuous approximation of the Zipf CDF. Exact enough
   // for workload popularity modelling; handles s == 1 as a special case.

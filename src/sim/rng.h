@@ -43,8 +43,6 @@ class Rng {
   double normal(double mean, double stddev);
   // Log-normal parameterized by the median and sigma of log-space.
   double lognormal_median(double median, double sigma);
-  // Bounded Pareto (power law) on [lo, hi] with shape alpha.
-  double pareto(double lo, double hi, double alpha);
 
   // Zipf-distributed rank in [1, n] with exponent s (rejection sampling).
   std::uint64_t zipf(std::uint64_t n, double s);

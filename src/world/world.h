@@ -72,14 +72,9 @@ class World {
   std::vector<dht::PeerRef> bootstrap_refs() const;
 
   const WorldConfig& config() const { return config_; }
-  const sim::LatencyModel& latency_model() const { return latency_; }
 
   // Fraction of world peers currently online (diagnostics).
   double online_fraction() const;
-
-  // Peers added by the hydra extension (appended after the regular
-  // population; profile() is not valid for them).
-  std::size_t regular_peer_count() const { return population_.peers.size(); }
 
   // --- Network indexers (delegated routing) -------------------------------
 

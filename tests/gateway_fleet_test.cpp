@@ -150,8 +150,10 @@ TEST_F(GatewayFleetTest, PinnedObjectIsServedByItsRingOwner) {
   EXPECT_EQ(response.source, ServedFrom::kNodeStore);
   EXPECT_EQ(response.bytes, data.size());
   EXPECT_EQ(fleet_->replica(*owner).total_requests(), 1u);
-  for (std::size_t r = 0; r < fleet_->replica_count(); ++r)
-    if (r != *owner) EXPECT_EQ(fleet_->replica(r).total_requests(), 0u);
+  for (std::size_t r = 0; r < fleet_->replica_count(); ++r) {
+    if (r == *owner) continue;
+    EXPECT_EQ(fleet_->replica(r).total_requests(), 0u);
+  }
   EXPECT_EQ(fleet_->total_requests(), 1u);
   EXPECT_EQ(fleet_->routed_spills(), 0u);
   // The serve wrote through to the shared origin tier.

@@ -143,8 +143,9 @@ TEST_P(KeyMetricProperty, XorMetricAxioms) {
     for (int i = 0; i < 32; ++i) EXPECT_EQ(ac[i], ab[i] ^ bc[i]);
 
     // Unidirectionality: exactly one of a,b is closer to c (unless equal).
-    if (a != b)
+    if (a != b) {
       EXPECT_NE(a.closer_to(c, b), b.closer_to(c, a));
+    }
   }
 }
 

@@ -1,8 +1,8 @@
-// ContentRouter tests: the DHT baseline wrapper, the delegated indexer
-// path with per-indexer timeout/failover, and the race composition —
-// including the guarantee that a cancelled or out-raced DHT walk leaves
-// no dangling foreground timers (the drain returns promptly instead of
-// waiting out the 3 min lookup deadline).
+// ContentRouter tests, one suite per mode: the DHT baseline walk, the
+// delegated indexer path with per-indexer timeout/failover, and the race
+// of the two — including the guarantee that an out-raced or crashed DHT
+// walk leaves no dangling foreground timers (the drain returns promptly
+// instead of waiting out the 3 min lookup deadline).
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -31,8 +31,15 @@ scenario::Scenario make_swarm(std::size_t peers, std::size_t indexers,
       .dht_servers(true)
       .indexers(indexers)
       .indexer_config(indexer::IndexerConfig().with_ingest_lag(ingest_lag))
-      .routing(RoutingConfig::Mode::kRace)
       .build();
+}
+
+// The scenario's routing config (race mode over its indexers) switched
+// to `mode`.
+RoutingConfig in_mode(const scenario::Scenario& s, RoutingConfig::Mode mode) {
+  RoutingConfig config = s.routing_config();
+  config.mode = mode;
+  return config;
 }
 
 // Publishes `key` into the DHT from node 0 and drains.
@@ -56,7 +63,8 @@ TEST(DhtRouterTest, FindsProvidersThroughTheWalk) {
   const dht::Key key = test_key(1);
   provide_via_dht(s, key);
 
-  DhtRouter router(s.dht(9));
+  ContentRouter router(s.dht(9).transport(), s.dht(9),
+                       in_mode(s, RoutingConfig::Mode::kDht));
   std::optional<FindResult> result;
   router.find_providers(key, [&](FindResult r) { result = r; }, 0);
   s.simulator().run();
@@ -68,33 +76,13 @@ TEST(DhtRouterTest, FindsProvidersThroughTheWalk) {
   EXPECT_EQ(result->providers[0].provider.id, s.ref(0).id);
 }
 
-TEST(DhtRouterTest, CancelDropsTheCallbackAndDrainsClean) {
-  scenario::Scenario s = make_swarm(40, 0);
-  const dht::Key key = test_key(2);
-  provide_via_dht(s, key);
-  const sim::Time before = s.simulator().now();
-
-  DhtRouter router(s.dht(9));
-  bool fired = false;
-  const auto id =
-      router.find_providers(key, [&](FindResult) { fired = true; }, 0);
-  router.cancel(id);
-  s.simulator().run();
-
-  EXPECT_FALSE(fired);
-  // The abort cancelled the walk's deadline timer: nothing held the
-  // drain open anywhere near the 3 min lookup deadline.
-  EXPECT_LT(s.simulator().now() - before, dht::kLookupDeadline);
-  EXPECT_EQ(s.simulator().foreground_pending(), 0u);
-  EXPECT_EQ(s.network().pending_request_count(), 0u);
-}
-
 TEST(IndexerRouterTest, ResolvesInOneRttFromAnIndexer) {
   scenario::Scenario s = make_swarm(2, 1);
   const dht::Key key = test_key(3);
   advertise_and_ingest(s, key, s.ref(0));
 
-  IndexerRouter router(s.dht(1).transport(), s.routing_config());
+  ContentRouter router(s.dht(1).transport(), s.dht(1),
+                       in_mode(s, RoutingConfig::Mode::kIndexer));
   std::optional<FindResult> result;
   const sim::Time before = s.simulator().now();
   router.find_providers(key, [&](FindResult r) { result = r; }, 0);
@@ -110,7 +98,8 @@ TEST(IndexerRouterTest, ResolvesInOneRttFromAnIndexer) {
 
 TEST(IndexerRouterTest, EmptyIndexerListFailsImmediately) {
   scenario::Scenario s = make_swarm(2, 0);
-  IndexerRouter router(s.dht(1).transport(), RoutingConfig{});
+  ContentRouter router(s.dht(1).transport(), s.dht(1),
+                       in_mode(s, RoutingConfig::Mode::kIndexer));
   std::optional<FindResult> result;
   router.find_providers(test_key(4), [&](FindResult r) { result = r; }, 0);
   ASSERT_TRUE(result.has_value());  // settled synchronously
@@ -128,7 +117,8 @@ TEST(IndexerRouterTest, FailsOverPastACrashedIndexer) {
   s.network().set_online(s.indexer(0).node(), false);
   s.indexer(0).handle_crash();
 
-  IndexerRouter router(s.dht(1).transport(), s.routing_config());
+  ContentRouter router(s.dht(1).transport(), s.dht(1),
+                       in_mode(s, RoutingConfig::Mode::kIndexer));
   std::optional<FindResult> result;
   router.find_providers(key, [&](FindResult r) { result = r; }, 0);
   s.simulator().run();
@@ -151,9 +141,9 @@ TEST(IndexerRouterTest, UnresponsiveIndexerTimesOutThenFailsOver) {
   // full per-indexer timeout before failing over.
   s.network().set_responsive(s.indexer(0).node(), false);
 
-  RoutingConfig config = s.routing_config();
+  RoutingConfig config = in_mode(s, RoutingConfig::Mode::kIndexer);
   config.indexer_timeout = sim::seconds(2);
-  IndexerRouter router(s.dht(1).transport(), config);
+  ContentRouter router(s.dht(1).transport(), s.dht(1), config);
   std::optional<FindResult> result;
   const sim::Time before = s.simulator().now();
   router.find_providers(key, [&](FindResult r) { result = r; }, 0);
@@ -174,7 +164,8 @@ TEST(IndexerRouterTest, ExhaustedListWithStaleIndexesFails) {
                         s.ref(0));
   s.simulator().run();
 
-  IndexerRouter router(s.dht(1).transport(), s.routing_config());
+  ContentRouter router(s.dht(1).transport(), s.dht(1),
+                       in_mode(s, RoutingConfig::Mode::kIndexer));
   std::optional<FindResult> result;
   router.find_providers(key, [&](FindResult r) { result = r; }, 0);
   s.simulator().run();
@@ -190,7 +181,7 @@ TEST(RaceRouterTest, IndexerWinsAndTheLosingWalkIsPutDown) {
   provide_via_dht(s, key);
   advertise_and_ingest(s, key, s.ref(0));
 
-  RaceRouter router(s.dht(9).transport(), s.dht(9), s.routing_config());
+  ContentRouter router(s.dht(9).transport(), s.dht(9), s.routing_config());
   std::optional<FindResult> result;
   const sim::Time before = s.simulator().now();
   router.find_providers(key, [&](FindResult r) { result = r; }, 0);
@@ -218,7 +209,7 @@ TEST(RaceRouterTest, DegradesToTheDhtWhenEveryIndexerIsDown) {
     s.indexer(i).handle_crash();
   }
 
-  RaceRouter router(s.dht(9).transport(), s.dht(9), s.routing_config());
+  ContentRouter router(s.dht(9).transport(), s.dht(9), s.routing_config());
   std::optional<FindResult> result;
   router.find_providers(key, [&](FindResult r) { result = r; }, 0);
   s.simulator().run();
@@ -232,40 +223,47 @@ TEST(RaceRouterTest, DegradesToTheDhtWhenEveryIndexerIsDown) {
   EXPECT_EQ(s.network().pending_request_count(), 0u);
 }
 
-TEST(RaceRouterTest, CancelAbandonsBothArmsWithoutCallbacks) {
+TEST(RaceRouterTest, CrashAbandonsBothPathsAndClosesTheirSpans) {
   scenario::Scenario s = make_swarm(40, 1);
   const dht::Key key = test_key(10);
   provide_via_dht(s, key);
   advertise_and_ingest(s, key, s.ref(0));
   const sim::Time before = s.simulator().now();
+  const metrics::Registry& metrics = s.network().metrics();
+  const std::size_t first_event = metrics.events().size();
 
-  RaceRouter router(s.dht(9).transport(), s.dht(9), s.routing_config());
+  ContentRouter router(s.dht(9).transport(), s.dht(9), s.routing_config());
   bool fired = false;
-  const auto id =
-      router.find_providers(key, [&](FindResult) { fired = true; }, 0);
-  router.cancel(id);
-  s.simulator().run();
+  router.find_providers(key, [&](FindResult) { fired = true; }, 0);
+  router.handle_crash();
 
+  // The race span closes first, then the indexer path's span; then the
+  // walk is aborted (its lookup span closes) and the walk's span closes.
+  std::vector<const metrics::TraceEvent*> ends;
+  for (std::size_t i = first_event; i < metrics.events().size(); ++i) {
+    const metrics::TraceEvent& event = metrics.events()[i];
+    if (event.kind == metrics::EventKind::kSpanEnd &&
+        (event.name.starts_with("routing.find.") ||
+         event.name.starts_with("dht.lookup.")))
+      ends.push_back(&event);
+  }
+  ASSERT_EQ(ends.size(), 4u);
+  EXPECT_EQ(ends[0]->name, "routing.find.race");
+  EXPECT_EQ(ends[1]->name, "routing.find.indexer");
+  EXPECT_EQ(ends[2]->name, "dht.lookup.get_providers");
+  EXPECT_EQ(ends[3]->name, "routing.find.dht");
+  for (const metrics::TraceEvent* end : ends) EXPECT_FALSE(end->ok);
+  EXPECT_EQ(ends[1]->parent, ends[0]->span);
+  EXPECT_EQ(ends[2]->parent, ends[3]->span);
+  EXPECT_EQ(ends[3]->parent, ends[0]->span);
+
+  s.simulator().run();
   EXPECT_FALSE(fired);
+  // The crash cancelled the walk's deadline timer: nothing held the drain
+  // open anywhere near the 3 min lookup deadline.
   EXPECT_LT(s.simulator().now() - before, dht::kLookupDeadline);
   EXPECT_EQ(s.simulator().foreground_pending(), 0u);
   EXPECT_EQ(s.network().pending_request_count(), 0u);
-}
-
-TEST(RoutingConfigTest, MakeRouterSelectsTheConfiguredMode) {
-  scenario::Scenario s = make_swarm(2, 1);
-  const auto dht_only =
-      make_router(s.dht(1).transport(), s.dht(1),
-                  RoutingConfig{}.with_mode(RoutingConfig::Mode::kDht));
-  const auto indexer_only =
-      make_router(s.dht(1).transport(), s.dht(1),
-                  RoutingConfig{}.with_mode(RoutingConfig::Mode::kIndexer));
-  const auto race =
-      make_router(s.dht(1).transport(), s.dht(1),
-                  RoutingConfig{}.with_mode(RoutingConfig::Mode::kRace));
-  EXPECT_NE(dynamic_cast<DhtRouter*>(dht_only.get()), nullptr);
-  EXPECT_NE(dynamic_cast<IndexerRouter*>(indexer_only.get()), nullptr);
-  EXPECT_NE(dynamic_cast<RaceRouter*>(race.get()), nullptr);
 }
 
 }  // namespace

@@ -101,7 +101,6 @@ TEST(ScenarioBuilderTest, IndexerKnobAppendsIndexersAfterPeers) {
                           .peers(3)
                           .seed(12)
                           .indexers(2)
-                          .routing(routing::RoutingConfig::Mode::kRace)
                           .build();
   EXPECT_EQ(scenario.network().node_count(), 5u);
   ASSERT_EQ(scenario.indexer_count(), 2u);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "crypto/sha256.h"
 #include "sim/fuzz_harness.h"
@@ -56,27 +57,38 @@ TEST(SimFuzz, SameSeedProducesByteIdenticalStats) {
   EXPECT_EQ(first.violations, second.violations);
 }
 
-// SHA-256 over the fingerprints and trace streams of the pinned
-// schedules below. First taken at the commit before the single event
-// core replaced the timer wheel, the heap backend and the sharded
-// engine, so it proved that rewrite moved no seeded output. Re-pinned
-// once since, when run_schedule stopped opening the workload window
-// before a flash-crowd schedule's gateway bootstrap drained the network:
-// that drain used to run the whole publish and retrieve workload before
-// the fault plan armed, and the pubsub publishes then landed in the
-// past. Only the four flash-crowd schedules (909095, 909097, 909099 and
-// attack family 3, seed 3003) changed; the other 26 hash as before.
-constexpr const char* kPinnedTraceDigest =
-    "d78afd9ccbbb435e6cd11d0bcd9be3d43f8550c10024c46feee38317a0320d6a";
+// Two SHA-256 digests over the pinned schedules below. The event digest
+// covers each schedule's fingerprint and its span and instant lines; the
+// instrument digest covers its counter and histogram lines, so a change
+// to how instruments are exported re-pins only that half. Both were
+// taken when the single digest was split, at the commit before the
+// split, so the split itself moved nothing.
+//
+// The single digest they replace was first taken at the commit before
+// the single event core replaced the timer wheel, the heap backend and
+// the sharded engine, so it proved that rewrite moved no seeded output.
+// It was re-pinned once, when run_schedule stopped opening the workload
+// window before a flash-crowd schedule's gateway bootstrap drained the
+// network: that drain used to run the whole publish and retrieve
+// workload before the fault plan armed, and the pubsub publishes then
+// landed in the past. Only the four flash-crowd schedules (909095,
+// 909097, 909099 and attack family 3, seed 3003) changed; the other 26
+// hashed as before.
+constexpr const char* kPinnedEventDigest =
+    "91f5b0943888a44191691ee311acb5dbc2a34d574a5373a96633c9fb43ada8db";
+constexpr const char* kPinnedInstrumentDigest =
+    "f23ff3e02dc729ffbf3550d063412cce8f292c66e25c44d9342429738b651f71";
 
 TEST(SimFuzz, TraceStreamsMatchPinnedDigest) {
-  // Determinism gate for the event core: every counter, histogram, span
-  // and instant of 25 randomized schedules plus one schedule per attack
-  // family, in emission order, hashes to kPinnedTraceDigest. Any change
-  // to event order, rng draws or trace emission moves the digest. Re-pin
-  // it only for a deliberate change of seeded output, and say why.
-  crypto::Sha256 hash;
-  const auto fold = [&hash](ScheduleParams params) {
+  // Determinism gate for the event core: the fingerprints, spans and
+  // instants of 25 randomized schedules plus one schedule per attack
+  // family, in emission order, hash to kPinnedEventDigest, and their
+  // counters and histograms to kPinnedInstrumentDigest. Any change to
+  // event order, rng draws or trace emission moves a digest. Re-pin one
+  // only for a deliberate change of seeded output, and say why.
+  crypto::Sha256 events;
+  crypto::Sha256 instruments;
+  const auto fold = [&](ScheduleParams params) {
     params.capture_trace = true;
     const ScheduleReport report = run_schedule(params);
     ASSERT_TRUE(report.ok()) << report.failure_summary();
@@ -84,8 +96,16 @@ TEST(SimFuzz, TraceStreamsMatchPinnedDigest) {
     // digest.
     ASSERT_EQ(report.trace_dropped, 0u) << params.describe();
     ASSERT_FALSE(report.trace_jsonl.empty());
-    hash.update(report.stats.fingerprint());
-    hash.update(report.trace_jsonl);
+    events.update(report.stats.fingerprint());
+    std::string_view jsonl = report.trace_jsonl;
+    while (!jsonl.empty()) {
+      const std::string_view line =
+          jsonl.substr(0, std::min(jsonl.find('\n'), jsonl.size() - 1) + 1);
+      jsonl.remove_prefix(line.size());
+      const bool instrument = line.starts_with("{\"type\":\"counter\"") ||
+                              line.starts_with("{\"type\":\"histogram\"");
+      (instrument ? instruments : events).update(line);
+    }
   };
   for (std::uint64_t i = 0; i < 25; ++i) {
     fold(make_schedule(909090 + i));
@@ -104,7 +124,8 @@ TEST(SimFuzz, TraceStreamsMatchPinnedDigest) {
     fold(params);
     if (HasFatalFailure()) return;
   }
-  EXPECT_EQ(crypto::to_hex(hash.finish()), kPinnedTraceDigest);
+  EXPECT_EQ(crypto::to_hex(events.finish()), kPinnedEventDigest);
+  EXPECT_EQ(crypto::to_hex(instruments.finish()), kPinnedInstrumentDigest);
 }
 
 TEST(SimFuzz, FailureMessagesCarryReplaySeed) {
