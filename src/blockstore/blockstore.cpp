@@ -60,12 +60,21 @@ std::uint64_t BlockStore::collect_garbage() {
   return reclaimed;
 }
 
+namespace {
+
+// Share of an LruBlockStore's byte capacity reserved for the protected
+// segment (the entries hit at least once since insertion).
+constexpr double kProtectedShare = 0.8;
+// Distinct hot keys the TinyLFU sketch is sized for.
+constexpr std::size_t kSketchEntries = 4096;
+
+}  // namespace
+
 LruBlockStore::LruBlockStore(std::uint64_t capacity_bytes, LruConfig config)
     : capacity_(capacity_bytes),
-      config_(config),
       protected_capacity_(static_cast<std::uint64_t>(
-          static_cast<double>(capacity_bytes) * config.protected_share)) {
-  if (config_.tinylfu) sketch_.emplace(config_.sketch_entries);
+          static_cast<double>(capacity_bytes) * kProtectedShare)) {
+  if (config.tinylfu) sketch_.emplace(kSketchEntries);
 }
 
 bool LruBlockStore::put(const Cid& cid, BlockData data) {

@@ -98,16 +98,12 @@ class BlockStore {
   std::uint64_t total_bytes_ = 0;
 };
 
-// Replacement/admission policy knobs for LruBlockStore.
+// Admission policy for LruBlockStore.
 struct LruConfig {
-  // Share of the byte capacity reserved for the protected segment (the
-  // entries that have been hit at least once since insertion).
-  double protected_share = 0.8;
   // TinyLFU admission: a 4-bit count-min sketch estimates access
   // frequency; at eviction time a candidate strictly colder than the
   // would-be victim is refused instead of evicting it.
   bool tinylfu = false;
-  std::size_t sketch_entries = 4096;
 };
 
 // Byte-capped segmented-LRU store (the gateway's nginx-style web cache;
@@ -156,7 +152,6 @@ class LruBlockStore {
   void evict_one();
 
   std::uint64_t capacity_;
-  LruConfig config_;
   std::uint64_t protected_capacity_;
   std::uint64_t used_ = 0;
   std::uint64_t protected_bytes_ = 0;

@@ -48,6 +48,21 @@ std::uint32_t read_u32(const std::uint8_t* p) {
   return v;
 }
 
+std::vector<std::uint8_t> encode_record(std::uint8_t kind, const Cid& cid,
+                                        std::span<const std::uint8_t> data) {
+  const auto cid_bytes = cid.encode();
+  std::vector<std::uint8_t> record;
+  record.reserve(kHeaderBytes + cid_bytes.size() + data.size());
+  put_u32(record, kRecordMagic);
+  record.push_back(kind);
+  put_u32(record, static_cast<std::uint32_t>(cid_bytes.size()));
+  put_u32(record, static_cast<std::uint32_t>(data.size()));
+  put_u32(record, crc32(cid_bytes, data));
+  record.insert(record.end(), cid_bytes.begin(), cid_bytes.end());
+  record.insert(record.end(), data.begin(), data.end());
+  return record;
+}
+
 std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {
   std::uint64_t x = a ^ (b * 0x9e3779b97f4a7c15ULL);
   x ^= x >> 30;
@@ -78,43 +93,36 @@ metrics::Counter* PersistentBlockStore::counter(const char* name) const {
 void PersistentBlockStore::append_record(const std::string& file,
                                          std::uint8_t kind, const Cid& cid,
                                          std::span<const std::uint8_t> data) {
-  const auto cid_bytes = cid.encode();
-  std::vector<std::uint8_t> record;
-  record.reserve(kHeaderBytes + cid_bytes.size() + data.size());
-  put_u32(record, kRecordMagic);
-  record.push_back(kind);
-  put_u32(record, static_cast<std::uint32_t>(cid_bytes.size()));
-  put_u32(record, static_cast<std::uint32_t>(data.size()));
-  put_u32(record, crc32(cid_bytes, data));
-  record.insert(record.end(), cid_bytes.begin(), cid_bytes.end());
-  record.insert(record.end(), data.begin(), data.end());
-  storage_->append(file, record);
+  storage_->append(file, encode_record(kind, cid, data));
   dirty_files_.insert(file);
 }
 
-void PersistentBlockStore::roll_segment_if_full() {
-  const std::string current = segment_name(current_segment_);
-  if (storage_->size(current) >= config_.segment_bytes &&
-      segments_.contains(current_segment_)) {
+PersistentBlockStore::Location PersistentBlockStore::append_to_segment(
+    std::uint8_t kind, const Cid& cid, std::span<const std::uint8_t> data) {
+  if (current_bytes_ > 0 && current_bytes_ >= config_.segment_bytes) {
     ++current_segment_;
+    current_bytes_ = 0;
   }
+  const std::string file = segment_name(current_segment_);
+  const auto record = encode_record(kind, cid, data);
+  // The store is the only writer of its current segment, so it keeps the
+  // segment's length itself; only a failed append asks the storage.
+  if (storage_->append(file, record)) {
+    current_bytes_ += record.size();
+  } else {
+    current_bytes_ = storage_->size(file);
+  }
+  dirty_files_.insert(file);
+  segments_.insert(current_segment_);
+  return Location{current_segment_, current_bytes_ - data.size(),
+                  static_cast<std::uint32_t>(data.size())};
 }
 
 PutStatus PersistentBlockStore::put(const Block& block) {
   const auto& [cid, data] = block;
   if (index_.contains(cid)) return PutStatus::kAlreadyPresent;
 
-  roll_segment_if_full();
-  const std::string file = segment_name(current_segment_);
-  const std::uint64_t record_start = storage_->size(file);
-  append_record(file, kKindPut, cid, *data);
-  segments_.insert(current_segment_);
-
-  Location loc;
-  loc.segment = current_segment_;
-  loc.offset = record_start + kHeaderBytes + cid.encode().size();
-  loc.length = static_cast<std::uint32_t>(data->size());
-  index_.emplace(cid, loc);
+  index_.emplace(cid, append_to_segment(kKindPut, cid, *data));
   total_bytes_ += data->size();
   if (auto* c = counter("blockstore.put.blocks")) c->inc();
   if (auto* c = counter("blockstore.put.bytes")) c->inc(data->size());
@@ -140,10 +148,7 @@ bool PersistentBlockStore::remove(const Cid& cid) {
   if (pinned(cid)) return false;
   const auto it = index_.find(cid);
   if (it == index_.end()) return false;
-  roll_segment_if_full();
-  const std::string file = segment_name(current_segment_);
-  append_record(file, kKindRemove, cid, {});
-  segments_.insert(current_segment_);
+  append_to_segment(kKindRemove, cid, {});
   total_bytes_ -= it->second.length;
   index_.erase(it);
   return true;
@@ -192,20 +197,12 @@ std::uint64_t PersistentBlockStore::collect_garbage() {
   }
   segments_.clear();
   ++current_segment_;  // never reuse a deleted segment's name
+  current_bytes_ = 0;
   index_.clear();
   total_bytes_ = 0;
 
   for (auto& [cid, payload] : survivors) {
-    roll_segment_if_full();
-    const std::string file = segment_name(current_segment_);
-    const std::uint64_t record_start = storage_->size(file);
-    append_record(file, kKindPut, cid, payload);
-    segments_.insert(current_segment_);
-    Location loc;
-    loc.segment = current_segment_;
-    loc.offset = record_start + kHeaderBytes + cid.encode().size();
-    loc.length = static_cast<std::uint32_t>(payload.size());
-    index_.emplace(cid, loc);
+    index_.emplace(cid, append_to_segment(kKindPut, cid, payload));
     total_bytes_ += payload.size();
   }
 
@@ -314,6 +311,7 @@ void PersistentBlockStore::open() {
       });
   // A truncated segment may be mid-range; never append into old files.
   current_segment_ = segments_.empty() ? 0 : *segments_.rbegin() + 1;
+  current_bytes_ = 0;
 
   if (auto* c = counter("blockstore.recover.blocks")) c->inc(index_.size());
   if (auto* c = counter("blockstore.recover.truncated_bytes"))

@@ -95,7 +95,11 @@ class PersistentBlockStore : public BlockStore {
   metrics::Counter* counter(const char* name) const;
   void append_record(const std::string& file, std::uint8_t kind,
                      const Cid& cid, std::span<const std::uint8_t> data);
-  void roll_segment_if_full();
+  // Appends a record to the current segment, first rolling to a fresh
+  // one when it has reached segment_bytes; returns where the record's
+  // payload landed.
+  Location append_to_segment(std::uint8_t kind, const Cid& cid,
+                             std::span<const std::uint8_t> data);
   // Scans one log file, applying records via `apply`; truncates at the
   // first torn/corrupt record. Returns bytes truncated.
   std::uint64_t scan_log(
@@ -111,6 +115,7 @@ class PersistentBlockStore : public BlockStore {
   std::set<Cid> pinned_;
   std::set<std::uint32_t> segments_;  // existing segment ids, ascending
   std::uint32_t current_segment_ = 0;
+  std::uint64_t current_bytes_ = 0;  // length of the current segment
   std::uint64_t total_bytes_ = 0;
   std::set<std::string> dirty_files_;  // appended since last flush
   std::uint64_t recovered_truncated_bytes_ = 0;

@@ -105,7 +105,9 @@ std::string PosixStorage::path_of(const std::string& name) const {
 int PosixStorage::fd_for(const std::string& name, bool create) const {
   const auto it = fds_.find(name);
   if (it != fds_.end()) return it->second;
-  const int flags = O_RDWR | O_CLOEXEC | (create ? O_CREAT : 0);
+  // O_APPEND: every write lands at the end of the file, so append()
+  // needs no size lookup; pread and ftruncate are unaffected.
+  const int flags = O_RDWR | O_APPEND | O_CLOEXEC | (create ? O_CREAT : 0);
   const int fd = ::open(path_of(name).c_str(), flags, 0644);
   if (fd < 0) return -1;
   fds_[name] = fd;
@@ -133,12 +135,10 @@ bool PosixStorage::append(const std::string& name,
                           std::span<const std::uint8_t> data) {
   const int fd = fd_for(name, true);
   if (fd < 0) return false;
-  std::uint64_t offset = size(name);
   std::size_t written = 0;
   while (written < data.size()) {
     const ssize_t n =
-        ::pwrite(fd, data.data() + written, data.size() - written,
-                 static_cast<off_t>(offset + written));
+        ::write(fd, data.data() + written, data.size() - written);
     if (n <= 0) return false;
     written += static_cast<std::size_t>(n);
   }

@@ -147,8 +147,8 @@ void ContentRouter::path_done(Requests::iterator it, FindResult result) {
 }
 
 void ContentRouter::handle_crash() {
-  // Race spans, then indexer spans, then walks: the order in which a
-  // crash closes spans is part of the trace.
+  // Race spans, then indexer spans, then walks, each group in request
+  // order: the order in which a crash closes spans is part of the trace.
   metrics::Registry& metrics = transport_.metrics();
   for (const auto& [id, request] : requests_)
     if (request.race_span != 0) metrics.end_span(request.race_span, false);

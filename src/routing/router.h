@@ -21,7 +21,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "dht/dht_node.h"
@@ -97,7 +97,8 @@ class ContentRouter {
     metrics::SpanId dht_span = 0;
     const dht::Lookup* walk = nullptr;
   };
-  using Requests = std::unordered_map<RequestId, Request>;
+  // Ordered by id, so a crash closes lookups in the order they began.
+  using Requests = std::map<RequestId, Request>;
 
   void try_next_indexer(RequestId id);
   // The path whose span was just ended produced `result`: a success

@@ -179,10 +179,10 @@ TEST(LruBlockStoreTest, InterleavedGetPutEvictsScanTrafficFirst) {
 }
 
 TEST(LruBlockStoreTest, ProtectedOverflowDemotesBackToProbation) {
-  // protected_share 0.4 of 10 bytes = 4: one 4-byte entry fits. Promoting
-  // a second hit entry demotes the first back to probation, where it is
-  // eviction-eligible again.
-  LruBlockStore cache(10, LruConfig{.protected_share = 0.4});
+  // The protected segment holds 80% of the capacity: 6 of 8 bytes, so one
+  // 4-byte entry fits. Promoting a second hit entry demotes the first
+  // back to probation, where it is eviction-eligible again.
+  LruBlockStore cache(8);
   const auto a = Block::from_data(Multicodec::kRaw, bytes_of("aaaa"));
   const auto b = Block::from_data(Multicodec::kRaw, bytes_of("bbbb"));
   const auto c = Block::from_data(Multicodec::kRaw, bytes_of("cccc"));
@@ -240,7 +240,7 @@ TEST(LruBlockStoreTest, TinyLfuRefusesColdCandidates) {
   // A hot resident must not be flushed by a one-hit wonder: the sketch
   // estimate of the candidate is below the victim's, so the put is
   // refused and counted as an admission rejection.
-  LruBlockStore cache(4, LruConfig{.tinylfu = true, .sketch_entries = 64});
+  LruBlockStore cache(4, LruConfig{.tinylfu = true});
   const auto hot = Block::from_data(Multicodec::kRaw, bytes_of("hot!"));
   const auto cold = Block::from_data(Multicodec::kRaw, bytes_of("cold"));
   ASSERT_TRUE(cache.put(hot.cid, hot.data));

@@ -266,5 +266,55 @@ TEST(RaceRouterTest, CrashAbandonsBothPathsAndClosesTheirSpans) {
   EXPECT_EQ(s.network().pending_request_count(), 0u);
 }
 
+TEST(RaceRouterTest, CrashWithTwoLookupsClosesThemInRequestOrder) {
+  scenario::Scenario s = make_swarm(40, 1);
+  const dht::Key first_key = test_key(11);
+  const dht::Key second_key = test_key(12);
+  for (const dht::Key& key : {first_key, second_key}) {
+    provide_via_dht(s, key);
+    advertise_and_ingest(s, key, s.ref(0));
+  }
+  const sim::Time before = s.simulator().now();
+  const metrics::Registry& metrics = s.network().metrics();
+  const std::size_t first_event = metrics.events().size();
+
+  ContentRouter router(s.dht(9).transport(), s.dht(9), s.routing_config());
+  bool fired = false;
+  router.find_providers(first_key, [&](FindResult) { fired = true; }, 0);
+  router.find_providers(second_key, [&](FindResult) { fired = true; }, 0);
+  router.handle_crash();
+
+  // Each lookup's race span is the parent of its indexer and dht spans.
+  std::vector<metrics::SpanId> races;
+  std::vector<const metrics::TraceEvent*> ends;
+  for (std::size_t i = first_event; i < metrics.events().size(); ++i) {
+    const metrics::TraceEvent& event = metrics.events()[i];
+    if (!event.name.starts_with("routing.find.")) continue;
+    if (event.kind == metrics::EventKind::kSpanBegin &&
+        event.name == "routing.find.race")
+      races.push_back(event.span);
+    if (event.kind == metrics::EventKind::kSpanEnd) ends.push_back(&event);
+  }
+  ASSERT_EQ(races.size(), 2u);
+  ASSERT_EQ(ends.size(), 6u);
+  // Race spans, then indexer spans, then dht spans; lookup #1 before #2
+  // within each group.
+  const char* const names[] = {"routing.find.race",    "routing.find.race",
+                               "routing.find.indexer", "routing.find.indexer",
+                               "routing.find.dht",     "routing.find.dht"};
+  for (std::size_t i = 0; i < ends.size(); ++i) {
+    EXPECT_EQ(ends[i]->name, names[i]) << i;
+    EXPECT_FALSE(ends[i]->ok) << i;
+    const metrics::SpanId lookup = i < 2 ? ends[i]->span : ends[i]->parent;
+    EXPECT_EQ(lookup, races[i % 2]) << i;
+  }
+
+  s.simulator().run();
+  EXPECT_FALSE(fired);
+  EXPECT_LT(s.simulator().now() - before, dht::kLookupDeadline);
+  EXPECT_EQ(s.simulator().foreground_pending(), 0u);
+  EXPECT_EQ(s.network().pending_request_count(), 0u);
+}
+
 }  // namespace
 }  // namespace ipfs::routing
