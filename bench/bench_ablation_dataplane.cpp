@@ -1,7 +1,7 @@
-// Ablation: the ISSUE 9 data plane (docs/BLOCKSTORE.md).
+// Ablation: the persistent data plane (docs/BLOCKSTORE.md).
 //
 // Four gated legs, each isolating one claim of the Bitswap 1.2.0 +
-// persistent-async-blockstore subsystem:
+// persistent-blockstore subsystem:
 //
 //   A. GB-scale DAG fetch: the same DAG walk (bitswap::Session) at 8
 //      providers must beat it at one (Bitswap::fetch_dag, a one-peer
@@ -9,12 +9,11 @@
 //   B. Loss tolerance: the same 8-peer session still completes with 5%
 //      message loss injected by a FaultPlan — dropped RPCs surface as
 //      timeouts, the session reroutes, content still verifies.
-//   C. Write-behind batching: AsyncBlockStore over PosixStorage must
-//      sustain >= 5x the put throughput of fsync-per-put on the same
-//      log-structured store (one group fsync per batch, wall-clock).
-//   D. Acked-put durability: a >= 300-seed crash sweep over the
-//      write-behind queue (every acked put readable after a seeded
-//      power cut).
+//   C. Group fsync: the log-structured store over PosixStorage, put
+//      all then one flush(), must sustain >= 5x the put throughput of
+//      fsync-per-put on the same store (wall-clock).
+//   D. Acked-put durability: a >= 300-seed crash sweep over the log
+//      (every acked put readable after a seeded power cut).
 //
 // The bench self-gates: any failed leg prints FAIL and exits nonzero.
 #include <chrono>
@@ -27,8 +26,7 @@
 #include <vector>
 
 #include "bitswap/session.h"
-#include "blockstore/persist/async_store.h"
-#include "blockstore/persist/storage.h"
+#include "blockstore/persist/persistent_store.h"
 #include "common.h"
 #include "merkledag/merkledag.h"
 #include "sim/faults.h"
@@ -60,9 +58,9 @@ double wall_seconds(std::chrono::steady_clock::time_point start) {
 
 int main() {
   bench::print_header(
-      "Ablation: Bitswap 1.2.0 data plane + persistent async blockstore",
+      "Ablation: Bitswap 1.2.0 data plane + persistent blockstore",
       "gates: 8-peer session >= 3x serial fetch; completes at 5% loss; "
-      "write-behind >= 5x fsync-per-put; 300-seed acked-crash sweep");
+      "group fsync >= 5x fsync-per-put; 300-seed acked-crash sweep");
 
   const char* artifact_env = std::getenv("IPFS_BENCH_ARTIFACT");
   const std::string artifact_path =
@@ -214,7 +212,7 @@ int main() {
            << lossy_seconds << ",\"retried_blocks\":" << lossy_retries
            << "}\n";
 
-  // --- Leg C: write-behind batching vs fsync-per-put (wall clock) ---------
+  // --- Leg C: group fsync vs fsync-per-put (wall clock) -------------------
   // Real disk, real fsync: PosixStorage in a scratch directory. The sim
   // clock does not model disk, so this leg times the host.
   namespace fs = std::filesystem;
@@ -244,55 +242,49 @@ int main() {
     }
     sync_seconds = wall_seconds(start);
   }
-  double async_seconds = 0.0;
+  double group_seconds = 0.0;
   {
-    persist::AsyncBlockStore store(
-        std::make_unique<persist::PersistentBlockStore>(
-            std::make_unique<persist::PosixStorage>(
-                (scratch / "async").string())));
+    persist::PersistentBlockStore store(
+        std::make_unique<persist::PosixStorage>((scratch / "group").string()));
     const auto start = std::chrono::steady_clock::now();
     for (const auto& block : blocks) store.put(block);
     store.flush();  // one group fsync acks the whole run
-    async_seconds = wall_seconds(start);
+    group_seconds = wall_seconds(start);
   }
   fs::remove_all(scratch);
 
-  const double put_ratio = sync_seconds / async_seconds;
+  const double put_ratio = sync_seconds / group_seconds;
   std::printf("\nleg C: %zu x %zu B puts on PosixStorage (wall clock)\n",
               put_count, block_bytes);
   std::printf("%-24s %10.3fs  (%.0f puts/s)\n", "  fsync-per-put",
               sync_seconds, put_count / sync_seconds);
-  std::printf("%-24s %10.3fs  (%.0f puts/s)\n", "  write-behind",
-              async_seconds, put_count / async_seconds);
+  std::printf("%-24s %10.3fs  (%.0f puts/s)\n", "  group fsync",
+              group_seconds, put_count / group_seconds);
   std::printf("%-24s %10.2fx  (gate: >= 5x)\n", "  throughput ratio",
               put_ratio);
   if (put_ratio < 5.0) {
-    std::printf("FAIL: write-behind ratio %.2fx below the 5x gate\n",
+    std::printf("FAIL: group fsync ratio %.2fx below the 5x gate\n",
                 put_ratio);
     pass = false;
   }
-  artifact << "{\"leg\":\"write_behind\",\"puts\":" << put_count
-           << ",\"sync_s\":" << sync_seconds << ",\"async_s\":"
-           << async_seconds << ",\"ratio\":" << put_ratio << "}\n";
+  artifact << "{\"leg\":\"group_fsync\",\"puts\":" << put_count
+           << ",\"sync_s\":" << sync_seconds << ",\"group_s\":"
+           << group_seconds << ",\"ratio\":" << put_ratio << "}\n";
 
   // --- Leg D: >= 300-seed acked-put crash sweep ---------------------------
-  // The async store's durability line, hammered: random interleavings of
-  // put / flush / crash over MemStorage; after every crash each block
-  // acked (flushed after its put) must still be readable.
+  // The log's durability line, hammered: random interleavings of put /
+  // flush / crash over MemStorage; after every crash each block acked
+  // (flushed after its put) must still be readable.
   const std::size_t sweep_seeds = 300;
   std::size_t sweep_crashes = 0;
   std::size_t sweep_acked_checked = 0;
   for (std::size_t s = 0; s < sweep_seeds; ++s) {
     sim::Rng rng(0xdacaf000ull + s);
-    persist::PersistConfig base_config;
-    base_config.segment_bytes = 8 * 1024;
-    base_config.crash_seed = 0xdacaf000ull + s;
-    persist::AsyncConfig async_config;
-    async_config.flush_batch_blocks = 1 + rng.uniform_int(0, 15);
-    persist::AsyncBlockStore store(
-        std::make_unique<persist::PersistentBlockStore>(
-            std::make_unique<persist::MemStorage>(), base_config),
-        async_config);
+    blockstore::StoreConfig config;
+    config.segment_bytes = 8 * 1024;
+    config.crash_seed = 0xdacaf000ull + s;
+    persist::PersistentBlockStore store(
+        std::make_unique<persist::MemStorage>(), config);
     std::vector<blockstore::Block> put_blocks;
     std::set<std::size_t> acked;      // durable: a flush completed after put
     std::set<std::size_t> unflushed;  // at risk until the next flush
@@ -313,7 +305,7 @@ int main() {
       } else {
         store.handle_crash();
         ++sweep_crashes;
-        unflushed.clear();  // never acked; legitimately lost
+        unflushed.clear();  // never acked; the cut may have taken them
         for (const std::size_t index : acked) {
           const auto data = store.get(put_blocks[index].cid);
           ++sweep_acked_checked;
@@ -335,7 +327,7 @@ int main() {
            << sweep_acked_checked << "}\n";
 
   artifact << "{\"summary\":{\"speedup\":" << speedup
-           << ",\"write_behind_ratio\":" << put_ratio
+           << ",\"group_fsync_ratio\":" << put_ratio
            << ",\"crash_seeds\":" << sweep_seeds
            << ",\"pass\":" << (pass ? "true" : "false") << "}}\n";
   std::printf("\nartifact: %s\n", artifact_path.c_str());

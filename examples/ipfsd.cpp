@@ -148,10 +148,10 @@ int main(int argc, char** argv) {
   config.identity_seed = opts.index;
   if (opts.store_dir.has_value()) {
     // Durable data plane (docs/BLOCKSTORE.md): the log-structured store
-    // on real files, behind the write-behind queue. A kill -9 loses at
-    // most the unflushed tail; acked publishes survive the restart.
-    config.store.backend =
-        ipfs::blockstore::StoreConfig::Backend::kPersistentAsync;
+    // on real files. A kill -9 loses nothing the process appended, since
+    // the kernel still holds the unsynced tail; only a power cut can
+    // take blocks that no flush acked.
+    config.store.backend = ipfs::blockstore::StoreConfig::Backend::kPersistent;
     config.store.directory = *opts.store_dir;
   }
   ipfs::node::IpfsNode node(transport, config);

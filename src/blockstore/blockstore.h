@@ -80,8 +80,8 @@ class BlockStore {
 
   // Durability barrier: returns once every previously accepted put is
   // crash-safe. The in-memory store has no crash safety to offer — a
-  // no-op here; the async persistent store drains its write-behind
-  // queue and fsyncs (persist/async_store.h).
+  // no-op here; the persistent store fsyncs every file appended to
+  // since its last flush (persist/persistent_store.h).
   virtual void flush() {}
 
   // Power-loss hook for the fault layer (sim/faults.h): persistent

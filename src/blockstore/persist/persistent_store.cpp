@@ -75,8 +75,9 @@ std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {
 }  // namespace
 
 PersistentBlockStore::PersistentBlockStore(std::unique_ptr<Storage> storage,
-                                           PersistConfig config)
-    : storage_(std::move(storage)), config_(config) {
+                                           const StoreConfig& config,
+                                           metrics::Registry* metrics)
+    : storage_(std::move(storage)), config_(config), metrics_(metrics) {
   open();
 }
 
@@ -87,7 +88,7 @@ std::string PersistentBlockStore::segment_name(std::uint32_t id) {
 }
 
 metrics::Counter* PersistentBlockStore::counter(const char* name) const {
-  return config_.metrics ? &config_.metrics->counter(name) : nullptr;
+  return metrics_ ? &metrics_->counter(name) : nullptr;
 }
 
 void PersistentBlockStore::append_record(const std::string& file,
@@ -312,6 +313,12 @@ void PersistentBlockStore::open() {
   // A truncated segment may be mid-range; never append into old files.
   current_segment_ = segments_.empty() ? 0 : *segments_.rbegin() + 1;
   current_bytes_ = 0;
+  // So no later flush() syncs the old segments, yet a later put of a
+  // block they hold (kAlreadyPresent), or a pin the journal already
+  // holds, counts on that flush all the same: recovery makes what it
+  // kept durable.
+  for (const std::uint32_t id : segments_) storage_->sync(segment_name(id));
+  storage_->sync(kPinJournal);
 
   if (auto* c = counter("blockstore.recover.blocks")) c->inc(index_.size());
   if (auto* c = counter("blockstore.recover.truncated_bytes"))

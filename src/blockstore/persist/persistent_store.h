@@ -1,5 +1,5 @@
 // Log-structured, content-addressed on-disk block store
-// (docs/BLOCKSTORE.md). The tentpole of ISSUE 9's storage half.
+// (docs/BLOCKSTORE.md), the one durable BlockStore backend.
 //
 // Layout: append-only segment files (`seg-00000000.log`, rolled at
 // `segment_bytes`) holding CRC-checked put/remove records, plus a
@@ -13,10 +13,12 @@
 // is truncated there (a torn final record is expected after power loss,
 // not fatal) and recovery continues with the next segment.
 //
-// Durability contract: appended records are crash-safe only after
-// flush() (fsync of the dirty files). The AsyncBlockStore front
-// (async_store.h) builds its write-behind/acked semantics on exactly
-// this line.
+// Durability contract ("acked"): a put is crash-safe once a flush()
+// (one fsync per dirty file) has completed after it. put() appends and
+// never syncs, so any number of puts share one group fsync. Records not
+// yet synced sit in the unsynced tail: a power cut keeps some prefix of
+// it, a process restart over real files keeps all of it, and recovery
+// syncs whatever it kept.
 #pragma once
 
 #include <cstdint>
@@ -29,26 +31,20 @@
 
 #include "blockstore/blockstore.h"
 #include "blockstore/persist/storage.h"
+#include "blockstore/store_config.h"
 #include "metrics/metrics.h"
 
 namespace ipfs::blockstore::persist {
-
-struct PersistConfig {
-  // Roll to a fresh segment file once the current one reaches this size.
-  std::uint64_t segment_bytes = 8 * 1024 * 1024;
-  // Seed for the simulated power-loss cut points (MemStorage backends);
-  // mixed with a per-crash counter so repeated crashes differ.
-  std::uint64_t crash_seed = 0;
-  // Counter sink (blockstore.* — docs/OBSERVABILITY.md); may be null.
-  metrics::Registry* metrics = nullptr;
-};
 
 class PersistentBlockStore : public BlockStore {
  public:
   // Opens (or creates) the store: scans the segment files and pin
   // journal, rebuilding the in-memory index. Torn tails are truncated.
-  PersistentBlockStore(std::unique_ptr<Storage> storage,
-                       PersistConfig config = {});
+  // Reads config.segment_bytes and config.crash_seed; `metrics` is the
+  // counter sink (blockstore.* — docs/OBSERVABILITY.md) and may be null.
+  explicit PersistentBlockStore(std::unique_ptr<Storage> storage,
+                                const StoreConfig& config = {},
+                                metrics::Registry* metrics = nullptr);
 
   PutStatus put(const Block& block) override;
   BlockData get(const Cid& cid) const override;
@@ -69,11 +65,13 @@ class PersistentBlockStore : public BlockStore {
   std::uint64_t total_bytes() const override { return total_bytes_; }
 
   // Group durability barrier: one sync per dirty file, however many
-  // records landed since the last flush.
+  // records landed since the last flush. Every put before it is acked
+  // once it returns.
   void flush() override;
 
-  // Power loss: un-synced tails are cut at a seeded point (MemStorage),
-  // then the store reopens from what survived.
+  // Power loss: un-synced tails are cut at a seeded point (MemStorage;
+  // PosixStorage keeps them, as a process restart does), then the store
+  // reopens from what survived.
   void handle_crash() override;
 
   // --- Introspection (tests, benches, docs/BLOCKSTORE.md) -----------------
@@ -110,7 +108,8 @@ class PersistentBlockStore : public BlockStore {
   void open();
 
   std::unique_ptr<Storage> storage_;
-  PersistConfig config_;
+  StoreConfig config_;
+  metrics::Registry* metrics_;
   std::map<Cid, Location> index_;
   std::set<Cid> pinned_;
   std::set<std::uint32_t> segments_;  // existing segment ids, ascending

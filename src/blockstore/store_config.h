@@ -17,24 +17,21 @@ namespace ipfs::blockstore {
 
 struct StoreConfig {
   enum class Backend {
-    kMemory,           // in-process std::map store (the seed behavior)
-    kPersistentAsync,  // log-structured store behind a write-behind
-                       // queue with batched group fsync
+    kMemory,      // in-process std::map store (the seed behavior)
+    kPersistent,  // log-structured store; flush() is one group fsync
   };
 
   Backend backend = Backend::kMemory;
 
-  // kPersistentAsync only. Empty directory => MemStorage (simulated
-  // files with power-loss semantics); non-empty => PosixStorage rooted
-  // there (what ipfsd --store-dir passes).
+  // kPersistent only. Empty directory => MemStorage (simulated files
+  // with power-loss semantics); non-empty => PosixStorage rooted there
+  // (what ipfsd --store-dir passes).
   std::string directory;
+  // Roll to a fresh segment file once the current one reaches this size.
   std::uint64_t segment_bytes = 8 * 1024 * 1024;
-  // Seed for simulated power-loss cut points (MemStorage only).
+  // Seed for the simulated power-loss cut points (MemStorage only);
+  // mixed with a per-crash counter so repeated crashes differ.
   std::uint64_t crash_seed = 0;
-
-  // The write-behind queue (persist/async_store.h).
-  std::size_t flush_batch_blocks = 64;
-  std::uint64_t queue_limit_bytes = 64 * 1024 * 1024;
   // Periodic flush cadence for the node's daemon timer; <= 0 disables.
   // Microseconds, kept sim-free so this header has no sim dependency.
   std::int64_t flush_interval_us = 0;

@@ -123,7 +123,7 @@ merkledag::ImportResult IpfsNode::add(std::span<const std::uint8_t> data) {
   auto result = merkledag::import_bytes(*store_, data);
   store_->pin(result.root);
   // Publication durability: an add() is the node acking the content, so
-  // the write-behind queue drains and fsyncs before we hand out the CID.
+  // the store fsyncs the new records before we hand out the CID.
   store_->flush();
   return result;
 }
@@ -474,9 +474,10 @@ void IpfsNode::handle_crash() {
   router_.handle_crash();
   dht_.handle_crash();
   bitswap_.handle_crash();
-  // Persistent backends drop their un-flushed tail and replay the log;
-  // the in-memory store keeps everything (base-class no-op). A crashed
-  // process's flush daemon dies with it — restart re-arms it.
+  // The persistent store may lose some of its un-flushed tail and
+  // replays the log; the in-memory store keeps everything (base-class
+  // no-op). A crashed process's flush daemon dies with it — restart
+  // re-arms it.
   flush_timer_.cancel();
   store_->handle_crash();
   if (pubsub_) pubsub_->handle_crash();

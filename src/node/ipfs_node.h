@@ -58,7 +58,7 @@ struct IpfsNodeConfig {
   std::size_t provider_quorum = 1;
   std::size_t bucket_diversity_cap = 0;
   // Block store backend (docs/BLOCKSTORE.md). Defaults to the in-memory
-  // store; kPersistentAsync puts the node's blocks in a log-structured
+  // store; kPersistent puts the node's blocks in a log-structured
   // store (on real files when `store.directory` is set, e.g. ipfsd
   // --store-dir) that survives handle_crash().
   blockstore::StoreConfig store;
@@ -269,7 +269,7 @@ class IpfsNode {
   std::unique_ptr<pubsub::Pubsub> pubsub_;
   std::unique_ptr<ipns::PubsubResolver> name_resolver_;
 
-  // Write-behind flush cadence (async persistent stores only).
+  // Periodic flush cadence (StoreConfig::flush_interval_us).
   void arm_flush_timer();
   transport::Timer flush_timer_;
 };

@@ -117,25 +117,23 @@ ScheduleParams make_schedule(std::uint64_t seed) {
   params.indexer_ingest_lag = sim::seconds(indexer_rng.uniform(1.0, 45.0));
   params.indexer_crashes = indexer_rng.chance(0.5);
 
+  // Persistent-store knobs: own fork, same bit-identical-replay rule.
+  sim::Rng persist_rng = sim::Rng(seed).fork("schedule-persist");
+  params.persist_stores = persist_rng.chance(0.5);
+
+  // Periodic flush cadence: own fork, appended after every earlier one
+  // (bit-identical historical replays). Half the persist schedules arm
+  // the daemon flush; on the rest only IpfsNode::add flushes, so puts
+  // stay in the unsynced tail until a publish.
+  sim::Rng flush_rng = sim::Rng(seed).fork("schedule-flush");
+  params.persist_flush_interval_us =
+      flush_rng.chance(0.5) ? flush_rng.uniform_int(50'000, 500'000) : 0;
+
   // Adversary knobs: own fork, appended after every earlier one. Every
   // draw happens unconditionally so the stream stays stable across knob
   // combinations; apply_attack_constraints then normalizes the result
   // (kNone switches the defenses off, keeping historical seeds
   // bit-identical to their pre-adversary schedules).
-  // Persistent-store knobs: own fork, same bit-identical-replay rule.
-  sim::Rng persist_rng = sim::Rng(seed).fork("schedule-persist");
-  params.persist_stores = persist_rng.chance(0.5);
-  params.persist_flush_batch =
-      static_cast<std::size_t>(persist_rng.uniform_int(1, 128));
-
-  // Write-behind drain cadence: own fork, appended after every earlier
-  // one (bit-identical historical replays). Half the persist schedules
-  // arm the periodic daemon flush; the rest rely on batch-size flushes
-  // alone so that path stays covered too.
-  sim::Rng flush_rng = sim::Rng(seed).fork("schedule-flush");
-  params.persist_flush_interval_us =
-      flush_rng.chance(0.5) ? flush_rng.uniform_int(50'000, 500'000) : 0;
-
   sim::Rng adversary_rng = sim::Rng(seed).fork("schedule-adversary");
   const bool attacked = adversary_rng.chance(0.4);
   const auto attack_draw = adversary_rng.uniform_int(1, 5);
@@ -254,7 +252,6 @@ std::string ScheduleParams::describe() const {
       << " indexer_ingest_lag_s=" << sim::to_seconds(indexer_ingest_lag)
       << " indexer_crashes=" << (indexer_crashes ? 1 : 0)
       << " persist_stores=" << (persist_stores ? 1 : 0)
-      << " persist_flush_batch=" << persist_flush_batch
       << " persist_flush_interval_us=" << persist_flush_interval_us
       << " attack=" << attack_name(attack)
       << " diversity_cap=" << diversity_cap
@@ -395,8 +392,7 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
     config.provider_quorum = params.provider_quorum;
     config.bucket_diversity_cap = params.diversity_cap;
     if (params.persist_stores) {
-      config.store.backend = blockstore::StoreConfig::Backend::kPersistentAsync;
-      config.store.flush_batch_blocks = params.persist_flush_batch;
+      config.store.backend = blockstore::StoreConfig::Backend::kPersistent;
       config.store.flush_interval_us = params.persist_flush_interval_us;
       // Small segments so crash replays walk several files, and a
       // per-node crash seed so each restart tears a different tail.
@@ -1233,7 +1229,7 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
   // (14) Acked-put durability: add() flushed the publisher's store
   // before the publish op was recorded as locally published, so the
   // object's blocks are acked — they must survive every crash/restart
-  // cycle (and, on persist schedules, every torn write-behind tail).
+  // cycle (and, on persist schedules, every torn unsynced tail).
   for (std::size_t oi = 0; oi < params.publish_count; ++oi) {
     const FuzzObject& object = objects[oi];
     if (!object.published_locally) continue;

@@ -60,8 +60,8 @@
 //      returning, so a locally published object is acked. Every acked
 //      object must still reassemble from its publisher's store at the end
 //      of the run — no matter how many crash/restart cycles the publisher
-//      went through, and (on persist_stores schedules) how much unsynced
-//      write-behind data each crash tore off the log.
+//      went through, and (on persist_stores schedules) how much of the
+//      log's unsynced tail each crash tore off.
 //
 // Any violation message embeds ScheduleParams::describe(), which includes
 // the seed and a one-command replay line.
@@ -123,15 +123,15 @@ struct ScheduleParams {
   bool long_horizon = false;
 
   // Persistent data plane (docs/BLOCKSTORE.md): when set, every
-  // population node runs the log-structured store behind the async
-  // write-behind queue (over in-memory Storage, so FaultPlan crashes
-  // exercise the drop-unsynced truncation + log-replay recovery path,
-  // invariant 14). Drawn from a dedicated "schedule-persist" fork, so
-  // persist-off seeds replay their pre-persist schedules bit-identically.
+  // population node runs the log-structured store (over in-memory
+  // Storage, so FaultPlan crashes exercise the drop-unsynced truncation
+  // + log-replay recovery path, invariant 14). Drawn from a dedicated
+  // "schedule-persist" fork, so persist-off seeds replay their
+  // pre-persist schedules bit-identically.
   bool persist_stores = false;
-  std::size_t persist_flush_batch = 64;
-  // Periodic write-behind drain cadence for the node daemon tick
-  // (StoreConfig::flush_interval_us); 0 leaves only batch-size flushes.
+  // Periodic flush cadence for the node daemon tick
+  // (StoreConfig::flush_interval_us); 0 leaves only the flush in
+  // IpfsNode::add.
   std::int64_t persist_flush_interval_us = 0;
 
   // Fault intensity in [0, 1]; the derived per-fault rates live in

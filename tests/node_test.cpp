@@ -2,7 +2,6 @@
 // publication/retrieval pipelines with their timing decompositions.
 #include <gtest/gtest.h>
 
-#include "blockstore/persist/async_store.h"
 #include "node/ipfs_node.h"
 #include "transport/sim_transport.h"
 #include "node/pinning_service.h"
@@ -357,45 +356,53 @@ TEST_F(IpfsNodeTest, PinningServicePinsExistingCid) {
 }
 
 // --------------------------------------------------------------------------
-// Write-behind flush daemon (StoreConfig::flush_interval_us)
+// Periodic flush daemon (StoreConfig::flush_interval_us)
 // --------------------------------------------------------------------------
 
-TEST(IpfsNodeStoreTest, FlushTimerDrainsWriteBehindQueueAcrossRestarts) {
-  // flush_interval_us arms a daemon tick that drains the async store's
-  // write-behind queue on a cadence, so queued blocks become durable even
-  // when puts never reach the batch threshold. The daemon must die with a
-  // crashed process and come back with the restart.
+TEST(IpfsNodeStoreTest, FlushTimerSyncsAcrossRestarts) {
+  // flush_interval_us arms a daemon tick that flushes the persistent
+  // store on a cadence, so puts become durable even when no add() acks
+  // them. The daemon must die with a crashed process and come back with
+  // the restart.
   testutil::TestSwarm swarm(20, /*seed=*/13);
   IpfsNodeConfig config;
   config.net.region = 0;
   config.identity_seed = 5;
-  config.store.backend = blockstore::StoreConfig::Backend::kPersistentAsync;
-  config.store.flush_batch_blocks = 1000;  // never drain by count
+  config.store.backend = blockstore::StoreConfig::Backend::kPersistent;
   config.store.flush_interval_us = 200'000;
   IpfsNode node(swarm.network(), config);
-  auto& store =
-      dynamic_cast<blockstore::persist::AsyncBlockStore&>(node.store());
+  blockstore::BlockStore& store = node.store();
+  const metrics::Counter& fsyncs =
+      swarm.network().metrics().counter("blockstore.fsync.count");
 
   sim::Rng rng(3);
   const auto put_one = [&] {
-    store.put(blockstore::Block::from_data(multiformats::Multicodec::kRaw,
-                                           random_bytes(256, rng.next())));
+    const auto block = blockstore::Block::from_data(
+        multiformats::Multicodec::kRaw, random_bytes(256, rng.next()));
+    store.put(block);
+    return block;
   };
-  for (int i = 0; i < 3; ++i) put_one();
-  ASSERT_EQ(store.queued_blocks(), 3u);
+  std::vector<blockstore::Block> blocks;
+  for (int i = 0; i < 3; ++i) blocks.push_back(put_one());
+  ASSERT_EQ(fsyncs.value(), 0u);
 
-  // One interval later the daemon tick has flushed (drain + fsync).
+  // One interval later the daemon tick has synced the segment, so the
+  // blocks survive a power cut.
   swarm.network().run_until(swarm.network().now() +
                             sim::microseconds(250'000));
-  EXPECT_EQ(store.queued_blocks(), 0u);
-  EXPECT_EQ(store.base().block_count(), 3u);
-
-  // A crashed process takes its flush daemon with it: nothing drains.
+  EXPECT_EQ(fsyncs.value(), 1u);
   node.handle_crash();
+  for (const auto& block : blocks) {
+    const auto data = store.get(block.cid);
+    ASSERT_TRUE(data != nullptr);
+    EXPECT_EQ(*data, *block.data);
+  }
+
+  // A crashed process takes its flush daemon with it: nothing syncs.
   put_one();
   swarm.network().run_until(swarm.network().now() +
                             sim::microseconds(600'000));
-  EXPECT_EQ(store.queued_blocks(), 1u);
+  EXPECT_EQ(fsyncs.value(), 1u);
 
   // Restart re-arms the cadence.
   std::vector<dht::PeerRef> seeds;
@@ -403,7 +410,7 @@ TEST(IpfsNodeStoreTest, FlushTimerDrainsWriteBehindQueueAcrossRestarts) {
   node.handle_restart(seeds, [](bool) {});
   swarm.network().run_until(swarm.network().now() +
                             sim::microseconds(250'000));
-  EXPECT_EQ(store.queued_blocks(), 0u);
+  EXPECT_EQ(fsyncs.value(), 2u);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Persistent block store tests (docs/BLOCKSTORE.md): log-structured
-// segments, pin-aware GC, torn-tail recovery, and the async write-behind
-// front's acked-put durability contract — including the >=300-seed
-// crash-during-flush sweep the data-plane PR gates on.
+// segments, pin-aware GC, torn-tail recovery, and the acked-put
+// durability contract — including the 300-seed crash-during-flush sweep
+// the data-plane bench also gates on.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <set>
+#include <string>
 
-#include "blockstore/persist/async_store.h"
 #include "blockstore/persist/persistent_store.h"
 #include "blockstore/store_config.h"
 #include "sim/rng.h"
@@ -26,7 +28,7 @@ Block make_block(std::size_t n, sim::Rng& rng) {
 }
 
 std::unique_ptr<PersistentBlockStore> make_persistent(
-    PersistConfig config = {}) {
+    const StoreConfig& config = {}) {
   return std::make_unique<PersistentBlockStore>(
       std::make_unique<MemStorage>(), config);
 }
@@ -69,7 +71,7 @@ TEST(PersistentStore, RemoveTombstoneSurvivesReopen) {
 }
 
 TEST(PersistentStore, PinnedBlocksSurviveCompaction) {
-  PersistConfig config;
+  StoreConfig config;
   config.segment_bytes = 4 * 1024;  // force several segments
   auto store = make_persistent(config);
   sim::Rng rng(4);
@@ -149,7 +151,7 @@ TEST(PersistentStore, TornFinalRecordIsTruncatedNotFatal) {
 }
 
 TEST(PersistentStore, CrashCutsUnsyncedTailOnly) {
-  PersistConfig config;
+  StoreConfig config;
   config.crash_seed = 99;
   auto store = make_persistent(config);
   sim::Rng rng(7);
@@ -173,90 +175,75 @@ TEST(PersistentStore, CrashCutsUnsyncedTailOnly) {
   }
 }
 
-TEST(AsyncStore, QueuesThenDrainsAtBatchSize) {
-  AsyncConfig config;
-  config.flush_batch_blocks = 4;
-  AsyncBlockStore store(make_persistent(), config);
-  sim::Rng rng(8);
-  std::vector<Block> blocks;
-  for (int i = 0; i < 3; ++i) blocks.push_back(make_block(100, rng));
-  for (const auto& block : blocks) store.put(block);
-  // Below the batch threshold: everything still queued, yet readable.
-  EXPECT_EQ(store.queued_blocks(), 3u);
-  EXPECT_EQ(store.base().block_count(), 0u);
-  for (const auto& block : blocks) EXPECT_TRUE(store.has(block.cid));
-
-  store.put(make_block(100, rng));  // 4th put trips the batch drain
-  EXPECT_EQ(store.queued_blocks(), 0u);
-  EXPECT_EQ(store.base().block_count(), 4u);
-}
-
-TEST(AsyncStore, BackpressureBoundsQueueBytes) {
-  AsyncConfig config;
-  config.flush_batch_blocks = 1000;     // never drain by count
-  config.queue_limit_bytes = 4 * 1024;  // drain by bytes instead
-  AsyncBlockStore store(make_persistent(), config);
-  sim::Rng rng(9);
-  for (int i = 0; i < 20; ++i) {
-    store.put(make_block(1024, rng));
-    EXPECT_LE(store.queued_bytes(), config.queue_limit_bytes);
+TEST(PersistentStore, BlockKeptByRecoveryIsAckedWhenPutAgain) {
+  // A put that finds its block already logged (kAlreadyPresent) is acked
+  // by the next flush() like any other. When the crash cut kept that
+  // block's unsynced record, recovery must make it durable: no later
+  // flush() syncs the old segment.
+  int kept = 0;
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    StoreConfig config;
+    config.crash_seed = seed;
+    auto store = make_persistent(config);
+    sim::Rng rng(seed);
+    // A 1-byte block keeps the record short, so the first cut keeps all
+    // of it for about one seed in 50.
+    const auto block = make_block(1, rng);
+    store->put(block);
+    store->handle_crash();
+    if (!store->has(block.cid)) continue;  // the cut took the record
+    ++kept;
+    EXPECT_EQ(store->put(block), PutStatus::kAlreadyPresent);
+    store->flush();
+    store->handle_crash();
+    EXPECT_TRUE(store->has(block.cid)) << "seed " << seed;
   }
-  EXPECT_EQ(store.block_count(), 20u);
+  EXPECT_GT(kept, 0);
 }
 
-TEST(AsyncStore, RemoveReachesQueuedAndDrainedBlocks) {
-  AsyncConfig config;
-  config.flush_batch_blocks = 1000;
-  AsyncBlockStore store(make_persistent(), config);
-  sim::Rng rng(10);
-  const auto queued = make_block(100, rng);
-  const auto drained = make_block(100, rng);
-  store.put(drained);
-  store.flush();
-  store.put(queued);
-  EXPECT_TRUE(store.remove(queued.cid));
-  EXPECT_TRUE(store.remove(drained.cid));
-  EXPECT_FALSE(store.has(queued.cid));
-  EXPECT_FALSE(store.has(drained.cid));
-  EXPECT_EQ(store.block_count(), 0u);
+TEST(PersistentStore, ProcessRestartKeepsUnflushedPuts) {
+  // Over real files handle_crash() is a process restart: the kernel
+  // still holds everything the store appended, so puts that no flush()
+  // acked survive it too.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("persist_restart_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  StoreConfig config;
+  config.backend = StoreConfig::Backend::kPersistent;
+  config.directory = dir.string();
+  {
+    const auto store = make_store(config, nullptr);
+    sim::Rng rng(13);
+    std::vector<Block> blocks;
+    for (int i = 0; i < 3; ++i) blocks.push_back(make_block(300, rng));
+    for (const auto& block : blocks)
+      EXPECT_EQ(store->put(block), PutStatus::kStored);
+
+    store->handle_crash();
+    EXPECT_EQ(store->block_count(), blocks.size());
+    for (const auto& block : blocks) {
+      const auto data = store->get(block.cid);
+      ASSERT_TRUE(data != nullptr);
+      EXPECT_EQ(*data, *block.data);
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
-TEST(AsyncStore, PinnedQueuedBlockSurvivesGc) {
-  AsyncConfig config;
-  config.flush_batch_blocks = 1000;
-  AsyncBlockStore store(make_persistent(), config);
-  sim::Rng rng(11);
-  const auto keep = make_block(100, rng);
-  const auto drop = make_block(100, rng);
-  store.put(keep);
-  store.put(drop);
-  store.pin(keep.cid);
-  // GC drains the queue first, so the pinned-but-queued block is judged
-  // by the base store and survives.
-  EXPECT_EQ(store.collect_garbage(), drop.data->size());
-  EXPECT_TRUE(store.has(keep.cid));
-  EXPECT_FALSE(store.has(drop.cid));
-}
-
-// The crash-during-flush sweep (invariant the async front is built for):
-// across 300 seeded schedules of interleaved puts/flushes/crashes, every
-// block whose put was followed by a completed flush — acked — must be
-// readable after every subsequent restart. Unacked blocks may survive or
-// vanish; either way the store must stay consistent.
-TEST(AsyncStore, AckedPutsSurviveCrashAcrossThreeHundredSeeds) {
+// The crash-during-flush sweep: across 300 seeded schedules of
+// interleaved puts/flushes/crashes, every block whose put was followed by
+// a completed flush — acked — must be readable after every subsequent
+// restart. Unacked blocks may survive or vanish; either way the store
+// must stay consistent.
+TEST(PersistentStore, AckedPutsSurviveCrashAcrossThreeHundredSeeds) {
   constexpr int kSeeds = 300;
   for (int seed = 0; seed < kSeeds; ++seed) {
     sim::Rng rng(0xACED0000 + static_cast<std::uint64_t>(seed));
-    PersistConfig persist_config;
-    persist_config.segment_bytes = 8 * 1024;
-    persist_config.crash_seed = rng.next();
-    AsyncConfig async_config;
-    async_config.flush_batch_blocks =
-        static_cast<std::size_t>(rng.uniform_int(1, 16));
-    AsyncBlockStore store(
-        std::make_unique<PersistentBlockStore>(
-            std::make_unique<MemStorage>(), persist_config),
-        async_config);
+    StoreConfig config;
+    config.segment_bytes = 8 * 1024;
+    config.crash_seed = rng.next();
+    PersistentBlockStore store(std::make_unique<MemStorage>(), config);
 
     std::vector<Block> all;
     std::set<std::size_t> acked;       // indices durable as of last flush
@@ -277,6 +264,12 @@ TEST(AsyncStore, AckedPutsSurviveCrashAcrossThreeHundredSeeds) {
         unflushed.clear();
       } else {
         store.handle_crash();
+        for (const std::size_t i : unflushed) {
+          if (!store.has(all[i].cid)) continue;  // the cut took it
+          const auto data = store.get(all[i].cid);
+          ASSERT_TRUE(data != nullptr) << "seed " << seed;
+          EXPECT_EQ(*data, *all[i].data) << "seed " << seed;
+        }
         unflushed.clear();  // the crash may have taken them
         for (const std::size_t i : acked) {
           const auto data = store.get(all[i].cid);
@@ -301,7 +294,7 @@ TEST(StoreConfigFactory, BuildsEveryBackend) {
   sim::Rng rng(12);
   const auto block = make_block(100, rng);
   for (const auto backend : {StoreConfig::Backend::kMemory,
-                             StoreConfig::Backend::kPersistentAsync}) {
+                             StoreConfig::Backend::kPersistent}) {
     StoreConfig config;
     config.backend = backend;
     const auto store = make_store(config, nullptr);
