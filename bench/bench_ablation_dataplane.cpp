@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -30,6 +31,7 @@
 #include "common.h"
 #include "merkledag/merkledag.h"
 #include "sim/faults.h"
+#include "transport/sim_transport.h"
 
 using namespace ipfs;
 
@@ -82,24 +84,27 @@ int main() {
   sim::Simulator& simulator = scenario.simulator();
   sim::Network& network = scenario.network();
 
-  const sim::NodeId requester_node = network.add_node(
-      sim::NodeConfig()
-          .with_region(world::kEuCentral)
-          .with_download(100.0 * 1024 * 1024));
+  transport::SimTransport requester_endpoint(
+      network, sim::NodeConfig()
+                   .with_region(world::kEuCentral)
+                   .with_download(100.0 * 1024 * 1024));
+  const sim::NodeId requester_node = requester_endpoint.local();
   sim::NodeId provider_nodes[kProviders];
   blockstore::BlockStore provider_stores[kProviders];
+  std::deque<transport::SimTransport> provider_endpoints;
   std::vector<std::unique_ptr<bitswap::Bitswap>> provider_bitswaps;
   const int provider_regions[] = {world::kEuCentral,   world::kUsEast,
                                   world::kAsiaEast,    world::kUsWest,
                                   world::kApSoutheast, world::kSaEast,
                                   world::kAfSouth,     world::kMeSouth};
   for (int i = 0; i < kProviders; ++i) {
-    provider_nodes[i] = network.add_node(
-        sim::NodeConfig()
-            .with_region(provider_regions[i])
-            .with_upload(4.0 * 1024 * 1024));
-    provider_bitswaps.push_back(std::make_unique<bitswap::Bitswap>(
-        network, provider_nodes[i], provider_stores[i]));
+    transport::SimTransport& endpoint = provider_endpoints.emplace_back(
+        network, sim::NodeConfig()
+                     .with_region(provider_regions[i])
+                     .with_upload(4.0 * 1024 * 1024));
+    provider_nodes[i] = endpoint.local();
+    provider_bitswaps.push_back(
+        std::make_unique<bitswap::Bitswap>(endpoint, provider_stores[i]));
     bitswap::Bitswap* bs = provider_bitswaps.back().get();
     network.set_request_handler(
         provider_nodes[i],
@@ -122,7 +127,7 @@ int main() {
   double serial_seconds = 0.0;
   {
     blockstore::BlockStore store;
-    bitswap::Bitswap requester(network, requester_node, store);
+    bitswap::Bitswap requester(requester_endpoint, store);
     bitswap::FetchStats stats;
     requester.fetch_dag(provider_nodes[0], root,
                         [&](bitswap::FetchStats s) { stats = s; });
@@ -138,7 +143,7 @@ int main() {
   double session_seconds = 0.0;
   {
     blockstore::BlockStore store;
-    bitswap::Bitswap requester(network, requester_node, store);
+    bitswap::Bitswap requester(requester_endpoint, store);
     bitswap::SessionConfig config;
     config.window = 8 * bitswap::Bitswap::kFetchWindow;
     bitswap::Session session(requester, config);
@@ -186,7 +191,7 @@ int main() {
     sim::FaultPlan plan(network, faults, bench::run_seed() ^ 0x105e);
     plan.arm();
     blockstore::BlockStore store;
-    bitswap::Bitswap requester(network, requester_node, store);
+    bitswap::Bitswap requester(requester_endpoint, store);
     bitswap::SessionConfig config;
     config.window = 8 * bitswap::Bitswap::kFetchWindow;
     config.max_peer_failures = 1ull << 32;  // lossy links, not dead peers

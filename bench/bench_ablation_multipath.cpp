@@ -7,10 +7,12 @@
 // aggregates their uplinks. This bench fetches objects of growing size
 // from 1, 2 and 4 providers.
 #include <cstdio>
+#include <deque>
 
 #include "bitswap/session.h"
 #include "common.h"
 #include "merkledag/merkledag.h"
+#include "transport/sim_transport.h"
 
 using namespace ipfs;
 
@@ -27,23 +29,26 @@ int main() {
   sim::Network& network = scenario.network();
 
   // A well-connected requester; home-grade providers (3 MiB/s up).
-  const sim::NodeId requester_node = network.add_node(
-      sim::NodeConfig()
-          .with_region(world::kEuCentral)
-          .with_download(100.0 * 1024 * 1024));
+  transport::SimTransport requester_endpoint(
+      network, sim::NodeConfig()
+                   .with_region(world::kEuCentral)
+                   .with_download(100.0 * 1024 * 1024));
+  const sim::NodeId requester_node = requester_endpoint.local();
   constexpr int kProviders = 4;
   sim::NodeId provider_nodes[kProviders];
   blockstore::BlockStore provider_stores[kProviders];
+  std::deque<transport::SimTransport> provider_endpoints;
   std::vector<std::unique_ptr<bitswap::Bitswap>> provider_bitswaps;
   const int provider_regions[] = {world::kEuCentral, world::kUsEast,
                                   world::kAsiaEast, world::kUsWest};
   for (int i = 0; i < kProviders; ++i) {
-    provider_nodes[i] = network.add_node(
-        sim::NodeConfig()
-            .with_region(provider_regions[i])
-            .with_upload(3.0 * 1024 * 1024));
-    provider_bitswaps.push_back(std::make_unique<bitswap::Bitswap>(
-        network, provider_nodes[i], provider_stores[i]));
+    transport::SimTransport& endpoint = provider_endpoints.emplace_back(
+        network, sim::NodeConfig()
+                     .with_region(provider_regions[i])
+                     .with_upload(3.0 * 1024 * 1024));
+    provider_nodes[i] = endpoint.local();
+    provider_bitswaps.push_back(
+        std::make_unique<bitswap::Bitswap>(endpoint, provider_stores[i]));
     bitswap::Bitswap* bs = provider_bitswaps.back().get();
     network.set_request_handler(
         provider_nodes[i],
@@ -69,7 +74,7 @@ int main() {
     const int provider_counts[3] = {1, 2, 4};
     for (int run = 0; run < 3; ++run) {
       blockstore::BlockStore store;
-      bitswap::Bitswap requester(network, requester_node, store);
+      bitswap::Bitswap requester(requester_endpoint, store);
       bitswap::Session session(requester);
       for (int i = 0; i < provider_counts[run]; ++i)
         session.add_peer(provider_nodes[i]);

@@ -1,7 +1,6 @@
 #include "bitswap/bitswap.h"
 
 #include "bitswap/session.h"
-#include "transport/sim_transport.h"
 
 namespace ipfs::bitswap {
 
@@ -14,17 +13,6 @@ constexpr std::size_t kBlockOverheadBytes = 64;
 Bitswap::Bitswap(transport::Transport& transport,
                  blockstore::BlockStore& store)
     : transport_(transport), node_(transport.local()), store_(store) {}
-
-Bitswap::Bitswap(std::unique_ptr<transport::Transport> transport,
-                 blockstore::BlockStore& store)
-    : Bitswap(*transport, store) {
-  owned_transport_ = std::move(transport);
-}
-
-Bitswap::Bitswap(sim::Network& network, sim::NodeId node,
-                 blockstore::BlockStore& store)
-    : Bitswap(std::make_unique<transport::SimTransport>(network, node),
-              store) {}
 
 bool Bitswap::handle_request(
     sim::NodeId from, const sim::MessagePtr& message,

@@ -94,11 +94,8 @@ struct BlockResult {
 
 class Bitswap {
  public:
+  // `transport` is the node's endpoint; it must outlive the engine.
   Bitswap(transport::Transport& transport, blockstore::BlockStore& store);
-  // Simulator convenience: wraps fabric node `node` in an owned
-  // SimTransport (harness/test construction path).
-  Bitswap(sim::Network& network, sim::NodeId node,
-          blockstore::BlockStore& store);
 
   // Protocol dispatch; returns false for non-Bitswap messages.
   bool handle_request(
@@ -154,13 +151,8 @@ class Bitswap {
   sim::NodeId self() const { return node_; }
 
  private:
-  Bitswap(std::unique_ptr<transport::Transport> transport,
-          blockstore::BlockStore& store);
-
   struct Discovery;
 
-  // Declared first so an owned backend outlives transport_ users.
-  std::unique_ptr<transport::Transport> owned_transport_;
   transport::Transport& transport_;
   sim::NodeId node_;
   blockstore::BlockStore& store_;

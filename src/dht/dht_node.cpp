@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "transport/sim_transport.h"
-
 namespace ipfs::dht {
 
 DhtNode::DhtNode(transport::Transport& transport, multiformats::PeerId id,
@@ -20,23 +18,6 @@ DhtNode::DhtNode(transport::Transport& transport, multiformats::PeerId id,
       records_(shared_store != nullptr ? shared_store : &own_records_) {
   schedule_expiry_sweep();
 }
-
-DhtNode::DhtNode(std::unique_ptr<transport::Transport> transport,
-                 multiformats::PeerId id,
-                 std::vector<multiformats::Multiaddr> addresses,
-                 RecordStore* shared_store, PeerDirectory* shared_directory)
-    : DhtNode(*transport, std::move(id), std::move(addresses), shared_store,
-              shared_directory) {
-  owned_transport_ = std::move(transport);
-}
-
-DhtNode::DhtNode(sim::Network& network, sim::NodeId node,
-                 multiformats::PeerId id,
-                 std::vector<multiformats::Multiaddr> addresses,
-                 RecordStore* shared_store, PeerDirectory* shared_directory)
-    : DhtNode(std::make_unique<transport::SimTransport>(network, node),
-              std::move(id), std::move(addresses), shared_store,
-              shared_directory) {}
 
 DhtNode::~DhtNode() {
   republish_timer_.cancel();
@@ -379,57 +360,30 @@ void DhtNode::store_provider_records(
     return;
   }
 
-  // Fire-and-forget ADD_PROVIDER to each target. Dials run through a
-  // bounded window (the libp2p dialer limits concurrent outbound dials),
-  // so a slow target stalls the tail of the batch — the mechanism behind
-  // Figure 9c's accumulation past the 5 s / 45 s timeouts. The batch is
-  // complete when every dial has either delivered the record or given up.
-  struct BatchState {
-    std::vector<PeerRef> queue;
-    std::size_t next = 0;
-    int in_flight = 0;
-  };
-  constexpr int kDialWindow = 20;
-  auto state = std::make_shared<BatchState>();
-  state->queue = std::move(targets);
-
-  auto pump = std::make_shared<std::function<void()>>();
-  // The stored function must not capture its own shared_ptr (that cycle
-  // would keep the batch state alive forever); the in-flight dial
-  // callbacks hold the strong references instead, so the batch is freed
-  // as soon as the last dial resolves — or is muted by a crash.
-  std::weak_ptr<std::function<void()>> weak_pump = pump;
-  *pump = [this, key, state, result, start, done, weak_pump] {
-    if (state->next >= state->queue.size() && state->in_flight == 0) {
-      result->elapsed = transport_.now() - start;
-      done(*result);
-      return;
-    }
-    while (state->next < state->queue.size() &&
-           state->in_flight < kDialWindow) {
-      const PeerRef peer = state->queue[state->next++];
-      ++state->in_flight;
-      transport_.connect(peer.node,
-                         [this, key, peer, state, result,
-                          pump = weak_pump.lock()](bool ok, sim::Duration) {
-                         --state->in_flight;
-                         if (ok) {
-                           auto add = std::make_shared<AddProviderRequest>();
-                           add->key = key;
-                           add->provider = self_;
-                           transport_.send(
-                               peer.node, std::move(add),
-                               kRequestBaseBytes + kPeerRefBytes);
-                           ++result->sent;
-                           transport_.metrics()
-                               .counter("dht.add_provider_sent")
-                               .inc();
-                         }
-                         (*pump)();
-                       });
-    }
-  };
-  (*pump)();
+  // Fire-and-forget ADD_PROVIDER to each target. Every dial starts at
+  // once (a batch holds at most k = 20 targets), and the batch is complete
+  // when every dial has either delivered the record or given up, so it
+  // lasts as long as its slowest dial: a target behind a dial timeout
+  // holds it for 5 s or 45 s (Figure 9c's tail).
+  auto remaining = std::make_shared<int>(result->attempted);
+  for (const PeerRef& peer : targets) {
+    transport_.connect(peer.node, [this, key, peer, result, remaining, start,
+                                   done](bool ok, sim::Duration) {
+      if (ok) {
+        auto add = std::make_shared<AddProviderRequest>();
+        add->key = key;
+        add->provider = self_;
+        transport_.send(peer.node, std::move(add),
+                        kRequestBaseBytes + kPeerRefBytes);
+        ++result->sent;
+        transport_.metrics().counter("dht.add_provider_sent").inc();
+      }
+      if (--*remaining == 0) {
+        result->elapsed = transport_.now() - start;
+        done(*result);
+      }
+    });
+  }
 }
 
 void DhtNode::provide(const Key& key, std::function<void(ProvideResult)> done) {
@@ -559,15 +513,6 @@ void DhtNode::put_value(const Key& key, ValueRecord record,
               });
         }
       });
-}
-
-void DhtNode::get_value(const Key& key,
-                        std::function<void(std::optional<ValueRecord>)> done) {
-  start_lookup(LookupType::kGetValue, key,
-               routing_table_.closest(key, kReplication),
-               [done = std::move(done)](LookupResult result) {
-                 done(result.value);
-               });
 }
 
 void DhtNode::get_values(const Key& key,

@@ -32,6 +32,7 @@ class DhtNode {
  public:
   enum class Mode { kClient, kServer };
 
+  // `transport` is the node's endpoint; it must outlive the node.
   // `shared_store`: optional external record store. Hydra boosters run
   // many DHT "heads" (distinct PeerIDs) over one common record database
   // so a record stored with any head is served by all of them.
@@ -40,13 +41,6 @@ class DhtNode {
   // is held once; it must outlive the node. Without one the node owns
   // its own.
   DhtNode(transport::Transport& transport, multiformats::PeerId id,
-          std::vector<multiformats::Multiaddr> addresses,
-          RecordStore* shared_store = nullptr,
-          PeerDirectory* shared_directory = nullptr);
-  // Simulator convenience: wraps fabric node `node` in an owned
-  // SimTransport. Harness code (scenario, world, tests) constructs DHT
-  // nodes this way; the protocol logic itself never names the fabric.
-  DhtNode(sim::Network& network, sim::NodeId node, multiformats::PeerId id,
           std::vector<multiformats::Multiaddr> addresses,
           RecordStore* shared_store = nullptr,
           PeerDirectory* shared_directory = nullptr);
@@ -106,9 +100,10 @@ class DhtNode {
   };
 
   // The fire-and-forget ADD_PROVIDER batch on its own: dials every target
-  // and pushes the record where the dial succeeds. Exposed separately so
-  // the node layer can run its connection manager between the walk and
-  // the batch (the sequence Figure 9a/9b/9c decomposes).
+  // at once and pushes the record where the dial succeeds; `elapsed` is
+  // the slowest dial's. Exposed separately so the node layer can run its
+  // connection manager between the walk and the batch (the sequence
+  // Figure 9a/9b/9c decomposes).
   void store_provider_records(const Key& key, std::vector<PeerRef> targets,
                               std::function<void(StoreBatchResult)> done);
 
@@ -149,12 +144,10 @@ class DhtNode {
 
   void put_value(const Key& key, ValueRecord record,
                  std::function<void(bool ok, int stored_on)> done);
-  void get_value(const Key& key,
-                 std::function<void(std::optional<ValueRecord>)> done);
-  // Quorum variant: every record the walk gathered (up to kValueQuorum),
-  // in discovery order. Callers resolve conflicts — e.g. ipns::resolve
-  // picks the highest *valid* sequence, which plain get_value cannot do
-  // because validity needs the application-level signature check.
+  // Every record the value walk gathered (up to kValueQuorum), in
+  // discovery order. Callers resolve conflicts — e.g. ipns::resolve picks
+  // the highest *valid* sequence, since validity needs the
+  // application-level signature check.
   void get_values(const Key& key,
                   std::function<void(std::vector<ValueRecord>)> done);
 
@@ -190,14 +183,6 @@ class DhtNode {
   transport::Transport& transport() { return transport_; }
 
  private:
-  // Bridge for the sim convenience constructor: the owned backend is
-  // parked in owned_transport_ after the primary constructor ran against
-  // the reference.
-  DhtNode(std::unique_ptr<transport::Transport> transport,
-          multiformats::PeerId id,
-          std::vector<multiformats::Multiaddr> addresses,
-          RecordStore* shared_store, PeerDirectory* shared_directory);
-
   const Lookup* start_lookup(LookupType type, const Key& target,
                              std::vector<PeerRef> seeds, Lookup::Callback cb,
                              std::optional<multiformats::PeerId> target_peer =
@@ -209,9 +194,6 @@ class DhtNode {
   void schedule_expiry_sweep();
   void answer_closer_peers(const Key& target, std::vector<PeerRef>& out) const;
 
-  // Declared first so an owned backend outlives every member that holds
-  // the transport_ reference; null when the transport is external.
-  std::unique_ptr<transport::Transport> owned_transport_;
   transport::Transport& transport_;
   PeerRef self_;
   Mode mode_ = Mode::kClient;

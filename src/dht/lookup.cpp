@@ -213,11 +213,7 @@ void Lookup::on_response(const Distance& distance, sim::RpcStatus status,
   } else if (kind == sim::MessageKind::kGetValueResponse) {
     const auto* value = static_cast<const GetValueResponse*>(message.get());
     closer = &value->closer;
-    if (value->record) {
-      result_.values.push_back(*value->record);
-      if (!result_.value || value->record->sequence > result_.value->sequence)
-        result_.value = value->record;
-    }
+    if (value->record) result_.values.push_back(*value->record);
   }
 
   if (closer != nullptr)

@@ -38,7 +38,6 @@ struct LookupResult {
   bool completed = false;  // false when the deadline cut the walk short
   std::vector<PeerRef> closest;            // responsive peers, closest first
   std::vector<ProviderRecord> providers;   // kGetProviders
-  std::optional<ValueRecord> value;        // kGetValue: highest sequence seen
   std::vector<ValueRecord> values;         // kGetValue: every record gathered
   std::optional<PeerRef> target_peer;      // kFindNode early match
   sim::Duration elapsed = 0;

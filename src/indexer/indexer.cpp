@@ -3,8 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "transport/sim_transport.h"
-
 namespace ipfs::indexer {
 
 Indexer::Indexer(transport::Transport& transport, IndexerConfig config)
@@ -23,16 +21,6 @@ Indexer::Indexer(transport::Transport& transport, IndexerConfig config)
           on_advertise(*static_cast<const AdvertiseMessage*>(message.get()));
       });
 }
-
-Indexer::Indexer(std::unique_ptr<transport::Transport> transport,
-                 IndexerConfig config)
-    : Indexer(*transport, std::move(config)) {
-  owned_transport_ = std::move(transport);
-}
-
-Indexer::Indexer(sim::Network& network, IndexerConfig config)
-    : Indexer(std::make_unique<transport::SimTransport>(network, config.net),
-              config) {}
 
 Indexer::~Indexer() { ingest_timer_.cancel(); }
 

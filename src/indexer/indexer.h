@@ -25,7 +25,8 @@
 namespace ipfs::indexer {
 
 struct IndexerConfig {
-  // Indexers are well-provisioned, dialable infrastructure nodes.
+  // Indexers are well-provisioned, dialable infrastructure nodes; World
+  // and Scenario add a simulated indexer's node with this config.
   sim::NodeConfig net = sim::NodeConfig{}.with_bandwidth(100.0 * 1024 * 1024,
                                                          100.0 * 1024 * 1024);
   // Delay between an advertisement arriving and its records becoming
@@ -48,11 +49,9 @@ struct IndexerConfig {
 
 class Indexer {
  public:
-  // Serves over an existing transport endpoint (installs its handlers).
+  // Serves over `transport`, the node's endpoint, and installs its
+  // handlers there; the endpoint must outlive the indexer.
   Indexer(transport::Transport& transport, IndexerConfig config);
-  // Simulator convenience: adds a fresh node (config.net) to the fabric
-  // and wraps it in an owned SimTransport.
-  Indexer(sim::Network& network, IndexerConfig config);
   ~Indexer();
 
   Indexer(const Indexer&) = delete;
@@ -82,9 +81,6 @@ class Indexer {
   std::uint64_t queries_served() const { return queries_served_; }
 
  private:
-  Indexer(std::unique_ptr<transport::Transport> transport,
-          IndexerConfig config);
-
   struct PendingAd {
     dht::Key key;
     dht::ProviderRecord record;
@@ -104,8 +100,6 @@ class Indexer {
   void arm_ingest_timer();
   void ingest_due();
 
-  // Declared first so an owned backend outlives transport_ users.
-  std::unique_ptr<transport::Transport> owned_transport_;
   transport::Transport& transport_;
   IndexerConfig config_;
   sim::NodeId node_ = sim::kInvalidNode;

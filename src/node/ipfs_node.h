@@ -117,8 +117,10 @@ class IpfsNode {
   // Primary constructor: runs over any transport backend (simulated or
   // real sockets — the daemon in examples/ipfsd.cpp uses the latter).
   IpfsNode(transport::Transport& transport, const IpfsNodeConfig& config);
-  // Simulator convenience: adds a fresh node (config.net) to the fabric
-  // and wraps it in an owned SimTransport.
+  // Simulator constructor: adds a fresh node (config.net) to the fabric
+  // and owns its SimTransport, the one endpoint every engine on the node
+  // shares. No other class makes its own endpoint; Gateway, the fuzz
+  // harness and the benchmark build whole simulated nodes this way.
   IpfsNode(sim::Network& network, const IpfsNodeConfig& config);
   ~IpfsNode();
 
@@ -207,7 +209,7 @@ class IpfsNode {
   static crypto::Ed25519KeyPair derive_keypair(std::uint64_t seed);
 
  private:
-  // Bridge for the sim convenience constructor: the owned backend is
+  // Bridge for the simulator constructor: the owned backend is
   // parked in owned_transport_ after the primary constructor ran against
   // the reference.
   IpfsNode(std::unique_ptr<transport::Transport> transport,

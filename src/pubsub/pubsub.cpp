@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "transport/sim_transport.h"
-
 namespace ipfs::pubsub {
 
 namespace {
@@ -57,16 +55,6 @@ Pubsub::Pubsub(transport::Transport& transport, PubsubConfig config)
   mcache_windows_.emplace_back();
   arm_heartbeat();
 }
-
-Pubsub::Pubsub(std::unique_ptr<transport::Transport> transport,
-               PubsubConfig config)
-    : Pubsub(*transport, config) {
-  owned_transport_ = std::move(transport);
-}
-
-Pubsub::Pubsub(sim::Network& network, sim::NodeId node, PubsubConfig config)
-    : Pubsub(std::make_unique<transport::SimTransport>(network, node),
-             config) {}
 
 Pubsub::~Pubsub() { heartbeat_timer_.cancel(); }
 

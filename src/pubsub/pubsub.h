@@ -147,10 +147,8 @@ class Pubsub {
  public:
   using DeliverFn = std::function<void(const PubsubMessage&)>;
 
+  // `transport` is the node's endpoint; it must outlive the engine.
   explicit Pubsub(transport::Transport& transport, PubsubConfig config = {});
-  // Simulator convenience: wraps fabric node `node` in an owned
-  // SimTransport (harness/test construction path).
-  Pubsub(sim::Network& network, sim::NodeId node, PubsubConfig config = {});
   ~Pubsub();
 
   Pubsub(const Pubsub&) = delete;
@@ -195,8 +193,6 @@ class Pubsub {
   std::uint64_t duplicates_suppressed() const { return duplicates_; }
 
  private:
-  Pubsub(std::unique_ptr<transport::Transport> transport, PubsubConfig config);
-
   struct TopicState {
     bool subscribed = false;
     DeliverFn deliver;
@@ -230,8 +226,6 @@ class Pubsub {
                                   std::size_t want);
   void arm_heartbeat();
 
-  // Declared first so an owned backend outlives transport_ users.
-  std::unique_ptr<transport::Transport> owned_transport_;
   transport::Transport& transport_;
   sim::NodeId node_;
   PubsubConfig config_;

@@ -149,14 +149,6 @@ ScenarioBuilder& ScenarioBuilder::hydra(std::size_t count, std::size_t heads) {
   return *this;
 }
 
-transport::Transport& Scenario::transport(std::size_t i) {
-  if (transports_.size() <= i) transports_.resize(nodes_.size());
-  if (!transports_[i])
-    transports_[i] =
-        std::make_unique<transport::SimTransport>(*network_, nodes_[i]);
-  return *transports_[i];
-}
-
 Scenario ScenarioBuilder::build() const {
   Scenario scenario;
   scenario.simulator_ = std::make_unique<sim::Simulator>();
@@ -178,7 +170,9 @@ Scenario ScenarioBuilder::build() const {
     sim::NodeConfig config;
     if (undialable_fraction_ && dial_rng.chance(*undialable_fraction_))
       config.dialable = false;
-    scenario.nodes_.push_back(scenario.network_->add_node(config));
+    scenario.endpoints_.push_back(
+        std::make_unique<transport::SimTransport>(*scenario.network_, config));
+    scenario.nodes_.push_back(scenario.endpoints_.back()->local());
   }
 
   if (dht_servers_) {
@@ -188,7 +182,7 @@ Scenario ScenarioBuilder::build() const {
     scenario.refs_.reserve(peers_);
     for (std::size_t i = 0; i < peers_; ++i) {
       auto dht = std::make_unique<dht::DhtNode>(
-          *scenario.network_, scenario.nodes_[i], synthetic_peer_id(i),
+          *scenario.endpoints_[i], synthetic_peer_id(i),
           std::vector<multiformats::Multiaddr>{
               synthetic_address(static_cast<std::uint32_t>(i))},
           /*shared_store=*/nullptr, scenario.directory_.get());
@@ -215,14 +209,14 @@ Scenario ScenarioBuilder::build() const {
     if (engine_config.seed == 0) engine_config.seed = seed_;
     scenario.pubsub_nodes_.reserve(peers_);
     for (std::size_t i = 0; i < peers_; ++i) {
-      scenario.pubsub_nodes_.push_back(std::make_unique<pubsub::Pubsub>(
-          *scenario.network_, scenario.nodes_[i], engine_config));
+      transport::Transport& endpoint = *scenario.endpoints_[i];
+      scenario.pubsub_nodes_.push_back(
+          std::make_unique<pubsub::Pubsub>(endpoint, engine_config));
       // Multiplex: DHT traffic first (when servers exist), gossip second.
       pubsub::Pubsub* engine = scenario.pubsub_nodes_.back().get();
       dht::DhtNode* dht =
           dht_servers_ ? scenario.dht_nodes_[i].get() : nullptr;
-      scenario.network_->set_message_handler(
-          scenario.nodes_[i],
+      endpoint.set_message_handler(
           [dht, engine](sim::NodeId from, const sim::MessagePtr& message) {
             if (dht != nullptr && dht->handle_message(from, message)) return;
             engine->handle_message(from, message);
@@ -248,8 +242,10 @@ Scenario ScenarioBuilder::build() const {
   // draw no randomness of their own.
   scenario.routing_.mode = routing::RoutingConfig::Mode::kRace;
   for (std::size_t i = 0; i < indexer_count_; ++i) {
+    scenario.endpoints_.push_back(std::make_unique<transport::SimTransport>(
+        *scenario.network_, indexer_config_.net));
     scenario.indexers_.push_back(std::make_unique<indexer::Indexer>(
-        *scenario.network_, indexer_config_));
+        *scenario.endpoints_.back(), indexer_config_));
     scenario.routing_.indexers.push_back(scenario.indexers_.back()->node());
   }
 

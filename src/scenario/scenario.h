@@ -17,9 +17,10 @@
 // Two build modes share the knob surface:
 //
 //  - build() assembles a Scenario: a bare fabric (Simulator + Latency +
-//    Network) plus `peers` nodes, optionally wrapped in DhtNode servers
-//    with routing tables pre-seeded from a random sample — the converged
-//    mini-swarm the protocol tests want.
+//    Network) plus `peers` nodes, each with the one transport endpoint
+//    that every engine on it shares, optionally wrapped in DhtNode
+//    servers with routing tables pre-seeded from a random sample — the
+//    converged mini-swarm the protocol tests want.
 //  - build_world() delegates to world::World: full geography, churn,
 //    NAT'ed population and Kademlia convergence — the paper-scale swarm
 //    the benches want. Swarm-only knobs (regions, dht_servers, ...)
@@ -71,11 +72,10 @@ class Scenario {
   const std::vector<sim::NodeId>& nodes() const { return nodes_; }
 
   dht::DhtNode& dht(std::size_t i) { return *dht_nodes_[i]; }
-  // A transport endpoint for peer i, created on first use (a SimTransport
-  // wrapper is pure delegation, so lazy creation perturbs nothing).
-  // Lets tests drive transport-facing APIs (routers, advertisements) on
-  // scenarios that skipped the DHT layer.
-  transport::Transport& transport(std::size_t i);
+  // Peer i's one transport endpoint: the DHT server and pubsub engine on
+  // the peer run over it, and tests drive transport-facing APIs (routers,
+  // advertisements) through it on scenarios that skipped those layers.
+  transport::Transport& transport(std::size_t i) { return *endpoints_[i]; }
   const dht::PeerRef& ref(std::size_t i) const { return refs_[i]; }
   const std::vector<dht::PeerRef>& refs() const { return refs_; }
 
@@ -110,9 +110,10 @@ class Scenario {
   std::unique_ptr<sim::LatencyModel> latency_;
   std::unique_ptr<sim::Network> network_;
   std::vector<sim::NodeId> nodes_;
-  // Lazily-populated per-peer endpoints for transport(i); index-aligned
-  // with nodes_ once created.
-  std::vector<std::unique_ptr<transport::SimTransport>> transports_;
+  // One endpoint per node, owned here and handed to every engine on the
+  // node: the peers' (index-aligned with nodes_), then the indexers'.
+  // Declared before the engines so it outlives them.
+  std::vector<std::unique_ptr<transport::SimTransport>> endpoints_;
   // Shared by every DHT server's routing table; null without servers.
   std::unique_ptr<dht::PeerDirectory> directory_;
   std::vector<std::unique_ptr<dht::DhtNode>> dht_nodes_;

@@ -1,9 +1,9 @@
 // Churn process: drives nodes through online/offline session cycles
-// (paper Section 5.3). Session lengths are drawn per node from pluggable
-// distributions, typically log-normal with a per-region median (Figure 8).
+// (paper Section 5.3). Each node's session and offline lengths are
+// log-normal around its own medians (Figure 8 gives the per-region
+// session medians).
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "sim/network.h"
@@ -13,27 +13,21 @@ namespace ipfs::sim {
 
 class ChurnProcess {
  public:
-  using DurationSampler = std::function<Duration(Rng&)>;
-  // Notified after the network state has been updated.
-  using Listener = std::function<void(NodeId, bool online)>;
-
   ChurnProcess(Network& network, std::uint64_t seed);
 
   // Puts `node` under churn management. The node starts in its current
   // network state; the first transition is scheduled from a uniformly
   // random point of the first session (stationary start).
-  void manage(NodeId node, DurationSampler session_length,
-              DurationSampler offline_length);
-
-  void add_listener(Listener listener);
+  void manage(NodeId node, double session_median_minutes,
+              double offline_median_minutes);
 
   std::uint64_t transitions() const { return transitions_; }
 
  private:
   struct Managed {
     NodeId node;
-    DurationSampler session_length;
-    DurationSampler offline_length;
+    double session_median_minutes;
+    double offline_median_minutes;
   };
 
   void schedule_next(std::size_t index, bool currently_online,
@@ -43,7 +37,6 @@ class ChurnProcess {
   Network& network_;
   Rng rng_;
   std::vector<Managed> managed_;
-  std::vector<Listener> listeners_;
   std::uint64_t transitions_ = 0;
 };
 

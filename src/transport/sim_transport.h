@@ -17,11 +17,6 @@ class SimTransport final : public Transport {
   SimTransport(sim::Network& network, const sim::NodeConfig& config)
       : network_(network), node_(network.add_node(config)) {}
 
-  // Harness escape hatch (crash/restart orchestration, fault plans).
-  // Only code under src/transport and the sim harness may name the
-  // fabric type; protocol subsystems stay on the Transport interface.
-  sim::Network& network() { return network_; }
-
   PeerAddr local() const override { return node_; }
   bool online() const override { return network_.online(node_); }
 

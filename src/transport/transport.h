@@ -4,6 +4,9 @@
 // Every protocol subsystem (dht, bitswap, pubsub, ipns, indexer, routing,
 // node, gateway) holds a Transport& and speaks only this interface: send a
 // message, issue a request, register handlers, read the clock, arm timers.
+// A node has one endpoint, shared by every engine on it and owned by the
+// code that adds the node: world::World and scenario::Scenario for the
+// nodes they build, node::IpfsNode's simulator constructor for its own.
 // Two backends implement it:
 //
 //   SimTransport    — thin adapter over sim::Network; pure delegation, so
@@ -24,8 +27,9 @@
 // signatures) are shared with the simulator so protocol structs need no
 // changes; the sim-only surface (sim::Network itself, NodeConfig, fault
 // injection, latency models) stays behind this interface and is only
-// named by harness code (scenario, world, benches) and by the backends
-// in this directory.
+// named by harness code (scenario, world, benches), by the backends in
+// this directory, and by the classes that build whole simulated nodes
+// (IpfsNode's simulator constructor, Gateway, GatewayFleet).
 #pragma once
 
 #include <cstddef>

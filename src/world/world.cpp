@@ -68,13 +68,14 @@ void World::build_nodes() {
       config.download_bytes_per_sec = rng_.uniform(4.0, 16.0) * 1024 * 1024;
     }
 
-    const sim::NodeId node = network_->add_node(config);
+    transport::SimTransport& endpoint =
+        endpoints_.emplace_back(*network_, config);
     std::vector<multiformats::Multiaddr> addresses;
     for (const auto& ip : peer.ips)
       addresses.push_back(multiformats::make_tcp_multiaddr(ip, 4001));
 
     auto dht = std::make_unique<dht::DhtNode>(
-        *network_, node, synthetic_peer_id(i), std::move(addresses),
+        endpoint, synthetic_peer_id(i), std::move(addresses),
         /*shared_store=*/nullptr, &directory_);
     dht->force_mode(dht::DhtNode::Mode::kServer);
     dht->attach_to_network();
@@ -83,9 +84,9 @@ void World::build_nodes() {
     // so every probe gets a prompt DONT_HAVE (real peers answer rather
     // than time out).
     dht::DhtNode* dht_raw = dht.get();
-    network_->set_request_handler(
-        node, [this, dht_raw](sim::NodeId from, const sim::MessagePtr& message,
-                              auto respond) {
+    endpoint.set_request_handler(
+        [dht_raw](sim::NodeId from, const sim::MessagePtr& message,
+                  auto respond) {
           if (dht_raw->handle_request(from, message, respond)) return;
           if (message->kind() == sim::MessageKind::kWantHaveRequest) {
             auto response = std::make_shared<bitswap::HaveResponse>();
@@ -118,11 +119,12 @@ void World::build_hydras() {
       config.dialable = true;
       config.upload_bytes_per_sec = 100.0 * 1024 * 1024;
       config.download_bytes_per_sec = 100.0 * 1024 * 1024;
-      const sim::NodeId node = network_->add_node(config);
+      transport::SimTransport& endpoint =
+          endpoints_.emplace_back(*network_, config);
       const std::uint64_t identity =
           0x48595200000000ULL + h * 4096 + head;  // 'HYR' prefix
       auto dht = std::make_unique<dht::DhtNode>(
-          *network_, node, synthetic_peer_id(identity),
+          endpoint, synthetic_peer_id(identity),
           std::vector<multiformats::Multiaddr>{
               multiformats::make_tcp_multiaddr("44.0.0.1", 4001)},
           shared, &directory_);
@@ -142,7 +144,8 @@ void World::build_indexers() {
     indexer::IndexerConfig config = config_.indexer;
     config.net.region = static_cast<int>(i % kRegionCount);
     config.net.dialable = true;
-    indexers_.push_back(std::make_unique<indexer::Indexer>(*network_, config));
+    indexers_.push_back(std::make_unique<indexer::Indexer>(
+        endpoints_.emplace_back(*network_, config.net), config));
   }
 }
 
@@ -322,22 +325,12 @@ void World::seed_routing_tables() {
 }
 
 void World::start_churn() {
-  constexpr double kSigma = 1.4;  // log-space spread of session lengths
   for (std::size_t i = 0; i < population_.peers.size(); ++i) {
     const PeerProfile& peer = population_.peers[i];
     if (peer.stable) continue;       // bootstrap/cloud peers stay up
     if (!peer.dialable) continue;    // permanently unreachable either way
-    const double session_median = peer.session_median_minutes;
-    const double offline_median = peer.offline_median_minutes;
-    churn_->manage(
-        dht_nodes_[i]->node(),
-        [session_median](sim::Rng& rng) {
-          return sim::minutes(rng.lognormal_median(session_median, kSigma));
-        },
-        [offline_median](sim::Rng& rng) {
-          return sim::minutes(
-              rng.lognormal_median(offline_median, kSigma * 0.7));
-        });
+    churn_->manage(dht_nodes_[i]->node(), peer.session_median_minutes,
+                   peer.offline_median_minutes);
   }
 }
 

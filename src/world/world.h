@@ -1,8 +1,13 @@
 // The assembled world: a simulated IPFS swarm with realistic geography,
 // churn, NAT'ed peers and pre-converged Kademlia routing tables. This is
 // the stand-in for the live public network the paper measures.
+//
+// The world adds every node (peer, hydra head, indexer) to the fabric
+// through one transport::SimTransport that it owns, and hands that one
+// endpoint to every engine on the node.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -12,6 +17,7 @@
 #include "sim/churn.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "transport/sim_transport.h"
 #include "world/population.h"
 
 namespace ipfs::world {
@@ -96,6 +102,10 @@ class World {
   sim::Simulator simulator_;
   sim::LatencyModel latency_;
   std::unique_ptr<sim::Network> network_;
+  // One endpoint per node, in node order. A deque, so an endpoint never
+  // moves once its engines hold it; declared before the engines so it
+  // outlives them.
+  std::deque<transport::SimTransport> endpoints_;
   Population population_;
   // Every DHT node's routing table points into this one directory.
   dht::PeerDirectory directory_;

@@ -30,8 +30,8 @@ class BitswapTest : public ::testing::Test {
         network_(scenario_.network()) {
     node_a_ = scenario_.node(0);
     node_b_ = scenario_.node(1);
-    bitswap_a_ = std::make_unique<Bitswap>(network_, node_a_, store_a_);
-    bitswap_b_ = std::make_unique<Bitswap>(network_, node_b_, store_b_);
+    bitswap_a_ = std::make_unique<Bitswap>(scenario_.transport(0), store_a_);
+    bitswap_b_ = std::make_unique<Bitswap>(scenario_.transport(1), store_b_);
     attach(node_a_, *bitswap_a_);
     attach(node_b_, *bitswap_b_);
     network_.connect(node_a_, node_b_, [](bool, sim::Duration) {});

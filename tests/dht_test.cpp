@@ -495,6 +495,28 @@ TEST(DhtSwarmTest, ProvideStoresRecordsOnClosestPeers) {
   EXPECT_EQ(holders, result.stores_sent);
 }
 
+TEST(DhtSwarmTest, ProvideBatchEndsWithItsSlowestDial) {
+  // Every dial of a provider-record batch starts at once, and the batch
+  // ends when the last one resolves: one undialable target holds it open
+  // for the whole dial timeout.
+  TestSwarm swarm(30);
+  const Key key = Key::hash_of(std::vector<std::uint8_t>{0x44});
+  std::vector<PeerRef> targets;
+  for (std::size_t i = 1; i <= kReplication; ++i)
+    targets.push_back(swarm.ref(i));
+  swarm.network().set_dialable(swarm.ref(7).node, false);
+
+  std::optional<DhtNode::StoreBatchResult> batch;
+  swarm.node(0).store_provider_records(
+      key, targets, [&](DhtNode::StoreBatchResult b) { batch = b; });
+  swarm.simulator().run();
+
+  ASSERT_TRUE(batch.has_value());
+  EXPECT_EQ(batch->attempted, 20);
+  EXPECT_EQ(batch->sent, 19);
+  EXPECT_GE(batch->elapsed, sim::dial_timeout(sim::Transport::kTcp));
+}
+
 TEST(DhtSwarmTest, FindProvidersDiscoversPublishedContent) {
   TestSwarm swarm(60);
   const Key key = Key::hash_of(std::vector<std::uint8_t>{1, 2, 3, 4});
@@ -654,14 +676,16 @@ TEST(DhtSwarmTest, PutAndGetValueRoundTrip) {
   ASSERT_TRUE(stored);
   EXPECT_GT(replicas, 10);
 
-  std::optional<ValueRecord> fetched;
-  swarm.node(30).get_value(key, [&](std::optional<ValueRecord> v) {
+  std::vector<ValueRecord> fetched;
+  swarm.node(30).get_values(key, [&](std::vector<ValueRecord> v) {
     fetched = std::move(v);
   });
   swarm.simulator().run();
-  ASSERT_TRUE(fetched.has_value());
-  EXPECT_EQ(fetched->value, record.value);
-  EXPECT_EQ(fetched->sequence, 3u);
+  ASSERT_FALSE(fetched.empty());
+  for (const ValueRecord& copy : fetched) {
+    EXPECT_EQ(copy.value, record.value);
+    EXPECT_EQ(copy.sequence, 3u);
+  }
 }
 
 TEST(DhtSwarmTest, ProviderRecordsExpireWithoutRepublish) {
@@ -703,9 +727,8 @@ TEST(DhtSwarmTest, RepublishKeepsRecordsAlive) {
 
 TEST(DhtBootstrapTest, DialablePeerUpgradesToServer) {
   TestSwarm swarm(40);
-  const sim::NodeId node = swarm.network().add_node({.region = 0});
-  DhtNode joiner(swarm.network(), node, synthetic_peer_id(1000),
-                 {synthetic_address(1000)});
+  transport::SimTransport endpoint(swarm.network(), {.region = 0});
+  DhtNode joiner(endpoint, synthetic_peer_id(1000), {synthetic_address(1000)});
   joiner.attach_to_network();
   EXPECT_EQ(joiner.mode(), DhtNode::Mode::kClient);
 
@@ -722,10 +745,9 @@ TEST(DhtBootstrapTest, DialablePeerUpgradesToServer) {
 
 TEST(DhtBootstrapTest, NatPeerStaysClient) {
   TestSwarm swarm(40);
-  const sim::NodeId node =
-      swarm.network().add_node({.region = 0, .dialable = false});
-  DhtNode joiner(swarm.network(), node, synthetic_peer_id(1001),
-                 {synthetic_address(1001)});
+  transport::SimTransport endpoint(swarm.network(),
+                                   {.region = 0, .dialable = false});
+  DhtNode joiner(endpoint, synthetic_peer_id(1001), {synthetic_address(1001)});
   joiner.attach_to_network();
 
   bool ok = false;
@@ -743,9 +765,8 @@ TEST(DhtBootstrapTest, AutonatThresholdIsMoreThanThree) {
   // newly joining peer, then the new peer upgrades... to act as a
   // server node." Exactly three successful dial-backs must NOT suffice.
   TestSwarm swarm(40);
-  const sim::NodeId node = swarm.network().add_node({.region = 0});
-  DhtNode joiner(swarm.network(), node, synthetic_peer_id(1003),
-                 {synthetic_address(1003)});
+  transport::SimTransport endpoint(swarm.network(), {.region = 0});
+  DhtNode joiner(endpoint, synthetic_peer_id(1003), {synthetic_address(1003)});
   joiner.attach_to_network();
 
   // Four seeds, one of which is stalled: its dial-back probe times out,
@@ -762,8 +783,8 @@ TEST(DhtBootstrapTest, AutonatThresholdIsMoreThanThree) {
   swarm.network().set_responsive(swarm.ref(3).node, true);
 
   // With a fourth confirming peer the same joiner upgrades.
-  const sim::NodeId node2 = swarm.network().add_node({.region = 0});
-  DhtNode joiner2(swarm.network(), node2, synthetic_peer_id(1004),
+  transport::SimTransport endpoint2(swarm.network(), {.region = 0});
+  DhtNode joiner2(endpoint2, synthetic_peer_id(1004),
                   {synthetic_address(1004)});
   joiner2.attach_to_network();
   joiner2.bootstrap(seeds, [](bool) {});
@@ -773,9 +794,8 @@ TEST(DhtBootstrapTest, AutonatThresholdIsMoreThanThree) {
 
 TEST(DhtBootstrapTest, BootstrapFailsWithNoSeeds) {
   TestSwarm swarm(5);
-  const sim::NodeId node = swarm.network().add_node({.region = 0});
-  DhtNode joiner(swarm.network(), node, synthetic_peer_id(1002),
-                 {synthetic_address(1002)});
+  transport::SimTransport endpoint(swarm.network(), {.region = 0});
+  DhtNode joiner(endpoint, synthetic_peer_id(1002), {synthetic_address(1002)});
   bool called = false, ok = true;
   joiner.bootstrap({}, [&](bool success) {
     called = true;

@@ -6,6 +6,7 @@
 #include "merkledag/merkledag.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "transport/sim_transport.h"
 
 namespace ipfs::bitswap {
 namespace {
@@ -21,15 +22,22 @@ class SessionTest : public ::testing::Test {
  protected:
   static constexpr int kProviders = 3;
 
-  SessionTest() : latency_({{15.0}}, 1.0, 1.0), network_(sim_, latency_, 7) {
-    requester_node_ = network_.add_node(
-        {.region = 0, .download_bytes_per_sec = 50.0 * 1024 * 1024});
-    requester_ = std::make_unique<Bitswap>(network_, requester_node_,
+  SessionTest()
+      : latency_({{15.0}}, 1.0, 1.0),
+        network_(sim_, latency_, 7),
+        requester_endpoint_(
+            network_,
+            {.region = 0, .download_bytes_per_sec = 50.0 * 1024 * 1024}) {
+    requester_node_ = requester_endpoint_.local();
+    requester_ = std::make_unique<Bitswap>(requester_endpoint_,
                                            requester_store_);
     for (int i = 0; i < kProviders; ++i) {
-      provider_nodes_[i] = network_.add_node(
-          {.region = 0, .upload_bytes_per_sec = 2.0 * 1024 * 1024});
-      providers_[i] = std::make_unique<Bitswap>(network_, provider_nodes_[i],
+      provider_endpoints_[i] = std::make_unique<transport::SimTransport>(
+          network_,
+          sim::NodeConfig{.region = 0,
+                          .upload_bytes_per_sec = 2.0 * 1024 * 1024});
+      provider_nodes_[i] = provider_endpoints_[i]->local();
+      providers_[i] = std::make_unique<Bitswap>(*provider_endpoints_[i],
                                                 provider_stores_[i]);
       Bitswap* bitswap = providers_[i].get();
       network_.set_request_handler(
@@ -56,6 +64,8 @@ class SessionTest : public ::testing::Test {
   sim::Simulator sim_;
   sim::LatencyModel latency_;
   sim::Network network_;
+  transport::SimTransport requester_endpoint_;
+  std::unique_ptr<transport::SimTransport> provider_endpoints_[kProviders];
   blockstore::BlockStore requester_store_;
   blockstore::BlockStore provider_stores_[kProviders];
   sim::NodeId requester_node_ = 0;
@@ -92,7 +102,7 @@ TEST_F(SessionTest, MultiPathBeatsSinglePath) {
   // Single-path fetch.
   FetchStats single;
   blockstore::BlockStore single_store;
-  Bitswap single_bitswap(network_, requester_node_, single_store);
+  Bitswap single_bitswap(requester_endpoint_, single_store);
   single_bitswap.fetch_dag(provider_nodes_[0], root,
                            [&](FetchStats s) { single = s; });
   sim_.run();
@@ -100,7 +110,7 @@ TEST_F(SessionTest, MultiPathBeatsSinglePath) {
 
   // Session fetch over three providers (fresh store so nothing is local).
   blockstore::BlockStore session_store;
-  Bitswap session_bitswap(network_, requester_node_, session_store);
+  Bitswap session_bitswap(requester_endpoint_, session_store);
   Session session(session_bitswap);
   for (int i = 0; i < 3; ++i) session.add_peer(provider_nodes_[i]);
   SessionFetchStats multi;

@@ -750,18 +750,18 @@ TEST(ChurnTest, NodesCycleThroughSessions) {
   ChurnProcess churn(net, 3);
 
   const NodeId node = net.add_node({.region = 0});
-  int online_events = 0, offline_events = 0;
-  churn.add_listener([&](NodeId, bool online) {
-    if (online)
-      ++online_events;
-    else
-      ++offline_events;
-  });
-  churn.manage(
-      node, [](Rng& rng) { return seconds(rng.uniform(50, 100)); },
-      [](Rng& rng) { return seconds(rng.uniform(50, 100)); });
+  churn.manage(node, /*session_median_minutes=*/1.5,
+               /*offline_median_minutes=*/1.5);
 
-  sim.run_until(hours(1));
+  // Sample the node's state every second and count the flips.
+  int online_events = 0, offline_events = 0;
+  bool online = net.online(node);
+  for (Time t = seconds(1); t <= hours(1); t += seconds(1)) {
+    sim.run_until(t);
+    if (net.online(node) == online) continue;
+    online = !online;
+    ++(online ? online_events : offline_events);
+  }
   EXPECT_GT(online_events, 5);
   EXPECT_GT(offline_events, 5);
   EXPECT_GT(churn.transitions(), 10u);
