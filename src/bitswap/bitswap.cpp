@@ -23,9 +23,12 @@ bool Bitswap::handle_request(
       const auto* want_have =
           static_cast<const WantHaveRequest*>(message.get());
       metrics.counter("bitswap.want_have.rx").inc();
+      if (!store_.has(want_have->cid)) {
+        metrics.counter("bitswap.dont_have.tx").inc();
+        return answer_holding_nothing(message, respond);
+      }
       auto response = std::make_shared<HaveResponse>();
-      response->have = store_.has(want_have->cid);
-      if (!response->have) metrics.counter("bitswap.dont_have.tx").inc();
+      response->have = true;
       respond(std::move(response), kHaveMessageBytes);
       return true;
     }
@@ -33,23 +36,43 @@ bool Bitswap::handle_request(
       const auto* want_block =
           static_cast<const WantBlockRequest*>(message.get());
       metrics.counter("bitswap.want_block.rx").inc();
+      BlockData data = store_.get(want_block->cid);
+      if (!data) {
+        if (want_block->send_dont_have)
+          metrics.counter("bitswap.dont_have.tx").inc();
+        return answer_holding_nothing(message, respond);
+      }
+      Ledger& ledger = ledgers_[from];
+      ledger.bytes_sent += data->size();
+      ++ledger.blocks_sent;
+      metrics.counter("bitswap.blocks_sent").inc();
+      metrics.counter("bitswap.bytes_sent").inc(data->size());
+      const std::size_t size = kBlockOverheadBytes + data->size();
       auto response = std::make_shared<BlockResponse>();
       response->cid = want_block->cid;
-      response->data = store_.get(want_block->cid);
-      std::size_t size = kBlockOverheadBytes;
-      if (response->data) {
-        size += response->data->size();
-        Ledger& ledger = ledgers_[from];
-        ledger.bytes_sent += response->data->size();
-        ++ledger.blocks_sent;
-        metrics.counter("bitswap.blocks_sent").inc();
-        metrics.counter("bitswap.bytes_sent").inc(response->data->size());
-      } else {
-        response->dont_have = want_block->send_dont_have;
-        if (response->dont_have)
-          metrics.counter("bitswap.dont_have.tx").inc();
-      }
+      response->data = std::move(data);
       respond(std::move(response), size);
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+bool Bitswap::answer_holding_nothing(
+    const sim::MessagePtr& message,
+    const std::function<void(sim::MessagePtr, std::size_t)>& respond) {
+  switch (message->kind()) {
+    case sim::MessageKind::kWantHaveRequest:
+      respond(std::make_shared<HaveResponse>(), kHaveMessageBytes);
+      return true;
+    case sim::MessageKind::kWantBlockRequest: {
+      const auto* want_block =
+          static_cast<const WantBlockRequest*>(message.get());
+      auto response = std::make_shared<BlockResponse>();
+      response->cid = want_block->cid;
+      response->dont_have = want_block->send_dont_have;
+      respond(std::move(response), kBlockOverheadBytes);
       return true;
     }
     default:

@@ -102,6 +102,14 @@ class Bitswap {
       sim::NodeId from, const sim::MessagePtr& message,
       const std::function<void(sim::MessagePtr, std::size_t)>& respond);
 
+  // Answers a WANT_HAVE or WANT_BLOCK as a node holding nothing would:
+  // DONT_HAVE, or an empty block (DONT_HAVE when asked for one). Touches
+  // no ledger and no counter, so peers without an engine (World's
+  // population) answer with it too. Returns false for other messages.
+  static bool answer_holding_nothing(
+      const sim::MessagePtr& message,
+      const std::function<void(sim::MessagePtr, std::size_t)>& respond);
+
   // Opportunistic discovery: WANT_HAVE to all connected peers; reports the
   // first peer answering HAVE, or nullopt after kDiscoveryTimeout. Fires
   // exactly once. With no connected peers it reports failure immediately.

@@ -67,10 +67,7 @@ void GatewayFleet::handle_get(const Cid& cid,
                               std::function<void(GatewayResponse)> done) {
   metrics::Registry& metrics = network_.metrics();
   metrics.counter("gateway.fleet.requests").inc();
-  const std::uint64_t key = blockstore::cid_hash64(cid);
-  const auto picked = ring_.pick(
-      key, [this](std::size_t replica) { return inflight_[replica]; },
-      total_inflight_);
+  const auto picked = route(cid);
   if (!picked) {
     // No routable replica (all drained): typed failure, nothing served.
     GatewayResponse response;
@@ -80,7 +77,8 @@ void GatewayFleet::handle_get(const Cid& cid,
     return;
   }
   const std::size_t replica = *picked;
-  if (const auto owner = ring_.owner(key); owner && *owner != replica) {
+  if (const auto owner = ring_.owner(blockstore::cid_hash64(cid));
+      owner && *owner != replica) {
     ++routed_spills_;
     metrics.counter("gateway.fleet.spills").inc();
   }

@@ -41,29 +41,13 @@ const char* tier_name(ServedFrom source) {
 
 }  // namespace
 
-TierStats& Gateway::stats_for(ServedFrom source) {
-  switch (source) {
-    case ServedFrom::kNginxCache:
-      return nginx_stats_;
-    case ServedFrom::kNodeStore:
-      return node_store_stats_;
-    case ServedFrom::kOriginCache:
-      return origin_stats_;
-    case ServedFrom::kP2p:
-      return p2p_stats_;
-    case ServedFrom::kFailed:
-      return failed_stats_;
-  }
-  return failed_stats_;
-}
-
 const TierStats& Gateway::stats(ServedFrom source) const {
-  return const_cast<Gateway*>(this)->stats_for(source);
+  return tier_stats_[static_cast<std::size_t>(source)];
 }
 
 void Gateway::account(const Cid& cid, const GatewayResponse& response) {
   ++total_requests_;
-  TierStats& tier = stats_for(response.source);
+  TierStats& tier = tier_stats_[static_cast<std::size_t>(response.source)];
   ++tier.requests;
   tier.bytes += response.bytes;
 
@@ -99,60 +83,63 @@ void Gateway::handle_get(const Cid& cid,
   serve(cid, /*account_tier=*/true, std::move(done));
 }
 
+void Gateway::reply(const Cid& cid, bool account_tier,
+                    const GatewayResponse& response,
+                    std::function<void(GatewayResponse)> done) {
+  if (account_tier) account(cid, response);
+  transport_.schedule_after(
+      response.latency, [response, done = std::move(done)] { done(response); });
+}
+
+void Gateway::drop_transient(const Cid& root) {
+  if (node_.store().pinned(root)) return;
+  if (const auto cids = merkledag::enumerate(node_.store(), root)) {
+    for (const auto& cid : *cids) node_.store().remove(cid);
+  }
+}
+
 void Gateway::serve(const Cid& cid, bool account_tier,
                     std::function<void(GatewayResponse)> done) {
   // Tier 1: nginx-style edge cache. The hit hands back the shared
   // payload — O(1), no copy of the object bytes.
   if (const auto cached = nginx_cache_.get(cid)) {
-    GatewayResponse response;
-    response.source = ServedFrom::kNginxCache;
-    response.latency = kNginxHitLatency;
-    response.bytes = cached->size();
-    if (account_tier) account(cid, response);
-    transport_.schedule_after(
-        response.latency, [response, done = std::move(done)] {
-          done(response);
-        });
+    reply(cid, account_tier,
+          {.source = ServedFrom::kNginxCache,
+           .latency = kNginxHitLatency,
+           .bytes = cached->size()},
+          std::move(done));
     return;
   }
 
   // Tier 2: the co-located IPFS node's store (pinned content).
   if (auto local = merkledag::cat(node_.store(), cid)) {
-    GatewayResponse response;
-    response.source = ServedFrom::kNodeStore;
-    response.bytes = local->size();
-    response.latency = kNodeStoreBaseLatency +
-                       sim::seconds(static_cast<double>(local->size()) /
-                                    kNodeStoreBytesPerSec);
-    if (account_tier) account(cid, response);
+    const GatewayResponse response{
+        .source = ServedFrom::kNodeStore,
+        .latency = kNodeStoreBaseLatency +
+                   sim::seconds(static_cast<double>(local->size()) /
+                                kNodeStoreBytesPerSec),
+        .bytes = local->size()};
     auto shared = std::make_shared<const std::vector<std::uint8_t>>(
         std::move(*local));
     nginx_cache_.put(cid, shared);
     // Write through to the shared origin so spilled requests for this
     // replica's pinned partition stay inside the fleet.
     if (config_.origin) config_.origin->put(cid, shared);
-    transport_.schedule_after(
-        response.latency, [response, done = std::move(done)] {
-          done(response);
-        });
+    reply(cid, account_tier, response, std::move(done));
     return;
   }
 
   // Tier 3: the fleet's shared origin cache (replicas only).
   if (config_.origin) {
     if (const auto shared = config_.origin->get(cid)) {
-      GatewayResponse response;
-      response.source = ServedFrom::kOriginCache;
-      response.bytes = shared->size();
-      response.latency = kOriginHitLatency +
-                         sim::seconds(static_cast<double>(shared->size()) /
-                                      kOriginBytesPerSec);
-      if (account_tier) account(cid, response);
       nginx_cache_.put(cid, shared);  // aliases the origin's payload
-      transport_.schedule_after(
-          response.latency, [response, done = std::move(done)] {
-            done(response);
-          });
+      reply(cid, account_tier,
+            {.source = ServedFrom::kOriginCache,
+             .latency = kOriginHitLatency +
+                        sim::seconds(static_cast<double>(shared->size()) /
+                                     kOriginBytesPerSec),
+             .bytes = shared->size()},
+            std::move(done));
       return;
     }
   }
@@ -165,14 +152,9 @@ void Gateway::serve(const Cid& cid, bool account_tier,
     if (transport_.now() < negative->second) {
       ++negative_hits_;
       transport_.metrics().counter("gateway.negative.hits").inc();
-      GatewayResponse response;
-      response.source = ServedFrom::kFailed;
-      response.latency = kNginxHitLatency;
-      if (account_tier) account(cid, response);
-      transport_.schedule_after(
-          response.latency, [response, done = std::move(done)] {
-            done(response);
-          });
+      reply(cid, account_tier,
+            {.source = ServedFrom::kFailed, .latency = kNginxHitLatency},
+            std::move(done));
       return;
     }
     negative_until_.erase(negative);  // expired: retry the full path
@@ -220,13 +202,7 @@ void Gateway::serve(const Cid& cid, bool account_tier,
             std::move(*bytes));
         nginx_cache_.put(cid, shared);
         if (config_.origin) config_.origin->put(cid, shared);
-        // The bridge node keeps fetched blocks only transiently; drop them
-        // so the node store tier stays the pinned-content tier.
-        if (!node_.store().pinned(cid)) {
-          if (const auto cids = merkledag::enumerate(node_.store(), cid)) {
-            for (const auto& block_cid : *cids) node_.store().remove(block_cid);
-          }
-        }
+        drop_transient(cid);
       }
     }
     for (auto& waiter : waiters) {
@@ -300,13 +276,7 @@ void Gateway::handle_get_path(const Cid& root, const std::string& path,
               response.routing_source = trace.routing_source;
             }
             response.latency += trace.total;
-            // Transient blocks are dropped as in handle_get's P2P path.
-            if (!node_.store().pinned(root)) {
-              if (const auto cids =
-                      merkledag::enumerate(node_.store(), root)) {
-                for (const auto& cid : *cids) node_.store().remove(cid);
-              }
-            }
+            drop_transient(root);
             account(root, response);
             done(response);
           });

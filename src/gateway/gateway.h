@@ -11,6 +11,7 @@
 // when the gateway runs as a GatewayFleet replica (docs/GATEWAY.md).
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -130,7 +131,16 @@ class Gateway {
   // The single accounting point: tier stats + total + metrics registry.
   void account(const Cid& cid, const GatewayResponse& response);
 
-  TierStats& stats_for(ServedFrom source);
+  // A cached tier's answer: accounted now when `account_tier` is set,
+  // delivered after the tier's latency.
+  void reply(const Cid& cid, bool account_tier,
+             const GatewayResponse& response,
+             std::function<void(GatewayResponse)> done);
+
+  // The bridge node keeps fetched blocks only transiently: drops the
+  // DAG below an unpinned `root` so the node store tier stays the
+  // pinned-content tier.
+  void drop_transient(const Cid& root);
 
   // One queued tier-P2P request. Each waiter observes its own latency
   // (completion minus its arrival) and is accounted individually; only
@@ -147,11 +157,9 @@ class Gateway {
   // initialized from node_.transport()).
   transport::Transport& transport_;
   blockstore::LruBlockStore nginx_cache_;  // whole objects by root CID
-  TierStats nginx_stats_;
-  TierStats node_store_stats_;
-  TierStats origin_stats_;
-  TierStats p2p_stats_;
-  TierStats failed_stats_;
+  // Indexed by ServedFrom.
+  std::array<TierStats, static_cast<std::size_t>(ServedFrom::kFailed) + 1>
+      tier_stats_;
   std::uint64_t total_requests_ = 0;
   std::uint64_t coalesced_requests_ = 0;
   std::uint64_t negative_hits_ = 0;

@@ -21,8 +21,13 @@ class ConnectionManager {
   ConnectionManager(transport::Transport& transport, ConnManagerConfig config);
 
   // Never trim these peers (bootstrap peers, active transfer partners).
+  // Protections nest: a peer stays protected until every protect() has
+  // been matched by an unprotect().
   void protect(sim::NodeId peer) { protected_.insert(peer); }
-  void unprotect(sim::NodeId peer) { protected_.erase(peer); }
+  void unprotect(sim::NodeId peer) {
+    if (const auto it = protected_.find(peer); it != protected_.end())
+      protected_.erase(it);
+  }
   // Drops every protection (process crash: the set is soft state).
   void clear_protected() { protected_.clear(); }
 
@@ -39,7 +44,7 @@ class ConnectionManager {
  private:
   transport::Transport& transport_;
   ConnManagerConfig config_;
-  std::unordered_set<sim::NodeId> protected_;
+  std::unordered_multiset<sim::NodeId> protected_;
 };
 
 }  // namespace ipfs::node

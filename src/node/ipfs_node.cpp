@@ -190,143 +190,96 @@ void IpfsNode::publish(std::span<const std::uint8_t> data,
 
 // Closes the retrieval's root span and delivers the trace. trace.total is
 // the span's duration — the one clock shared with the trace stream.
-void IpfsNode::finish(const std::shared_ptr<RetrievalCtx>& ctx,
-                      const std::function<void(RetrievalTrace)>& done) {
+void IpfsNode::finish(const std::shared_ptr<RetrievalCtx>& ctx) {
   ctx->trace.total = transport_.metrics().end_span(ctx->span, ctx->trace.ok,
-                                                 ctx->trace.bytes);
-  done(ctx->trace);
+                                                   ctx->trace.bytes);
+  ctx->done(ctx->trace);
 }
 
 void IpfsNode::retrieve(const Cid& cid,
                         std::function<void(RetrievalTrace)> done) {
   auto ctx = std::make_shared<RetrievalCtx>();
+  ctx->done = std::move(done);
   ctx->trace.cid = cid;
   ctx->span = transport_.metrics().begin_span("retrieve.total", node_,
-                                            cid.to_string());
+                                              cid.to_string());
 
   // Phase 0: the object may be complete locally.
   if (merkledag::cat(*store_, cid).has_value()) {
     ctx->trace.ok = true;
     ctx->trace.local_hit = true;
-    finish(ctx, done);
-    return;
-  }
-
-  if (config_.parallel_dht_lookup) {
-    retrieve_parallel(std::move(ctx), std::move(done));
+    finish(ctx);
     return;
   }
 
   // Phase 1: opportunistic Bitswap to already connected peers (step 4).
+  // Phase 2 starts when the window misses or, with parallel_dht_lookup,
+  // together with it (Section 6.4: extra network requests traded for
+  // latency). The first source found drives the fetch; a late result
+  // from the other phase closes its span with ok=false and is dropped.
+  const bool parallel = config_.parallel_dht_lookup;
   const metrics::SpanId discovery_span = transport_.metrics().begin_span(
       "retrieve.bitswap_discovery", node_, cid.to_string(), ctx->span);
+  if (parallel) {
+    ctx->walk_span = transport_.metrics().begin_span(
+        "retrieve.provider_walk", node_, cid.to_string(), ctx->span);
+  }
   bitswap_.discover(
       cid,
-      [this, cid, ctx, discovery_span,
-       done = std::move(done)](std::optional<sim::NodeId> holder) {
-        ctx->trace.bitswap_discovery =
-            transport_.metrics().end_span(discovery_span, holder.has_value());
+      [this, ctx, discovery_span,
+       parallel](std::optional<sim::NodeId> holder) {
+        const sim::Duration elapsed = transport_.metrics().end_span(
+            discovery_span, holder.has_value() && !ctx->fetching);
+        if (ctx->fetching) return;  // the walk found a source first
+        // A missed window that overlapped the walk was not on the critical
+        // path, so it stays 0 (Fig. 10's stretch reads this field).
+        if (holder || !parallel) ctx->trace.bitswap_discovery = elapsed;
         if (holder) {
           ctx->trace.bitswap_hit = true;
-          fetch_from(ctx, *holder, std::move(done));
+          ctx->fetching = true;
+          fetch_from(ctx, *holder);
           return;
         }
-
-        // Phase 2: content discovery through the configured ContentRouter
-        // (step 5: the DHT walk, a delegated indexer query, or a race).
-        const metrics::SpanId walk_span = transport_.metrics().begin_span(
-            "retrieve.provider_walk", node_, cid.to_string(), ctx->span);
-        router_.find_providers(
-            dht::Key::for_cid(cid),
-            [this, ctx, walk_span,
-             done = std::move(done)](routing::FindResult result) {
-              ctx->trace.provider_walk =
-                  transport_.metrics().end_span(walk_span, result.ok);
-              record_routing_outcome(ctx, result.source,
-                                     ctx->trace.provider_walk);
-              if (!result.ok) {
-                finish(ctx, done);
-                return;
-              }
-              for (const auto& record : result.providers)
-                ctx->providers.push_back(record.provider);
-              ctx->next_provider = 1;
-              finish_retrieval(ctx, ctx->providers.front(),
-                               std::move(done));
-            },
-            walk_span);
+        ctx->bitswap_missed = true;
+        if (parallel) {
+          if (ctx->walk_failed) finish(ctx);  // both phases missed
+          return;
+        }
+        ctx->walk_span = transport_.metrics().begin_span(
+            "retrieve.provider_walk", node_, ctx->trace.cid.to_string(),
+            ctx->span);
+        find_providers(ctx);
       },
       config_.bitswap_early_exit);
+  if (parallel) find_providers(ctx);
 }
 
-void IpfsNode::retrieve_parallel(std::shared_ptr<RetrievalCtx> ctx,
-                                 std::function<void(RetrievalTrace)> done) {
-  // Section 6.4's proposed optimization: race the Bitswap probe against
-  // the DHT walk; whichever yields a source first drives the fetch. The
-  // loser's result is discarded (extra network requests traded for
-  // latency).
-  struct Race {
-    bool fetching = false;        // a source won; ignore the other path
-    bool bitswap_done = false;
-    bool walk_done = false;
-  };
-  auto race = std::make_shared<Race>();
-  auto done_shared =
-      std::make_shared<std::function<void(RetrievalTrace)>>(std::move(done));
-
-  auto fail_if_both_missed = [this, race, ctx, done_shared] {
-    if (race->fetching || !race->bitswap_done || !race->walk_done) return;
-    finish(ctx, *done_shared);
-  };
-
-  // Both phase spans open together; each closes when its path resolves,
-  // whether or not it won the race (losing telemetry is still telemetry).
-  const metrics::SpanId discovery_span = transport_.metrics().begin_span(
-      "retrieve.bitswap_discovery", node_, ctx->trace.cid.to_string(),
-      ctx->span);
-  const metrics::SpanId walk_span = transport_.metrics().begin_span(
-      "retrieve.provider_walk", node_, ctx->trace.cid.to_string(), ctx->span);
-
-  bitswap_.discover(
-      ctx->trace.cid,
-      [this, race, ctx, discovery_span, done_shared,
-       fail_if_both_missed](std::optional<sim::NodeId> holder) {
-        race->bitswap_done = true;
-        const sim::Duration elapsed = transport_.metrics().end_span(
-            discovery_span, holder.has_value() && !race->fetching);
-        if (race->fetching) return;
-        if (holder) {
-          race->fetching = true;
-          ctx->trace.bitswap_hit = true;
-          ctx->trace.bitswap_discovery = elapsed;
-          fetch_from(ctx, *holder, *done_shared);
-          return;
-        }
-        fail_if_both_missed();
-      },
-      config_.bitswap_early_exit);
-
+void IpfsNode::find_providers(const std::shared_ptr<RetrievalCtx>& ctx) {
+  // Phase 2: content discovery through the configured ContentRouter
+  // (step 5: the DHT walk, a delegated indexer query, or a race).
   router_.find_providers(
       dht::Key::for_cid(ctx->trace.cid),
-      [this, race, ctx, walk_span, done_shared,
-       fail_if_both_missed](routing::FindResult result) {
-        race->walk_done = true;
+      [this, ctx](routing::FindResult result) {
         const sim::Duration elapsed = transport_.metrics().end_span(
-            walk_span, result.ok && !race->fetching);
-        if (race->fetching) return;  // Bitswap won; the source stays kNone
+            ctx->walk_span, result.ok && !ctx->fetching);
+        if (ctx->fetching) return;  // Bitswap won; the source stays kNone
         record_routing_outcome(ctx, result.source, elapsed);
-        if (result.ok) {
-          race->fetching = true;
+        // A failed walk that overlapped the window was not on the
+        // critical path either, so it stays 0.
+        if (result.ok || !config_.parallel_dht_lookup)
           ctx->trace.provider_walk = elapsed;
-          for (const auto& record : result.providers)
-            ctx->providers.push_back(record.provider);
-          ctx->next_provider = 1;
-          finish_retrieval(ctx, ctx->providers.front(), *done_shared);
+        if (!result.ok) {
+          ctx->walk_failed = true;
+          if (ctx->bitswap_missed) finish(ctx);  // both phases missed
           return;
         }
-        fail_if_both_missed();
+        ctx->fetching = true;
+        for (const auto& record : result.providers)
+          ctx->providers.push_back(record.provider);
+        ctx->next_provider = 1;
+        finish_retrieval(ctx, ctx->providers.front());
       },
-      walk_span);
+      ctx->walk_span);
 }
 
 void IpfsNode::record_routing_outcome(const std::shared_ptr<RetrievalCtx>& ctx,
@@ -342,8 +295,7 @@ void IpfsNode::record_routing_outcome(const std::shared_ptr<RetrievalCtx>& ctx,
                   ctx->span);
 }
 
-void IpfsNode::fail_or_fallback(std::shared_ptr<RetrievalCtx> ctx,
-                                std::function<void(RetrievalTrace)> done) {
+void IpfsNode::fail_or_fallback(std::shared_ptr<RetrievalCtx> ctx) {
   // A poisoned or dead provider record is survivable when the walk
   // gathered more than one (provider quorum): dial the next record in
   // discovery order instead of failing the whole retrieval.
@@ -351,15 +303,14 @@ void IpfsNode::fail_or_fallback(std::shared_ptr<RetrievalCtx> ctx,
     const dht::PeerRef next = ctx->providers[ctx->next_provider++];
     ++ctx->trace.provider_fallbacks;
     transport_.metrics().counter("retrieve.provider_fallbacks").inc();
-    finish_retrieval(std::move(ctx), next, std::move(done));
+    finish_retrieval(std::move(ctx), next);
     return;
   }
-  finish(ctx, done);
+  finish(ctx);
 }
 
 void IpfsNode::finish_retrieval(std::shared_ptr<RetrievalCtx> ctx,
-                                const dht::PeerRef& provider,
-                                std::function<void(RetrievalTrace)> done) {
+                                const dht::PeerRef& provider) {
   // Phase 3: peer discovery. Use the provider's address if the record
   // carried one or the address book knows it; otherwise DHT walk #2.
   dht::PeerRef resolved = provider;
@@ -371,7 +322,7 @@ void IpfsNode::finish_retrieval(std::shared_ptr<RetrievalCtx> ctx,
 
   if (resolved.node != sim::kInvalidNode) {
     address_book_.insert(resolved);
-    fetch_from(std::move(ctx), resolved.node, std::move(done));
+    fetch_from(std::move(ctx), resolved.node);
     return;
   }
 
@@ -380,34 +331,31 @@ void IpfsNode::finish_retrieval(std::shared_ptr<RetrievalCtx> ctx,
       "retrieve.peer_walk", node_, ctx->trace.cid.to_string(), ctx->span);
   dht_.find_peer(
       provider.id,
-      [this, ctx, peer_walk_span, done = std::move(done)](
-          std::optional<dht::PeerRef> peer, dht::LookupResult) {
+      [this, ctx, peer_walk_span](std::optional<dht::PeerRef> peer,
+                                  dht::LookupResult) {
         ctx->trace.peer_walk =
             transport_.metrics().end_span(peer_walk_span, peer.has_value());
         if (!peer) {
-          fail_or_fallback(ctx, done);
+          fail_or_fallback(ctx);
           return;
         }
         address_book_.insert(*peer);
-        fetch_from(ctx, peer->node, std::move(done));
+        fetch_from(ctx, peer->node);
       },
       peer_walk_span);
 }
 
-void IpfsNode::fetch_from(std::shared_ptr<RetrievalCtx> ctx, sim::NodeId peer,
-                          std::function<void(RetrievalTrace)> done) {
+void IpfsNode::fetch_from(std::shared_ptr<RetrievalCtx> ctx, sim::NodeId peer) {
   // Phase 4: peer routing (dial + negotiate), then content exchange.
   const metrics::SpanId dial_span = transport_.metrics().begin_span(
       "retrieve.dial", node_, ctx->trace.cid.to_string(), ctx->span, peer);
   transport_.connect(
-      peer,
-      [this, ctx, peer, dial_span,
-       done = std::move(done)](bool ok, sim::Duration elapsed) {
+      peer, [this, ctx, peer, dial_span](bool ok, sim::Duration elapsed) {
         const sim::Duration handshake =
             transport_.metrics().end_span(dial_span, ok);
         (void)elapsed;  // == handshake: the span brackets the dial exactly
         if (!ok) {
-          fail_or_fallback(ctx, done);
+          fail_or_fallback(ctx);
           return;
         }
         // Split the handshake into its transport (Dial) and security/mux
@@ -422,8 +370,7 @@ void IpfsNode::fetch_from(std::shared_ptr<RetrievalCtx> ctx, sim::NodeId peer,
             peer);
         bitswap_.fetch_dag(
             peer, ctx->trace.cid,
-            [this, ctx, peer, fetch_span,
-             done = std::move(done)](bitswap::FetchStats stats) {
+            [this, ctx, peer, fetch_span](bitswap::FetchStats stats) {
               conn_manager_.unprotect(peer);
               ctx->trace.provider_node = peer;
               ctx->trace.bytes = stats.bytes;
@@ -431,7 +378,7 @@ void IpfsNode::fetch_from(std::shared_ptr<RetrievalCtx> ctx, sim::NodeId peer,
               ctx->trace.fetch = transport_.metrics().end_span(
                   fetch_span, stats.ok, stats.bytes);
               if (!ctx->trace.ok) {
-                fail_or_fallback(ctx, done);
+                fail_or_fallback(ctx);
                 return;
               }
               if (config_.provide_after_fetch) {
@@ -441,7 +388,7 @@ void IpfsNode::fetch_from(std::shared_ptr<RetrievalCtx> ctx, sim::NodeId peer,
                 dht_.provide(dht::Key::for_cid(ctx->trace.cid),
                              [](dht::DhtNode::ProvideResult) {});
               }
-              finish(ctx, done);
+              finish(ctx);
             });
       });
 }

@@ -36,10 +36,11 @@ struct IpfsNodeConfig {
   // Skip the remainder of the Bitswap window once every connected peer
   // answered DONT_HAVE (the optimization discussed in Section 6.4).
   bool bitswap_early_exit = false;
-  // Launch the DHT provider walk in parallel with the Bitswap window
-  // instead of after it — the paper's proposed future-work optimization
-  // ("running DHT lookups in parallel to Bitswap could be superior, by
-  // trading additional network requests for faster retrieval times").
+  // Start the router's provider lookup together with the Bitswap window
+  // instead of after it misses — the paper's proposed future-work
+  // optimization ("running DHT lookups in parallel to Bitswap could be
+  // superior, by trading additional network requests for faster
+  // retrieval times").
   bool parallel_dht_lookup = false;
   // GossipSub engine + IPNS-over-pubsub fast path (Section 2.6; off by
   // default, mirroring go-ipfs's --enable-namesys-pubsub experiment).
@@ -146,7 +147,9 @@ class IpfsNode {
                std::function<void(PublishTrace)> done);
 
   // The four-phase retrieval (steps 4-6): opportunistic Bitswap, provider
-  // discovery, peer discovery, peer routing, content exchange.
+  // discovery, peer discovery, peer routing, content exchange. Provider
+  // discovery starts after the Bitswap window misses, or together with
+  // it under config.parallel_dht_lookup. `done` fires exactly once.
   void retrieve(const Cid& cid, std::function<void(RetrievalTrace)> done);
 
   // --- IPNS (Section 3.3 + the Section 2.6 pubsub fast path) --------------
@@ -220,8 +223,16 @@ class IpfsNode {
   // root span id travels with the retrieval — a member timestamp would be
   // corrupted by concurrent retrievals (the gateway serves many at once).
   struct RetrievalCtx {
+    std::function<void(RetrievalTrace)> done;  // called exactly once
     RetrievalTrace trace;
-    metrics::SpanId span = 0;  // retrieve.total
+    metrics::SpanId span = 0;       // retrieve.total
+    metrics::SpanId walk_span = 0;  // retrieve.provider_walk
+    // A phase found a source and the fetch owns the retrieval; the other
+    // phase's late result is dropped.
+    bool fetching = false;
+    // Phases that found nothing; when both have, the retrieval fails.
+    bool bitswap_missed = false;
+    bool walk_failed = false;
     // Remaining provider records from the routing result, dialed in
     // discovery order when the current provider's fetch fails. Empty for
     // local/Bitswap hits.
@@ -229,19 +240,15 @@ class IpfsNode {
     std::size_t next_provider = 0;
   };
 
-  void finish(const std::shared_ptr<RetrievalCtx>& ctx,
-              const std::function<void(RetrievalTrace)>& done);
-  void retrieve_parallel(std::shared_ptr<RetrievalCtx> ctx,
-                         std::function<void(RetrievalTrace)> done);
+  void finish(const std::shared_ptr<RetrievalCtx>& ctx);
+  // Phase 2: the router's provider lookup, under ctx->walk_span.
+  void find_providers(const std::shared_ptr<RetrievalCtx>& ctx);
   void finish_retrieval(std::shared_ptr<RetrievalCtx> ctx,
-                        const dht::PeerRef& provider,
-                        std::function<void(RetrievalTrace)> done);
+                        const dht::PeerRef& provider);
   // Advances to the next provider record if one remains (dial or fetch
   // failed on the current one); otherwise delivers the failed trace.
-  void fail_or_fallback(std::shared_ptr<RetrievalCtx> ctx,
-                        std::function<void(RetrievalTrace)> done);
-  void fetch_from(std::shared_ptr<RetrievalCtx> ctx, sim::NodeId peer,
-                  std::function<void(RetrievalTrace)> done);
+  void fail_or_fallback(std::shared_ptr<RetrievalCtx> ctx);
+  void fetch_from(std::shared_ptr<RetrievalCtx> ctx, sim::NodeId peer);
 
   // Single accounting point for a resolved (or failed) provider lookup:
   // stamps the trace, bumps routing.source.* / routing.latency.*, and

@@ -1,8 +1,6 @@
 #include "sim/fuzz_harness.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -560,23 +558,6 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
       4 * nodes[0]->pubsub()->config().heartbeat_interval + sim::seconds(5);
   stats.events_executed += network.run_until(network.now() + mesh_settle);
   stats.events_executed += network.run();
-  if (std::getenv("IPFS_FUZZ_DEBUG_PUBSUB") != nullptr) {
-    for (std::size_t i = 0; i < node_count; ++i) {
-      std::fprintf(stderr, "node %2zu id=%u stable=%d topics:", i,
-                   nodes[i]->node(), static_cast<int>(is_stable[i]));
-      for (std::size_t t = 0; t < topic_count; ++t) {
-        std::fprintf(stderr, " [t%zu sub=%d peers=%zu mesh=%zu]", t,
-                     static_cast<int>(
-                         nodes[i]->pubsub()->subscribed(topic_name(t))),
-                     nodes[i]->pubsub()->topic_peers(topic_name(t)).size(),
-                     nodes[i]->pubsub()->mesh_peers(topic_name(t)).size());
-      }
-      std::fprintf(stderr, " candidates:");
-      for (const std::size_t peer : pubsub_candidates[i])
-        std::fprintf(stderr, " %zu", peer);
-      std::fprintf(stderr, "\n");
-    }
-  }
 
   // ---- Fault plan + crash wiring -----------------------------------------
   sim::FaultPlan plan(network, params.faults, params.seed);

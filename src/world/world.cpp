@@ -88,18 +88,7 @@ void World::build_nodes() {
         [dht_raw](sim::NodeId from, const sim::MessagePtr& message,
                   auto respond) {
           if (dht_raw->handle_request(from, message, respond)) return;
-          if (message->kind() == sim::MessageKind::kWantHaveRequest) {
-            auto response = std::make_shared<bitswap::HaveResponse>();
-            response->have = false;
-            respond(std::move(response), 40);
-          } else if (message->kind() == sim::MessageKind::kWantBlockRequest) {
-            const auto* want =
-                static_cast<const bitswap::WantBlockRequest*>(message.get());
-            auto response = std::make_shared<bitswap::BlockResponse>();
-            response->cid = want->cid;
-            response->dont_have = want->send_dont_have;
-            respond(std::move(response), 64);
-          }
+          bitswap::Bitswap::answer_holding_nothing(message, respond);
         });
     dht_nodes_.push_back(std::move(dht));
   }

@@ -1,7 +1,7 @@
-// Crypto substrate tests: FIPS 180-4 vectors for SHA-256/512, RFC 4231
-// vectors for HMAC, and RFC 8032 vectors for Ed25519. SHA-256's scalar and
-// hardware compress paths are also driven directly and checked against
-// each other; the hardware cases skip on a CPU without the SHA extensions.
+// Crypto substrate tests: FIPS 180-4 vectors for SHA-256/512 and RFC 8032
+// vectors for Ed25519. SHA-256's scalar and hardware compress paths are
+// also driven directly and checked against each other; the hardware cases
+// skip on a CPU without the SHA extensions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "crypto/ed25519.h"
-#include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_compress.h"
 #include "crypto/sha512.h"
@@ -213,28 +212,6 @@ TEST(Sha512Test, TwoBlockMessage) {
                     "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")),
       "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018"
       "501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909");
-}
-
-TEST(HmacTest, Rfc4231Case1) {
-  const std::vector<std::uint8_t> key(20, 0x0b);
-  const auto mac = hmac_sha256(key, bytes_of("Hi There"));
-  EXPECT_EQ(to_hex(mac),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
-}
-
-TEST(HmacTest, Rfc4231Case2) {
-  const auto mac =
-      hmac_sha256(bytes_of("Jefe"), bytes_of("what do ya want for nothing?"));
-  EXPECT_EQ(to_hex(mac),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-}
-
-TEST(HmacTest, LongKeyIsHashedFirst) {
-  const std::vector<std::uint8_t> key(131, 0xaa);  // longer than block size
-  const auto mac = hmac_sha256(
-      key, bytes_of("Test Using Larger Than Block-Size Key - Hash Key First"));
-  EXPECT_EQ(to_hex(mac),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
 Ed25519Seed seed_from_hex(std::string_view hex) {

@@ -188,6 +188,11 @@ TEST(ParallelRetrievalTest, FasterThanSerialOnDhtPath) {
   serial.retrieve(publish_trace.cid,
                   [&](node::RetrievalTrace t) { serial_trace = t; });
   swarm.simulator().run();
+  // The serial node now holds the object too (provide_after_fetch), and
+  // the runs so far left it connected to the parallel node. Drop both
+  // holders so the parallel retrieval takes the DHT path as well.
+  parallel.disconnect_from(serial.node());
+  parallel.disconnect_from(publisher.node());
   parallel.retrieve(publish_trace.cid,
                     [&](node::RetrievalTrace t) { parallel_trace = t; });
   swarm.simulator().run();
@@ -197,6 +202,10 @@ TEST(ParallelRetrievalTest, FasterThanSerialOnDhtPath) {
   // Serial pays the full 1 s window before its walk; parallel overlaps it.
   EXPECT_GE(serial_trace.bitswap_discovery, sim::seconds(1));
   EXPECT_LT(parallel_trace.total, serial_trace.total);
+  // The missed window ran alongside the walk, off the critical path, so
+  // the parallel trace charges it nothing; the walk found the provider.
+  EXPECT_EQ(parallel_trace.bitswap_discovery, 0);
+  EXPECT_EQ(parallel_trace.routing_source, routing::Source::kDht);
 }
 
 TEST(ParallelRetrievalTest, FailsCleanlyWhenNothingIsFound) {
@@ -213,16 +222,66 @@ TEST(ParallelRetrievalTest, FailsCleanlyWhenNothingIsFound) {
 
   const auto cid = multiformats::Cid::from_data(
       multiformats::Multicodec::kRaw, random_bytes(16, 5));
-  bool called = false;
+  int calls = 0;
   node::RetrievalTrace trace;
   trace.ok = true;
   node.retrieve(cid, [&](node::RetrievalTrace t) {
-    called = true;
+    ++calls;
     trace = t;
   });
   swarm.simulator().run();
-  EXPECT_TRUE(called);
+  EXPECT_EQ(calls, 1);
   EXPECT_FALSE(trace.ok);
+  // A failed walk that overlapped the window is not on the critical path.
+  EXPECT_EQ(trace.provider_walk, 0);
+}
+
+TEST(ParallelRetrievalTest, BitswapHitWinsAndTheLateWalkIsDropped) {
+  TestSwarm swarm(80, /*seed=*/89);
+  std::vector<dht::PeerRef> seeds;
+  for (int i = 0; i < 6; ++i) seeds.push_back(swarm.ref(i));
+
+  node::IpfsNodeConfig publisher_config;
+  publisher_config.net.region = 0;
+  publisher_config.identity_seed = 6;
+  node::IpfsNode publisher(swarm.network(), publisher_config);
+
+  node::IpfsNodeConfig retriever_config;
+  retriever_config.net.region = 0;
+  retriever_config.identity_seed = 7;
+  retriever_config.parallel_dht_lookup = true;
+  node::IpfsNode retriever(swarm.network(), retriever_config);
+
+  publisher.bootstrap(seeds, [](bool) {});
+  retriever.bootstrap(seeds, [](bool) {});
+  swarm.simulator().run();
+
+  node::PublishTrace publish_trace;
+  publisher.publish(random_bytes(64 * 1024, 101),
+                    [&](node::PublishTrace t) { publish_trace = t; });
+  swarm.simulator().run();
+  ASSERT_TRUE(publish_trace.ok);
+
+  // Connected to the publisher, the Bitswap window finds the holder in
+  // one round trip, long before the provider walk returns.
+  swarm.network().connect(retriever.node(), publisher.node(),
+                          [](bool, sim::Duration) {});
+  swarm.simulator().run();
+
+  int calls = 0;
+  node::RetrievalTrace trace;
+  retriever.retrieve(publish_trace.cid, [&](node::RetrievalTrace t) {
+    ++calls;
+    trace = t;
+  });
+  swarm.simulator().run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(trace.ok);
+  EXPECT_TRUE(trace.bitswap_hit);
+  // The walk's late success is dropped: no routing source, no walk time.
+  EXPECT_EQ(trace.routing_source, routing::Source::kNone);
+  EXPECT_EQ(trace.provider_walk, 0);
+  EXPECT_GT(trace.bitswap_discovery, 0);
 }
 
 // --------------------------------------------------------------------------

@@ -116,6 +116,25 @@ TEST(ConnectionManagerTest, ProtectedPeersSurviveTrimAndDisconnectAll) {
   EXPECT_EQ(network.connections_of(self).size(), 1u);
 }
 
+TEST(ConnectionManagerTest, ProtectionsNest) {
+  sim::Simulator sim;
+  sim::LatencyModel latency({{5.0}}, 1.0, 1.0);
+  sim::Network network(sim, latency, 9);
+  const sim::NodeId self = network.add_node({.region = 0});
+  const sim::NodeId peer = network.add_node({.region = 0});
+  network.connect(self, peer, [](bool, sim::Duration) {});
+  sim.run();
+
+  // A bootstrap protection outlives a fetch's protect/unprotect pair.
+  transport::SimTransport transport(network, self);
+  ConnectionManager manager(transport, {});
+  manager.protect(peer);
+  manager.protect(peer);
+  manager.unprotect(peer);
+  manager.disconnect_all();
+  EXPECT_TRUE(network.connected(self, peer));
+}
+
 // --------------------------------------------------------------------------
 // End-to-end publish/retrieve over a swarm
 // --------------------------------------------------------------------------
