@@ -72,7 +72,7 @@ int main() {
     std::size_t publishes = 0, publishes_ok = 0;
     std::size_t attempted = 0, ok = 0;
     std::uint64_t faults = 0;
-    std::vector<stats::TrialSamples> folds;
+    std::vector<double> latencies;
     for (const auto& trial : outcomes) {
       if (!trial.result.violation.empty()) {
         std::printf("INVARIANT VIOLATION\n%s\n",
@@ -84,9 +84,9 @@ int main() {
       attempted += trial.result.attempted;
       ok += trial.result.ok;
       faults += trial.result.faults;
-      folds.push_back({trial.seed, trial.result.latencies});
+      latencies.insert(latencies.end(), trial.result.latencies.begin(),
+                       trial.result.latencies.end());
     }
-    std::vector<double> latencies = stats::fold_trials(std::move(folds));
 
     if (latencies.empty()) latencies.push_back(0.0);
     const stats::Cdf cdf(std::move(latencies));

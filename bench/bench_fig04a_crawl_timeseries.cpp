@@ -129,12 +129,13 @@ int main() {
   std::printf("%s", results[0].result.rendered.c_str());
 
   if (trials > 1) {
-    // Deterministic fold: trials come back in seed order, so the merged
-    // CDF is byte-identical regardless of thread completion order.
-    std::vector<stats::TrialSamples> folds;
+    // Trials come back in seed order, so the merged CDF is
+    // byte-identical regardless of thread completion order.
+    std::vector<double> shares;
     for (const auto& trial : results)
-      folds.push_back({trial.seed, trial.result.dialable_shares});
-    const stats::Cdf cdf(stats::fold_trials(std::move(folds)));
+      shares.insert(shares.end(), trial.result.dialable_shares.begin(),
+                    trial.result.dialable_shares.end());
+    const stats::Cdf cdf(std::move(shares));
     std::printf("\nfolded over %zu trials: dialable share p10 %.1f%%  "
                 "p50 %.1f%%  p90 %.1f%%\n",
                 trials, cdf.percentile(10) * 100.0,

@@ -1,8 +1,9 @@
 // Figure 8: churn — CDFs of DHT peer session lengths (uptime) per
 // region, from adaptive uptime probing with long-session handling.
-// Trials shard across cores (IPFS_BENCH_TRIALS); per-trial session
-// samples fold in seed order (stats::fold_trials) before the aggregate
-// CDF is computed, so the multi-threaded output is byte-stable.
+// Trials shard across cores (IPFS_BENCH_TRIALS); run_trials returns
+// them in seed order, and their session samples are concatenated in
+// that order before the aggregate CDF is computed, so the
+// multi-threaded output is byte-stable.
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -87,15 +88,15 @@ int main() {
         return trial;
       });
 
-  // Fold all trials' session samples in seed order; with one trial this
-  // is exactly the single-world aggregate.
-  std::vector<stats::TrialSamples> folds;
+  // Concatenate all trials' session samples in seed order; with one
+  // trial this is exactly the single-world aggregate.
+  std::vector<double> all_hours;
   std::uint64_t probes_sent = 0;
   for (const auto& trial : results) {
-    folds.push_back({trial.seed, trial.result.session_hours});
+    const auto& hours = trial.result.session_hours;
+    all_hours.insert(all_hours.end(), hours.begin(), hours.end());
     probes_sent += trial.result.probes_sent;
   }
-  const std::vector<double> all_hours = stats::fold_trials(std::move(folds));
   if (all_hours.empty()) {
     std::printf("no sessions observed -- window too short\n");
     return 1;

@@ -24,8 +24,8 @@ namespace ipfs::bench {
 // the path of least resistance) and must not touch shared state.
 //
 // Results come back indexed by trial — ascending seed, never completion
-// order — so any fold over them (stats::fold_trials) is byte-identical
-// no matter how the threads interleave.
+// order — so concatenating their samples in index order is
+// byte-identical no matter how the threads interleave.
 // ---------------------------------------------------------------------------
 
 template <typename Result>

@@ -17,13 +17,6 @@ constexpr std::size_t kSybilFrontNodes = 2;
 // Every attacker node sits in this latency region.
 constexpr int kAttackerRegion = 0;
 
-sim::Duration uniform_duration(sim::Rng& rng, sim::Duration lo,
-                               sim::Duration hi) {
-  if (hi <= lo) return lo;
-  return lo + static_cast<sim::Duration>(rng.uniform(0.0, 1.0) *
-                                         static_cast<double>(hi - lo));
-}
-
 }  // namespace
 
 multiformats::PeerId AttackPlan::forged_peer_id(std::uint64_t n) {
@@ -46,8 +39,7 @@ AttackPlan::AttackPlan(sim::Network& network, AttackConfig config,
                        std::uint64_t seed)
     : network_(network),
       config_(std::move(config)),
-      flash_rng_(sim::Rng(seed).fork("adversary.flash")),
-      storm_rng_(sim::Rng(seed).fork("adversary.storm")) {
+      flash_rng_(sim::Rng(seed).fork("adversary.flash")) {
   const auto install_handler = [this](sim::NodeId node) {
     network_.set_request_handler(
         node, [this, node](sim::NodeId from, const sim::MessagePtr& message,
@@ -98,7 +90,6 @@ AttackPlan::AttackPlan(sim::Network& network, AttackConfig config,
 
 AttackPlan::~AttackPlan() {
   for (auto& timer : event_timers_) timer.cancel();
-  for (auto& timer : storm_timers_) timer.cancel();
   detach();
 }
 
@@ -122,14 +113,6 @@ void AttackPlan::add_victim(const dht::PeerRef& victim) {
   victims_.push_back(victim);
   victim_keys_.push_back(dht::Key::for_peer(victim.id));
   sybils_per_victim_.emplace_back();
-}
-
-void AttackPlan::manage_storm(sim::NodeId node) {
-  storm_managed_.push_back(node);
-}
-
-void AttackPlan::add_crash_listener(CrashListener listener) {
-  listeners_.push_back(std::move(listener));
 }
 
 void AttackPlan::set_flash_request_handler(FlashRequestHandler handler) {
@@ -178,44 +161,11 @@ void AttackPlan::arm() {
     const FlashCrowdConfig& flash = *config_.flash_crowd;
     for (std::size_t slot = 0; slot < flash.requests; ++slot) {
       const sim::Duration at =
-          flash.start + uniform_duration(flash_rng_, 0, flash.window);
+          flash.start + sim::uniform_duration(flash_rng_, 0, flash.window);
       event_timers_.push_back(
           network_.schedule_after(at, [this, slot] {
             ++counters_.flash_requests;
             if (flash_handler_) flash_handler_(slot);
-          }));
-    }
-  }
-
-  if (config_.churn_storm) {
-    const ChurnStormConfig& storm = *config_.churn_storm;
-    storm_down_.assign(storm_managed_.size(), false);
-    for (std::size_t i = 0; i < storm_managed_.size(); ++i) {
-      if (!storm_rng_.chance(storm.fraction)) continue;
-      const sim::Duration crash_at = uniform_duration(
-          storm_rng_, storm.start, storm.start + storm.window);
-      const sim::Duration downtime = uniform_duration(
-          storm_rng_, storm.min_downtime, storm.max_downtime);
-      storm_timers_.push_back(network_.schedule_daemon_after(
-          crash_at, [this, i, downtime] {
-            const sim::NodeId node = storm_managed_[i];
-            // Another fault source (an overlapping FaultPlan) may already
-            // hold the node down; leave its bookkeeping alone.
-            if (!network_.online(node)) return;
-            network_.set_online(node, false);
-            storm_down_[i] = true;
-            ++counters_.storm_crashes;
-            notify(node, false);
-            storm_timers_.push_back(
-                network_.schedule_daemon_after(downtime, [this, i] {
-                  if (!storm_down_[i]) return;
-                  storm_down_[i] = false;
-                  const sim::NodeId restored = storm_managed_[i];
-                  if (network_.online(restored)) return;
-                  network_.set_online(restored, true);
-                  ++counters_.storm_restarts;
-                  notify(restored, true);
-                }));
           }));
     }
   }
@@ -226,17 +176,6 @@ void AttackPlan::disarm() {
   armed_ = false;
   for (auto& timer : event_timers_) timer.cancel();
   event_timers_.clear();
-  for (auto& timer : storm_timers_) timer.cancel();
-  storm_timers_.clear();
-  for (std::size_t i = 0; i < storm_down_.size(); ++i) {
-    if (!storm_down_[i]) continue;
-    storm_down_[i] = false;
-    const sim::NodeId node = storm_managed_[i];
-    if (network_.online(node)) continue;
-    network_.set_online(node, true);
-    ++counters_.storm_restarts;
-    notify(node, true);
-  }
 }
 
 void AttackPlan::detach() {
@@ -356,10 +295,6 @@ void AttackPlan::handle_attacker_request(
   // FindNodeResponse carries no peer and no record, and a caller expecting
   // another kind ignores it, so it surfaces as a clean miss, never a hang.
   respond(std::make_shared<dht::FindNodeResponse>(), dht::kRequestBaseBytes);
-}
-
-void AttackPlan::notify(sim::NodeId node, bool online) {
-  for (const CrashListener& listener : listeners_) listener(node, online);
 }
 
 bool AttackPlan::partition_active() const {

@@ -9,7 +9,9 @@
 // the network (appending its attacker nodes AFTER every honest node, so
 // switched-off attacks leave node ids and seeded rng streams
 // bit-identical), armed to start its event-driven behaviors, and fully
-// replayable from (seed, config). Four attack families:
+// replayable from (seed, config). It never takes a node up or down:
+// sim::FaultPlan is the one crash controller, and the churn storm is one
+// of its processes (sim/faults.h). Four attack families:
 //
 //  - Sybil flood: a few real attacker nodes front many forged PeerRefs
 //    whose IDs are mined (generate-and-test) to land in a chosen bucket
@@ -26,8 +28,7 @@
 //    narrow window. The plan owns the deterministic schedule and fires a
 //    caller-provided handler per request slot (the harness maps slots to
 //    gateway hits or node retrievals).
-//  - Churn storm / partition: a synchronized crash wave over managed
-//    nodes, and a region-scale partition with heal. The partition is a
+//  - Partition: a region-scale partition with heal. The partition is a
 //    FaultInjector *decorator*: it wraps whatever injector is already
 //    installed (e.g. a FaultPlan) instead of replacing it. Arm after the
 //    inner plan's arm(); detach in reverse order.
@@ -85,17 +86,6 @@ struct FlashCrowdConfig {
   sim::Duration window = sim::seconds(10);
 };
 
-struct ChurnStormConfig {
-  // Each node under manage_storm() crashes with probability `fraction`,
-  // at a time uniform in [start, start + window), staying down for a
-  // uniform draw of [min_downtime, max_downtime).
-  double fraction = 0.5;
-  sim::Duration start = sim::seconds(1);
-  sim::Duration window = sim::seconds(30);
-  sim::Duration min_downtime = sim::seconds(20);
-  sim::Duration max_downtime = sim::seconds(60);
-};
-
 struct PartitionConfig {
   // Region groups that can only talk within their group while the
   // partition holds. Regions not listed anywhere are unaffected.
@@ -110,17 +100,15 @@ struct AttackConfig {
   std::optional<dht::Key> eclipse_target;
   EclipseConfig eclipse;
   std::optional<FlashCrowdConfig> flash_crowd;
-  std::optional<ChurnStormConfig> churn_storm;
   std::optional<PartitionConfig> partition;
 
   bool any() const {
-    return sybil || eclipse_target || flash_crowd || churn_storm || partition;
+    return sybil || eclipse_target || flash_crowd || partition;
   }
 };
 
 class AttackPlan : public sim::FaultInjector {
  public:
-  using CrashListener = std::function<void(sim::NodeId, bool online)>;
   // Fired once per flash-crowd request slot at its scheduled time.
   using FlashRequestHandler = std::function<void(std::size_t slot)>;
 
@@ -137,9 +125,6 @@ class AttackPlan : public sim::FaultInjector {
   // per-victim Sybil ID mining, so add every victim before arm().
   void add_victim(const dht::PeerRef& victim);
 
-  // Puts `node` under churn-storm management (takes effect on arm()).
-  void manage_storm(sim::NodeId node);
-  void add_crash_listener(CrashListener listener);
   void set_flash_request_handler(FlashRequestHandler handler);
 
   // Mines the per-victim Sybil identities, wraps the network's fault
@@ -148,9 +133,9 @@ class AttackPlan : public sim::FaultInjector {
   // injector installed at this moment).
   void arm();
 
-  // Cancels pending attack events and revives nodes still down from the
-  // storm (notifying listeners). The partition decorator stays installed;
-  // detach() removes it. Detach before any inner FaultPlan::detach().
+  // Cancels pending attack events. The partition decorator stays
+  // installed; detach() removes it. Detach before any inner
+  // FaultPlan::detach().
   void disarm();
   void detach();
 
@@ -182,14 +167,12 @@ class AttackPlan : public sim::FaultInjector {
     std::uint64_t poisoned_records_served = 0;
     std::uint64_t provider_records_swallowed = 0;
     std::uint64_t flash_requests = 0;
-    std::uint64_t storm_crashes = 0;
-    std::uint64_t storm_restarts = 0;
     std::uint64_t partition_messages_dropped = 0;
     std::uint64_t partition_dials_blocked = 0;
 
     std::uint64_t total_attack_events() const {
       return flood_requests_sent + eclipse_queries_answered +
-             provider_records_swallowed + flash_requests + storm_crashes +
+             provider_records_swallowed + flash_requests +
              partition_messages_dropped + partition_dials_blocked;
     }
   };
@@ -219,14 +202,12 @@ class AttackPlan : public sim::FaultInjector {
       const std::function<void(sim::MessagePtr, std::size_t)>& respond);
   void schedule_flood_round(std::size_t round);
   void announce_eclipse();
-  void notify(sim::NodeId node, bool online);
   bool partition_blocks(sim::NodeId from, sim::NodeId to);
   int group_of(sim::NodeId node) const;
 
   sim::Network& network_;
   AttackConfig config_;
   sim::Rng flash_rng_;
-  sim::Rng storm_rng_;
   std::uint64_t mint_counter_ = 0;
 
   bool armed_ = false;
@@ -245,10 +226,6 @@ class AttackPlan : public sim::FaultInjector {
   std::vector<std::vector<dht::PeerRef>> sybils_per_victim_;
   std::unordered_set<dht::Key, dht::KeyHasher> forged_keys_;
 
-  std::vector<sim::NodeId> storm_managed_;
-  std::vector<bool> storm_down_;
-  std::vector<sim::Timer> storm_timers_;
-  std::vector<CrashListener> listeners_;
   FlashRequestHandler flash_handler_;
   std::vector<sim::Timer> event_timers_;  // flood rounds, announce, flash
 

@@ -218,7 +218,7 @@ LookupHost DhtNode::make_lookup_host() {
     routing_table_.upsert(peer);
   };
   host.on_peer_failed = [this](const PeerRef& peer) {
-    // Evict unresponsive peers so the table self-heals under churn.
+    // Evict peers that fail to answer so the table self-heals under churn.
     routing_table_.remove(peer.id);
   };
   return host;

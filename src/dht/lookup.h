@@ -36,7 +36,7 @@ enum class LookupType { kFindNode, kGetProviders, kGetValue };
 
 struct LookupResult {
   bool completed = false;  // false when the deadline cut the walk short
-  std::vector<PeerRef> closest;            // responsive peers, closest first
+  std::vector<PeerRef> closest;            // peers that answered, closest first
   std::vector<ProviderRecord> providers;   // kGetProviders
   std::vector<ValueRecord> values;         // kGetValue: every record gathered
   std::optional<PeerRef> target_peer;      // kFindNode early match

@@ -379,7 +379,7 @@ void Pubsub::heartbeat() {
 }
 
 void Pubsub::maintain_mesh(const Topic& topic, TopicState& state) {
-  // Connection teardown (resets, churn, remove_node) implies mesh drop.
+  // Connection teardown (resets, churn, crashes) implies mesh drop.
   std::erase_if(state.mesh, [&](sim::NodeId peer) {
     if (transport_.connected(peer)) return false;
     transport_.metrics().instant("pubsub.mesh_drop", node_, topic, 0, peer);

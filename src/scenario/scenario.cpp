@@ -107,12 +107,6 @@ ScenarioBuilder& ScenarioBuilder::flash_crowd(
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::churn_storm(
-    adversary::ChurnStormConfig config) {
-  ensure_attack().churn_storm = config;
-  return *this;
-}
-
 adversary::AttackConfig& ScenarioBuilder::ensure_attack() {
   if (!attack_config_) attack_config_.emplace();
   return *attack_config_;

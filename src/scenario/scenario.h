@@ -84,13 +84,15 @@ class Scenario {
 
   // Null unless faults() was configured. The plan is constructed but
   // not armed; call faults().arm() to start background fault processes.
+  // It is the one crash controller: a churn storm is set through
+  // FaultConfig and covers the nodes put under manage_crashes().
   sim::FaultPlan* faults() { return faults_.get(); }
 
-  // Null unless an attack knob (sybils/eclipse/flash_crowd/churn_storm)
-  // was configured. Constructed but not armed; with
-  // dht_servers(true) every peer is pre-registered as a victim. Arm
-  // after faults()->arm() and detach before faults()->detach() — the
-  // partition decorator wraps whatever injector is installed at arm().
+  // Null unless an attack knob (sybils/eclipse/flash_crowd) was
+  // configured. Constructed but not armed; with dht_servers(true) every
+  // peer is pre-registered as a victim. Arm after faults()->arm() and
+  // detach before faults()->detach() — the partition decorator wraps
+  // whatever injector is installed at arm().
   adversary::AttackPlan* attack() { return attack_.get(); }
 
   // Empty unless indexers(n) was set. Indexer nodes are appended to the
@@ -187,7 +189,6 @@ class ScenarioBuilder {
   ScenarioBuilder& eclipse(const dht::Key& target,
                            adversary::EclipseConfig config = {});
   ScenarioBuilder& flash_crowd(adversary::FlashCrowdConfig config);
-  ScenarioBuilder& churn_storm(adversary::ChurnStormConfig config);
 
   // Ring-buffer capacity of the metrics trace (0 keeps the default).
   ScenarioBuilder& trace_capacity(std::size_t capacity);

@@ -18,7 +18,9 @@ FaultPlan::FaultPlan(Network& network, FaultConfig config, std::uint64_t seed)
       config_(config),
       msg_rng_(Rng(seed).fork("fault-msg")),
       dial_rng_(Rng(seed).fork("fault-dial")),
-      proc_rng_(Rng(seed).fork("fault-proc")) {}
+      proc_rng_(Rng(seed).fork("fault-proc")),
+      // The storm's original fork name, so every seeded storm replays.
+      storm_rng_(Rng(seed).fork("adversary.storm")) {}
 
 FaultPlan::~FaultPlan() {
   // Kill background timers without reviving nodes (the world is being
@@ -50,6 +52,7 @@ void FaultPlan::arm() {
   if (config_.connection_resets_per_hour > 0) schedule_reset();
   if (config_.crashes_per_hour_per_node > 0)
     for (std::size_t i = 0; i < managed_.size(); ++i) schedule_crash(i);
+  if (config_.churn_storm) schedule_storm();
 }
 
 void FaultPlan::disarm() {
@@ -118,9 +121,14 @@ bool FaultPlan::fail_dial(NodeId, NodeId) {
 double FaultPlan::latency_factor(NodeId a, NodeId b) {
   if (spike_until_.empty()) return 1.0;
   const Time now = network_.now();
+  // An ended spike is erased when found, so the map empties again and
+  // the fast path above comes back once every spike is over.
   const auto spiking = [&](NodeId node) {
     const auto it = spike_until_.find(node);
-    return it != spike_until_.end() && it->second > now;
+    if (it == spike_until_.end()) return false;
+    if (it->second > now) return true;
+    spike_until_.erase(it);
+    return false;
   };
   return (spiking(a) || spiking(b)) ? config_.latency_spike_factor : 1.0;
 }
@@ -138,7 +146,7 @@ void FaultPlan::schedule_spike() {
       poisson_wait(proc_rng_, config_.latency_spikes_per_hour), [this] {
         if (!armed_) return;
         const NodeId victim = static_cast<NodeId>(proc_rng_.uniform_int(
-            0, static_cast<std::int64_t>(network_.slot_count()) - 1));
+            0, static_cast<std::int64_t>(network_.node_count()) - 1));
         spike_until_[victim] =
             network_.now() + config_.latency_spike_duration;
         ++counters_.latency_spikes;
@@ -151,7 +159,7 @@ void FaultPlan::schedule_reset() {
       poisson_wait(proc_rng_, config_.connection_resets_per_hour), [this] {
         if (!armed_) return;
         const NodeId victim = static_cast<NodeId>(proc_rng_.uniform_int(
-            0, static_cast<std::int64_t>(network_.slot_count()) - 1));
+            0, static_cast<std::int64_t>(network_.node_count()) - 1));
         const auto connections = network_.connections_of(victim);
         if (!connections.empty()) {
           // Pick deterministically among the victim's sorted peers.
@@ -171,22 +179,45 @@ void FaultPlan::schedule_crash(std::size_t index) {
       poisson_wait(proc_rng_, config_.crashes_per_hour_per_node),
       [this, index] {
         if (!armed_) return;
-        const NodeId node = managed_[index];
-        if (!network_.online(node)) {
+        if (!network_.online(managed_[index])) {
           // Already offline for another reason; try again later.
           schedule_crash(index);
           return;
         }
-        ++counters_.crashes;
-        down_[index] = true;
-        network_.set_online(node, false);
-        notify(node, false);
-        const Duration downtime = static_cast<Duration>(proc_rng_.uniform(
-            static_cast<double>(config_.min_downtime),
-            static_cast<double>(config_.max_downtime)));
-        crash_timers_[index] = network_.schedule_daemon_after(
-            downtime, [this, index] { restart(index); });
+        crash(index, static_cast<Duration>(proc_rng_.uniform(
+                         static_cast<double>(config_.min_downtime),
+                         static_cast<double>(config_.max_downtime))));
       });
+}
+
+void FaultPlan::schedule_storm() {
+  const ChurnStormConfig& storm = *config_.churn_storm;
+  for (std::size_t i = 0; i < managed_.size(); ++i) {
+    if (!storm_rng_.chance(storm.fraction)) continue;
+    const Duration crash_at =
+        uniform_duration(storm_rng_, storm.start, storm.start + storm.window);
+    const Duration downtime =
+        uniform_duration(storm_rng_, storm.min_downtime, storm.max_downtime);
+    // The storm takes the node's one pending event slot.
+    crash_timers_[i].cancel();
+    crash_timers_[i] =
+        network_.schedule_daemon_after(crash_at, [this, i, downtime] {
+          if (network_.online(managed_[i]))
+            crash(i, downtime);
+          else if (config_.crashes_per_hour_per_node > 0)
+            schedule_crash(i);  // down already: skip, keep the cycle
+        });
+  }
+}
+
+void FaultPlan::crash(std::size_t index, Duration downtime) {
+  const NodeId node = managed_[index];
+  ++counters_.crashes;
+  down_[index] = true;
+  network_.set_online(node, false);
+  notify(node, false);
+  crash_timers_[index] = network_.schedule_daemon_after(
+      downtime, [this, index] { restart(index); });
 }
 
 void FaultPlan::restart(std::size_t index) {

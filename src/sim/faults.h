@@ -4,9 +4,15 @@
 // and adds the failure modes the paper's live measurements are dominated
 // by (Sections 5-6: dead routing entries, unreachable peers, flaky
 // transports): message drop/duplication/reordering, per-link latency
-// spikes, dial failures, mid-transfer connection resets, and peer
-// crash/restart cycles. Everything is driven by named forks of a single
-// seed, so a failing fuzz schedule replays bit-for-bit from its seed.
+// spikes, dial failures, mid-transfer connection resets, peer
+// crash/restart cycles and a one-off churn storm. Everything is driven
+// by named forks of a single seed, so a failing fuzz schedule replays
+// bit-for-bit from its seed.
+//
+// FaultPlan is the one controller that crashes a node. A simulated node
+// is only ever up or down (Network::set_online); the crash cycle and the
+// storm both take a managed node down through the same path, and each
+// managed node holds at most one pending FaultPlan event.
 //
 // Crash vs. churn: sim::ChurnProcess models voluntary session cycling
 // (peers leave and later rejoin with their state intact at the network
@@ -18,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,6 +35,17 @@
 #include "sim/time.h"
 
 namespace ipfs::sim {
+
+struct ChurnStormConfig {
+  // Each node under manage_crashes() crashes with probability `fraction`,
+  // at a time uniform in [start, start + window), staying down for a
+  // uniform draw of [min_downtime, max_downtime).
+  double fraction = 0.5;
+  Duration start = seconds(1);
+  Duration window = seconds(30);
+  Duration min_downtime = seconds(20);
+  Duration max_downtime = seconds(60);
+};
 
 struct FaultConfig {
   // --- Message-level faults, applied per message on live connections ----
@@ -57,6 +75,12 @@ struct FaultConfig {
   double crashes_per_hour_per_node = 0.0;
   Duration min_downtime = seconds(10);
   Duration max_downtime = minutes(2);
+
+  // A synchronized crash wave over the managed nodes, drawn once at
+  // arm(). A storm crash takes the node's pending crash-cycle event; the
+  // cycle resumes when the node restarts, or at once when the storm finds
+  // the node already down.
+  std::optional<ChurnStormConfig> churn_storm;
 };
 
 class FaultPlan : public FaultInjector {
@@ -71,7 +95,8 @@ class FaultPlan : public FaultInjector {
   FaultPlan(const FaultPlan&) = delete;
   FaultPlan& operator=(const FaultPlan&) = delete;
 
-  // Puts `node` under crash/restart management (takes effect on arm()).
+  // Puts `node` under crash/restart management (takes effect on arm();
+  // the storm covers the nodes managed by then).
   void manage_crashes(NodeId node);
   void add_crash_listener(CrashListener listener);
 
@@ -80,7 +105,7 @@ class FaultPlan : public FaultInjector {
   void arm();
 
   // Stops the background processes and revives any node still down from
-  // an injected crash (notifying listeners), so a subsequent run() drains
+  // a crash or the storm (notifying listeners), so a subsequent run() drains
   // instead of chasing an endless crash/restart cycle. The message-level
   // injector stays installed; call detach() to remove it too.
   void disarm();
@@ -122,21 +147,27 @@ class FaultPlan : public FaultInjector {
   void schedule_spike();
   void schedule_reset();
   void schedule_crash(std::size_t index);
+  void schedule_storm();
+  // The one crash path: the crash cycle and the storm both call it.
+  void crash(std::size_t index, Duration downtime);
   void restart(std::size_t index);
   void notify(NodeId node, bool online);
 
   Network& network_;
   FaultConfig config_;
-  Rng msg_rng_;   // drop/duplicate/reorder draws
-  Rng dial_rng_;  // injected dial failures
-  Rng proc_rng_;  // background process scheduling
+  Rng msg_rng_;    // drop/duplicate/reorder draws
+  Rng dial_rng_;   // injected dial failures
+  Rng proc_rng_;   // background process scheduling
+  Rng storm_rng_;  // churn-storm draws
   bool armed_ = false;
   bool installed_ = false;
   Counters counters_;
 
   std::vector<NodeId> managed_;
   std::vector<bool> down_;       // parallel to managed_: crashed right now
-  std::vector<Timer> crash_timers_;  // parallel: next crash OR pending restart
+  // Parallel: the node's one pending event (next crash, storm crash or
+  // restart).
+  std::vector<Timer> crash_timers_;
   std::vector<CrashListener> listeners_;
 
   Timer spike_timer_;

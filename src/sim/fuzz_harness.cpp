@@ -207,8 +207,9 @@ void apply_attack_constraints(ScheduleParams& params) {
       params.flash_requests = std::max<std::size_t>(params.flash_requests, 4);
       break;
     case Attack::kChurnStorm:
-      // The storm is the only crash source — FaultPlan and AttackPlan
-      // must never double-manage one node's process lifecycle.
+      // The storm is the only crash source: a crash cycle would draw
+      // from the fault plan's process stream and change the run every
+      // storm seed replays.
       params.long_horizon = false;
       params.faults = faults_for_scale(params.fault_scale, false);
       params.faults.crashes_per_hour_per_node = 0.0;
@@ -560,11 +561,19 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
   stats.events_executed += network.run();
 
   // ---- Fault plan + crash wiring -----------------------------------------
-  sim::FaultPlan plan(network, params.faults, params.seed);
+  sim::FaultConfig fault_config = params.faults;
+  if (params.attack == ScheduleParams::Attack::kChurnStorm) {
+    fault_config.churn_storm = sim::ChurnStormConfig{
+        .fraction = 0.4,
+        .start = sim::seconds(1),
+        .window = std::min<sim::Duration>(params.workload_window,
+                                          sim::seconds(45)),
+        .min_downtime = sim::seconds(10),
+        .max_downtime = sim::seconds(40)};
+  }
+  sim::FaultPlan plan(network, fault_config, params.seed);
   std::vector<std::vector<sim::Time>> crash_times(node_count);
-  // Shared between the fault plan and the attack plan's churn storm: a
-  // crash is a crash, whichever controller caused it.
-  const auto on_crash_transition = [&](sim::NodeId node_id, bool online) {
+  plan.add_crash_listener([&](sim::NodeId node_id, bool online) {
     const std::size_t index = node_index(node_id);
     if (!online) {
       crash_times[index].push_back(network.now());
@@ -581,8 +590,7 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
         nodes[index]->pubsub()->add_candidate_peer(nodes[peer]->node());
       for (const std::size_t t : node_topics[index]) subscribe_node(index, t);
     }
-  };
-  plan.add_crash_listener(on_crash_transition);
+  });
   for (std::size_t i = kBootstrapCount; i < node_count; ++i)
     plan.manage_crashes(nodes[i]->node());
 
@@ -739,16 +747,6 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
         }
         break;
       }
-      case ScheduleParams::Attack::kChurnStorm: {
-        adversary::ChurnStormConfig storm;
-        storm.fraction = 0.4;
-        storm.start = sim::seconds(1);
-        storm.window = std::min<sim::Duration>(window, sim::seconds(45));
-        storm.min_downtime = sim::seconds(10);
-        storm.max_downtime = sim::seconds(40);
-        attack_config.churn_storm = storm;
-        break;
-      }
       case ScheduleParams::Attack::kPartition: {
         adversary::PartitionConfig partition;
         partition.groups = {{0}, {1, 2}};
@@ -757,15 +755,13 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
         attack_config.partition = partition;
         break;
       }
+      case ScheduleParams::Attack::kChurnStorm:  // a FaultPlan process
       case ScheduleParams::Attack::kNone:
         break;
     }
     attack = std::make_unique<adversary::AttackPlan>(network, attack_config,
                                                      params.seed);
     for (const auto& node : nodes) attack->add_victim(node->self());
-    attack->add_crash_listener(on_crash_transition);
-    for (std::size_t i = kBootstrapCount; i < node_count; ++i)
-      attack->manage_storm(nodes[i]->node());
     if (attack_config.flash_crowd) {
       // The gateway node appends after every honest and attacker node and
       // draws no schedule randomness; its bootstrap drains in the still-
@@ -937,8 +933,6 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
   plan.disarm();
   stats.events_executed += network.run();
   stats.faults = plan.counters();
-  const std::uint64_t storm_crashes =
-      attack ? attack->counters().storm_crashes : 0;
 
   // ---- Invariant checks ---------------------------------------------------
   const sim::Time end = network.now();
@@ -1050,11 +1044,10 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
   // faults and no crashes means nothing could partition a mesh, so every
   // subscriber must hold every published message exactly once. Faulty
   // schedules can legitimately end mid-repair; there only (7) binds.
-  // Storm crashes and partitions disturb meshes the same way FaultPlan
-  // crashes do (a partitioned-away publish ages out of the gossip
+  // Storm crashes are FaultPlan crashes, and partitions disturb meshes
+  // the same way (a partitioned-away publish ages out of the gossip
   // window), so those schedules are exempt too.
   if (params.fault_scale == 0.0 && stats.faults.crashes == 0 &&
-      storm_crashes == 0 &&
       params.attack != ScheduleParams::Attack::kPartition) {
     for (const auto& op : pubsub_ops) {
       if (!op.attempted) continue;
@@ -1094,7 +1087,6 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
   // router's DHT arm must have carried every fetch — a retrieval that
   // fails here is one a DHT-only configuration would have served.
   if (params.fault_scale == 0.0 && stats.faults.crashes == 0 &&
-      storm_crashes == 0 &&
       params.attack != ScheduleParams::Attack::kPartition &&
       stats.indexer_crashes > 0) {
     for (const auto& op : stats.ops) {

@@ -142,7 +142,8 @@ struct ScheduleParams {
 
   // Adversarial attack schedule (docs/ADVERSARY.md). At most one attack
   // family runs per schedule, as an adversary::AttackPlan layered over
-  // the fault plan; the controller parameters are fixed by the harness
+  // the fault plan (a churn storm runs as a process of the fault plan
+  // itself); the controller parameters are fixed by the harness
   // while the defense knobs below feed every node's IpfsNodeConfig.
   // kNone forces the defenses off too, so historical seeds replay their
   // pre-adversary schedules bit-identically. All adversary knobs draw

@@ -51,40 +51,15 @@ Network::Network(Simulator& simulator, const LatencyModel& latency,
 
 NodeId Network::add_node(const NodeConfig& config) {
   assert(config.region >= 0 && config.region < latency_.regions());
-  NodeId id;
-  if (!free_ids_.empty()) {
-    id = free_ids_.back();
-    free_ids_.pop_back();
-    configs_[id] = config;
-    online_[id] = 1;
-    // The epoch was bumped on removal, so callbacks belonging to the
-    // slot's previous occupant stay muted for the new one.
-    connections_[id].clear();
-    uplink_free_at_[id] = 0;
-  } else {
-    id = static_cast<NodeId>(configs_.size());
-    configs_.push_back(config);
-    online_.push_back(1);
-    epochs_.push_back(0);
-    request_handlers_.emplace_back();
-    message_handlers_.emplace_back();
-    connections_.emplace_back();
-    uplink_free_at_.push_back(0);
-    in_use_.push_back(0);
-  }
-  in_use_[id] = 1;
-  ++live_nodes_;
+  const auto id = static_cast<NodeId>(configs_.size());
+  configs_.push_back(config);
+  online_.push_back(1);
+  epochs_.push_back(0);
+  request_handlers_.emplace_back();
+  message_handlers_.emplace_back();
+  connections_.emplace_back();
+  uplink_free_at_.push_back(0);
   return id;
-}
-
-void Network::remove_node(NodeId id) {
-  assert(in_use_[id] != 0);
-  set_online(id, false);  // tears down connections, bumps the epoch
-  request_handlers_[id] = nullptr;
-  message_handlers_[id] = nullptr;
-  in_use_[id] = 0;
-  --live_nodes_;
-  free_ids_.push_back(id);
 }
 
 void Network::set_online(NodeId id, bool online) {
@@ -98,10 +73,6 @@ void Network::set_online(NodeId id, bool online) {
     }
     connections_[id].clear();
   }
-}
-
-void Network::set_responsive(NodeId id, bool responsive) {
-  configs_[id].responsive = responsive;
 }
 
 void Network::set_dialable(NodeId id, bool dialable) {
@@ -267,7 +238,7 @@ void Network::send(NodeId from, NodeId to, MessagePtr message,
     duplicate = injector_->duplicate_message(from, to);
   }
   auto deliver = [this, from, to, bytes, message = std::move(message)] {
-    if (online_[to] == 0 || !configs_[to].responsive) return;
+    if (online_[to] == 0) return;
     hot_counter(c_rx_messages_, "transport.rx.messages").inc();
     hot_counter(c_rx_bytes_, "transport.rx.bytes").inc(bytes);
     if (message_handlers_[to]) message_handlers_[to](from, message);
@@ -326,10 +297,9 @@ void Network::request(NodeId from, NodeId to, MessagePtr request,
   }
   auto deliver = [this, from, to, request_id, request_bytes,
                   request = std::move(request)] {
-    // Offline or stalled peers swallow the request; the timeout fires.
-    if (online_[to] == 0 || !configs_[to].responsive ||
-        !request_handlers_[to])
-      return;
+    // Offline peers, and peers without a request handler, swallow the
+    // request; the timeout fires.
+    if (online_[to] == 0 || !request_handlers_[to]) return;
     hot_counter(c_rx_messages_, "transport.rx.messages").inc();
     hot_counter(c_rx_bytes_, "transport.rx.bytes").inc(request_bytes);
     auto respond = [this, to, from, request_id](MessagePtr response,

@@ -7,12 +7,12 @@
 //   - dial + security/mux negotiation handshakes per transport, with the
 //     transport-specific timeouts that produce the 5 s and 45 s spikes in
 //     paper Figure 9c,
-//   - NAT'ed (undialable) peers and unresponsive peers,
+//   - NAT'ed (undialable) peers,
 //   - connection state (Bitswap broadcasts to *connected* peers only).
 //
 // Node state is stored in dense structure-of-arrays vectors indexed by
-// NodeId, with freed ids recycled, so 100k+ add_node/remove_node churn
-// cycles neither fragment the heap nor grow the id space without bound.
+// NodeId. A node is only ever up or down (set_online): ids are never
+// removed or reused, so churn and crashes never grow the id space.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +35,9 @@ constexpr NodeId kInvalidNode = 0xffffffffu;
 
 enum class Transport { kTcp, kQuic, kWebSocket };
 
-// Dial timeout observed by a peer trying to reach an unresponsive address
-// (paper Section 6.1: 5 s TCP/QUIC dial timeouts, 45 s WebSocket handshake).
+// Dial timeout observed by a peer trying to reach an address that never
+// answers (paper Section 6.1: 5 s TCP/QUIC dial timeouts, 45 s WebSocket
+// handshake).
 Duration dial_timeout(Transport transport);
 
 // Dials to a churned-out peer usually fail fast (the host answers with a
@@ -50,7 +51,6 @@ int handshake_round_trips(Transport transport);
 struct NodeConfig {
   int region = 0;
   bool dialable = true;      // false models NAT'ed peers (DHT clients)
-  bool responsive = true;    // false models stalled peers that never reply
   Transport transport = Transport::kTcp;
   double upload_bytes_per_sec = 4.0 * 1024 * 1024;
   double download_bytes_per_sec = 12.0 * 1024 * 1024;
@@ -175,20 +175,11 @@ class Network {
   Network(Simulator& simulator, const LatencyModel& latency,
           std::uint64_t seed);
 
-  // Adds a node, recycling the lowest-order freed id if one exists.
+  // Adds an online node; ids count up from 0.
   NodeId add_node(const NodeConfig& config);
 
-  // Removes a node: tears down its connections, mutes its in-flight
-  // callbacks (epoch bump), clears its handlers and returns its id to the
-  // free list for the next add_node. Safe under 100k+ churn cycles.
-  void remove_node(NodeId id);
-
-  // Nodes currently allocated (excludes removed ones).
-  std::size_t node_count() const { return live_nodes_; }
-  // Size of the id space, including freed slots: ids are always
-  // < slot_count(). Iterate [0, slot_count()) and check in_use(id).
-  std::size_t slot_count() const { return configs_.size(); }
-  bool in_use(NodeId id) const { return in_use_[id] != 0; }
+  // Size of the id space: every id below it names a node.
+  std::size_t node_count() const { return configs_.size(); }
 
   const NodeConfig& config(NodeId id) const { return configs_[id]; }
   bool online(NodeId id) const { return online_[id] != 0; }
@@ -196,7 +187,6 @@ class Network {
   // Toggles liveness. Going offline tears down all connections and mutes
   // any pending callbacks owned by the node.
   void set_online(NodeId id, bool online);
-  void set_responsive(NodeId id, bool responsive);
   void set_dialable(NodeId id, bool dialable);
 
   void set_request_handler(NodeId id, RequestHandler handler);
@@ -335,9 +325,8 @@ class Network {
   metrics::Counter* c_dials_failed_ = nullptr;
 
   // Per-node state, structure-of-arrays, indexed by NodeId. Epochs
-  // increment when a node goes offline (or is removed); callbacks
-  // captured under an older epoch are muted — including callbacks left
-  // over from a previous occupant of a recycled id.
+  // increment when a node goes offline; callbacks captured under an
+  // older epoch stay muted after the node comes back.
   std::vector<NodeConfig> configs_;
   std::vector<std::uint8_t> online_;
   std::vector<std::uint64_t> epochs_;
@@ -345,9 +334,6 @@ class Network {
   std::vector<MessageHandler> message_handlers_;
   std::vector<std::vector<NodeId>> connections_;  // insertion-ordered
   std::vector<Time> uplink_free_at_;  // per-node uplink availability
-  std::vector<std::uint8_t> in_use_;
-  std::vector<NodeId> free_ids_;
-  std::size_t live_nodes_ = 0;
 
   std::unordered_map<std::uint64_t, PendingRequest> pending_;
   std::uint64_t next_request_id_ = 1;

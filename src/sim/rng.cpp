@@ -47,6 +47,12 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
 
 bool Rng::chance(double probability) { return uniform() < probability; }
 
+Duration uniform_duration(Rng& rng, Duration lo, Duration hi) {
+  if (hi <= lo) return lo;
+  return lo + static_cast<Duration>(rng.uniform(0.0, 1.0) *
+                                    static_cast<double>(hi - lo));
+}
+
 double Rng::exponential(double mean) {
   double u = uniform();
   if (u <= 0.0) u = 0x1.0p-53;

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "sim/time.h"
+
 namespace ipfs::sim {
 
 // xoshiro256** seeded via splitmix64.
@@ -56,5 +58,8 @@ class Rng {
   bool have_gauss_ = false;
   double gauss_spare_ = 0.0;
 };
+
+// Uniform duration in [lo, hi); hi <= lo yields lo without a draw.
+Duration uniform_duration(Rng& rng, Duration lo, Duration hi);
 
 }  // namespace ipfs::sim

@@ -177,18 +177,4 @@ std::string format_percent(double fraction, int decimals) {
   return buf;
 }
 
-std::vector<double> fold_trials(std::vector<TrialSamples> trials) {
-  std::stable_sort(trials.begin(), trials.end(),
-                   [](const TrialSamples& a, const TrialSamples& b) {
-                     return a.seed < b.seed;
-                   });
-  std::vector<double> out;
-  std::size_t total = 0;
-  for (const auto& trial : trials) total += trial.samples.size();
-  out.reserve(total);
-  for (const auto& trial : trials)
-    out.insert(out.end(), trial.samples.begin(), trial.samples.end());
-  return out;
-}
-
 }  // namespace ipfs::stats

@@ -63,24 +63,6 @@ class Histogram {
 };
 
 // ---------------------------------------------------------------------------
-// Deterministic multi-trial folding. The thread-parallel trial runner
-// (bench/perf_common.h) finishes trials in hardware order; folding in
-// completion order would make every multi-threaded artifact unstable.
-// These helpers re-establish the canonical order — ascending trial
-// seed, stable for ties — before any downstream Cdf / percentile /
-// JSONL export consumes the data, so merged outputs are byte-identical
-// no matter how the threads interleaved.
-// ---------------------------------------------------------------------------
-
-struct TrialSamples {
-  std::uint64_t seed = 0;
-  std::vector<double> samples;
-};
-
-// Stable-sorts the trials by seed, then concatenates their samples.
-std::vector<double> fold_trials(std::vector<TrialSamples> trials);
-
-// ---------------------------------------------------------------------------
 // Plain-text rendering. Benches print the same rows/series the paper's
 // tables and figures report.
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Adversarial scenario pack tests (docs/ADVERSARY.md): Sybil k-bucket
 // floods against the diversity cap, eclipse occupation of a target key's
 // XOR neighborhood with and without defenses, flash-crowd coalescing at
-// the gateway, churn storms, partitions with heal, and the determinism
+// the gateway, churn storms (a FaultPlan process since FaultPlan is the
+// one crash controller), partitions with heal, and the determinism
 // and identity-domain guarantees the simfuzz invariants rely on.
 #include <gtest/gtest.h>
 
@@ -409,60 +410,62 @@ TEST(FlashCrowdTest, PlanFiresEverySlotInsideTheWindow) {
 }
 
 // --------------------------------------------------------------------------
-// Churn storm
+// Churn storm: a FaultPlan process over the nodes under manage_crashes()
 // --------------------------------------------------------------------------
 
 TEST(ChurnStormTest, CrashesAndRevivesManagedNodes) {
-  ChurnStormConfig storm;
-  storm.fraction = 1.0;  // every managed node crashes
-  storm.start = sim::seconds(1);
-  storm.window = sim::seconds(10);
-  storm.min_downtime = sim::seconds(5);
-  storm.max_downtime = sim::seconds(15);
+  sim::FaultConfig faults;
+  faults.churn_storm = sim::ChurnStormConfig{
+      .fraction = 1.0,  // every managed node crashes
+      .start = sim::seconds(1),
+      .window = sim::seconds(10),
+      .min_downtime = sim::seconds(5),
+      .max_downtime = sim::seconds(15)};
   scenario::Scenario s = scenario::ScenarioBuilder()
                              .peers(10)
                              .seed(55)
                              .single_region(10.0)
                              .dht_servers(true)
-                             .churn_storm(storm)
+                             .faults(faults)
                              .build();
   std::size_t crashes = 0;
   std::size_t restarts = 0;
-  s.attack()->add_crash_listener([&](sim::NodeId, bool online) {
+  s.faults()->add_crash_listener([&](sim::NodeId, bool online) {
     online ? ++restarts : ++crashes;
   });
   for (std::size_t i = 4; i < s.size(); ++i)
-    s.attack()->manage_storm(s.node(i));
-  s.attack()->arm();
+    s.faults()->manage_crashes(s.node(i));
+  s.faults()->arm();
   s.simulator().run_until(s.simulator().now() + sim::minutes(1));
-  s.attack()->disarm();
+  s.faults()->disarm();
   s.simulator().run();
-  s.attack()->detach();
+  s.faults()->detach();
 
   EXPECT_EQ(crashes, s.size() - 4);
   EXPECT_EQ(restarts, crashes);  // every crash was revived
-  EXPECT_EQ(s.attack()->counters().storm_crashes, crashes);
+  EXPECT_EQ(s.faults()->counters().crashes, crashes);
   for (std::size_t i = 0; i < s.size(); ++i)
     EXPECT_TRUE(s.network().online(s.node(i)));
 }
 
 TEST(ChurnStormTest, DisarmRevivesNodesStillDown) {
-  ChurnStormConfig storm;
-  storm.fraction = 1.0;
-  storm.start = sim::seconds(1);
-  storm.window = sim::seconds(5);
-  storm.min_downtime = sim::minutes(10);  // far past the disarm below
-  storm.max_downtime = sim::minutes(20);
+  sim::FaultConfig faults;
+  faults.churn_storm = sim::ChurnStormConfig{
+      .fraction = 1.0,
+      .start = sim::seconds(1),
+      .window = sim::seconds(5),
+      .min_downtime = sim::minutes(10),  // far past the disarm below
+      .max_downtime = sim::minutes(20)};
   scenario::Scenario s = scenario::ScenarioBuilder()
                              .peers(8)
                              .seed(56)
                              .single_region(10.0)
                              .dht_servers(true)
-                             .churn_storm(storm)
+                             .faults(faults)
                              .build();
   for (std::size_t i = 4; i < s.size(); ++i)
-    s.attack()->manage_storm(s.node(i));
-  s.attack()->arm();
+    s.faults()->manage_crashes(s.node(i));
+  s.faults()->arm();
   s.simulator().run_until(s.simulator().now() + sim::seconds(20));
   // Mid-storm: the managed nodes are down.
   std::size_t down = 0;
@@ -470,11 +473,11 @@ TEST(ChurnStormTest, DisarmRevivesNodesStillDown) {
     if (!s.network().online(s.node(i))) ++down;
   EXPECT_GT(down, 0u);
 
-  s.attack()->disarm();  // cancels downtimes, revives everyone
+  s.faults()->disarm();  // cancels downtimes, revives everyone
   s.simulator().run();
   for (std::size_t i = 0; i < s.size(); ++i)
     EXPECT_TRUE(s.network().online(s.node(i)));
-  s.attack()->detach();
+  s.faults()->detach();
 }
 
 // --------------------------------------------------------------------------

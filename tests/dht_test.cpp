@@ -769,18 +769,20 @@ TEST(DhtBootstrapTest, AutonatThresholdIsMoreThanThree) {
   DhtNode joiner(endpoint, synthetic_peer_id(1003), {synthetic_address(1003)});
   joiner.attach_to_network();
 
-  // Four seeds, one of which is stalled: its dial-back probe times out,
-  // leaving exactly three positive answers.
+  // Four seeds, one of which is stalled (it takes requests and never
+  // answers): its dial-back probe times out, leaving exactly three
+  // positive answers.
   std::vector<PeerRef> seeds;
   for (int i = 0; i < 4; ++i) seeds.push_back(swarm.ref(i));
-  swarm.network().set_responsive(swarm.ref(3).node, false);
+  swarm.network().set_request_handler(
+      swarm.ref(3).node, [](sim::NodeId, const sim::MessagePtr&, auto) {});
 
   bool done = false;
   joiner.bootstrap(seeds, [&](bool) { done = true; });
   swarm.simulator().run();
   EXPECT_TRUE(done);
   EXPECT_EQ(joiner.mode(), DhtNode::Mode::kClient);  // 3 is not > 3
-  swarm.network().set_responsive(swarm.ref(3).node, true);
+  swarm.node(3).attach_to_network();  // answers again
 
   // With a fourth confirming peer the same joiner upgrades.
   transport::SimTransport endpoint2(swarm.network(), {.region = 0});
@@ -842,10 +844,12 @@ TEST(DhtSwarmTest, LookupTerminatesWithMajorityUndialableClosestPeers) {
 TEST(DhtSwarmTest, CrashAbortsInFlightLookupsWithoutCallback) {
   TestSwarm swarm(40, /*seed=*/23);
   // Slow the walk down so the crash catches it mid-flight: every peer
-  // except the requester's first hops is unresponsive, forcing 10 s RPC
-  // timeouts.
+  // except the requester's first hops never answers a request, forcing
+  // 10 s RPC timeouts.
   for (std::size_t i = 20; i < 40; ++i)
-    swarm.network().set_responsive(static_cast<sim::NodeId>(i), false);
+    swarm.network().set_request_handler(
+        static_cast<sim::NodeId>(i),
+        [](sim::NodeId, const sim::MessagePtr&, auto) {});
 
   bool fired = false;
   const Key key = Key::hash_of(std::vector<std::uint8_t>{0x77});

@@ -139,7 +139,8 @@ TEST(IndexerRouterTest, UnresponsiveIndexerTimesOutThenFailsOver) {
 
   // Reachable but mute: the dial succeeds and the query must burn the
   // full per-indexer timeout before failing over.
-  s.network().set_responsive(s.indexer(0).node(), false);
+  s.network().set_request_handler(
+      s.indexer(0).node(), [](sim::NodeId, const sim::MessagePtr&, auto) {});
 
   RoutingConfig config = in_mode(s, RoutingConfig::Mode::kIndexer);
   config.indexer_timeout = sim::seconds(2);

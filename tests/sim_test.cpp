@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <array>
 #include <list>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "sim/churn.h"
 #include "sim/faults.h"
@@ -443,73 +446,39 @@ TEST_F(NetworkTest, ReconnectIsImmediate) {
 }
 
 // --------------------------------------------------------------------------
-// Node lifecycle: remove_node, id recycling, epoch muting. The dense
-// SoA node store recycles freed ids, so a callback captured against a
-// previous occupant of a slot must never reach the new occupant.
+// Node lifecycle: a node is up or down. Going offline bumps its epoch,
+// so a callback captured before the node went down never fires, even
+// after the node comes back.
 // --------------------------------------------------------------------------
 
-TEST_F(NetworkTest, RemoveNodeRecyclesTheLowestFreedId) {
-  const NodeId a = net_.add_node({.region = 0});
-  const NodeId b = net_.add_node({.region = 0});
-  const NodeId c = net_.add_node({.region = 0});
-  EXPECT_EQ(net_.node_count(), 3u);
-  EXPECT_EQ(net_.slot_count(), 3u);
-
-  net_.remove_node(b);
-  net_.remove_node(a);
-  EXPECT_EQ(net_.node_count(), 1u);
-  EXPECT_EQ(net_.slot_count(), 3u);  // slots persist, contents freed
-  EXPECT_FALSE(net_.in_use(a));
-  EXPECT_FALSE(net_.in_use(b));
-  EXPECT_TRUE(net_.in_use(c));
-
-  // Lowest freed id first; the id space does not grow while holes exist.
-  const NodeId reused_a = net_.add_node({.region = 1});
-  const NodeId reused_b = net_.add_node({.region = 1});
-  EXPECT_EQ(reused_a, std::min(a, b));
-  EXPECT_EQ(reused_b, std::max(a, b));
-  EXPECT_EQ(net_.slot_count(), 3u);
-  EXPECT_EQ(net_.config(reused_a).region, 1);
-}
-
-TEST_F(NetworkTest, RemoveNodeTearsDownConnections) {
-  const NodeId a = net_.add_node({.region = 0});
-  const NodeId b = net_.add_node({.region = 0});
-  net_.connect(a, b, [](bool, Duration) {});
-  sim_.run();
-  ASSERT_TRUE(net_.connected(a, b));
-
-  net_.remove_node(b);
-  EXPECT_FALSE(net_.connected(a, b));
-  EXPECT_TRUE(net_.connections_of(a).empty());
-}
-
-TEST_F(NetworkTest, RecycledIdDoesNotInheritPredecessorsCallbacks) {
+TEST_F(NetworkTest, OfflineRequesterCallbackIsMuted) {
   const NodeId a = net_.add_node({.region = 0});
   const NodeId victim = net_.add_node({.region = 1});
+  net_.set_request_handler(victim,
+                           [](NodeId, const MessagePtr&, auto respond) {
+                             respond(std::make_shared<Pong>(), 64);
+                           });
   net_.connect(a, victim, [](bool, Duration) {});
   sim_.run();
 
-  // In-flight request to the victim, which is removed mid-flight; its
-  // slot is immediately recycled for an unrelated new node. The response
-  // callback was captured under the victim's epoch and must stay muted —
-  // it must neither fire against the new occupant nor leak.
+  // The requester goes offline and comes back while its request is in
+  // flight, and the victim answers. The callback was captured under the
+  // old epoch and must stay muted: it must neither fire for the
+  // restarted node nor leak.
   bool cb_fired = false;
   net_.request(a, victim, std::make_shared<Ping>(), 64, seconds(30),
                [&](RpcStatus, MessagePtr) { cb_fired = true; });
-  net_.remove_node(a);  // requester gone: callback owned by a is muted
-  const NodeId recycled = net_.add_node({.region = 0});
-  EXPECT_EQ(recycled, a);
+  net_.set_online(a, false);
+  net_.set_online(a, true);
 
   sim_.run();
   EXPECT_FALSE(cb_fired);
   EXPECT_EQ(net_.pending_request_count(), 0u);
 }
 
-TEST_F(NetworkTest, RemovedResponderFailsInFlightRequests) {
+TEST_F(NetworkTest, OfflineResponderFailsInFlightRequests) {
   const NodeId a = net_.add_node({.region = 0});
-  const NodeId b = net_.add_node(
-      {.region = 0, .responsive = false});  // will never answer
+  const NodeId b = net_.add_node({.region = 0});  // no handler: never answers
   net_.connect(a, b, [](bool, Duration) {});
   sim_.run();
 
@@ -520,7 +489,7 @@ TEST_F(NetworkTest, RemovedResponderFailsInFlightRequests) {
                  fired = true;
                  status = s;
                });
-  net_.remove_node(b);
+  net_.set_online(b, false);
   sim_.run();
   EXPECT_TRUE(fired);
   EXPECT_NE(status, RpcStatus::kOk);
@@ -626,7 +595,8 @@ TEST_F(NetworkTest, RequestToUnresponsivePeerTimesOut) {
   });
   net_.connect(a, b, [](bool, Duration) {});
   sim_.run();
-  net_.set_responsive(b, false);
+  // Stalled: b still takes requests but never answers.
+  net_.set_request_handler(b, [](NodeId, const MessagePtr&, auto) {});
 
   RpcStatus status = RpcStatus::kOk;
   const Time start = sim_.now();
@@ -901,6 +871,53 @@ TEST_F(FaultPlanTest, CrashRestartCyclesNotifyListenersAndRecover) {
   EXPECT_EQ(plan.crashed_count(), 0u);
   EXPECT_TRUE(net_.online(b_));
   EXPECT_EQ(crash_events, restart_events);
+}
+
+TEST_F(FaultPlanTest, StormNodesKeepTheirCrashCycle) {
+  FaultConfig config;
+  config.crashes_per_hour_per_node = 60.0;
+  config.min_downtime = seconds(5);
+  config.max_downtime = seconds(20);
+  // A zero window lands the storm on every managed node at once.
+  const Time storm_at = seconds(30);
+  config.churn_storm = ChurnStormConfig{.fraction = 1.0,
+                                        .start = storm_at,
+                                        .window = 0,
+                                        .min_downtime = seconds(5),
+                                        .max_downtime = seconds(15)};
+  FaultPlan plan(net_, config, 41);
+  plan.manage_crashes(b_);
+  plan.manage_crashes(c_);
+
+  std::map<NodeId, std::vector<std::pair<Time, bool>>> transitions;
+  plan.add_crash_listener([&](NodeId node, bool online) {
+    transitions[node].emplace_back(sim_.now(), online);
+  });
+  // c_ goes down from outside just before the storm reaches it, and
+  // comes back ten seconds later.
+  sim_.schedule_at(storm_at - milliseconds(1),
+                   [&] { net_.set_online(c_, false); });
+  sim_.schedule_at(storm_at + seconds(10), [&] { net_.set_online(c_, true); });
+
+  plan.arm();
+  sim_.run_until(minutes(30));
+  for (const NodeId node : {b_, c_}) {
+    const auto& seen = transitions[node];
+    ASSERT_FALSE(seen.empty()) << "node " << node << " never crashed";
+    std::size_t crashes_after_storm = 0;
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_EQ(seen[i].second, i % 2 == 1)
+          << "node " << node << " transition " << i;
+      if (!seen[i].second && seen[i].first > storm_at) ++crashes_after_storm;
+    }
+    EXPECT_GT(crashes_after_storm, 3u) << "node " << node;
+  }
+  EXPECT_EQ(transitions[b_].front().first, storm_at);  // the storm's crash
+  EXPECT_GT(transitions[c_].front().first, storm_at);  // skipped the storm
+
+  plan.disarm();
+  EXPECT_EQ(plan.crashed_count(), 0u);
+  for (const NodeId node : {a_, b_, c_}) EXPECT_TRUE(net_.online(node));
 }
 
 TEST_F(FaultPlanTest, LatencySpikesAreCountedAndScaleTheLink) {

@@ -136,29 +136,5 @@ TEST(FormatTest, HumanReadableUnits) {
   EXPECT_EQ(format_percent(0.285), "28.5 %");
 }
 
-// --------------------------------------------------------------------------
-// Trial folding. The parallel bench runner hands trials back in whatever
-// order threads finish; fold_trials must erase that order so
-// multi-threaded runs export byte-identical results.
-// --------------------------------------------------------------------------
-
-TEST(FoldTrialsTest, OrderOfCompletionDoesNotMatter) {
-  const std::vector<TrialSamples> forward = {
-      {1, {1.0, 2.0}}, {2, {3.0}}, {3, {4.0, 5.0}}};
-  const std::vector<TrialSamples> shuffled = {
-      {3, {4.0, 5.0}}, {1, {1.0, 2.0}}, {2, {3.0}}};
-  const auto a = fold_trials(forward);
-  const auto b = fold_trials(shuffled);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, (std::vector<double>{1.0, 2.0, 3.0, 4.0, 5.0}));
-}
-
-TEST(FoldTrialsTest, DuplicateSeedsKeepInputOrder) {
-  // Stable sort: two trials with the same seed fold in the order given.
-  const std::vector<TrialSamples> trials = {
-      {7, {1.0}}, {7, {2.0}}, {3, {0.5}}};
-  EXPECT_EQ(fold_trials(trials), (std::vector<double>{0.5, 1.0, 2.0}));
-}
-
 }  // namespace
 }  // namespace ipfs::stats
