@@ -104,7 +104,7 @@ dht::PeerRef AttackPlan::mint_ref(
     dht::PeerRef ref;
     ref.id = std::move(id);
     ref.node = node;
-    ref.addresses.push_back(attacker_address(static_cast<std::uint32_t>(n)));
+    ref.addresses = {attacker_address(static_cast<std::uint32_t>(n))};
     return ref;
   }
 }

@@ -5,7 +5,7 @@
 namespace ipfs::dht {
 
 DhtNode::DhtNode(transport::Transport& transport, multiformats::PeerId id,
-                 std::vector<multiformats::Multiaddr> addresses,
+                 multiformats::AddressList addresses,
                  RecordStore* shared_store, PeerDirectory* shared_directory)
     : transport_(transport),
       self_{std::move(id), transport.local(), std::move(addresses)},
@@ -125,7 +125,7 @@ bool DhtNode::handle_request(
       for (auto& record : response->providers) {
         if (!routing_table_.contains(record.provider.id)) {
           record.provider.node = sim::kInvalidNode;
-          record.provider.addresses.clear();
+          record.provider.addresses = {};
         }
       }
       answer_closer_peers(get_providers->key, response->closer);

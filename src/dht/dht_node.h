@@ -41,7 +41,7 @@ class DhtNode {
   // is held once; it must outlive the node. Without one the node owns
   // its own.
   DhtNode(transport::Transport& transport, multiformats::PeerId id,
-          std::vector<multiformats::Multiaddr> addresses,
+          multiformats::AddressList addresses,
           RecordStore* shared_store = nullptr,
           PeerDirectory* shared_directory = nullptr);
   ~DhtNode();

@@ -22,7 +22,7 @@ struct PeerRef {
   sim::NodeId node = sim::kInvalidNode;
   // All advertised Multiaddresses (multihomed peers have several; the
   // crawler counts them, Section 5.1).
-  std::vector<multiformats::Multiaddr> addresses;
+  multiformats::AddressList addresses;
 
   bool operator==(const PeerRef& other) const { return id == other.id; }
 };

@@ -12,16 +12,17 @@ namespace ipfs::dht {
 namespace {
 
 // Copies the records of `handles` out of the directory. The records lie
-// scattered across it, and each copy bumps the PeerId's refcount with a
-// locked instruction that holds back the loads after it, so the misses
-// would be paid one at a time; fetching every record, then its address
-// list, first lets them overlap.
+// scattered across it, and a copy allocates nothing: it bumps the
+// refcounts of the PeerId's digest and of the address list's shared
+// block, each with a locked instruction that holds back the loads after
+// it, so the misses would be paid one at a time; fetching every record,
+// then its address list's block, first lets them overlap.
 std::vector<PeerRef> gather(const PeerDirectory& directory,
                             std::ranges::sized_range auto&& handles) {
   for (const PeerDirectory::Handle handle : handles)
     __builtin_prefetch(&directory[handle]);
   for (const PeerDirectory::Handle handle : handles)
-    __builtin_prefetch(directory[handle].addresses.data());
+    __builtin_prefetch(directory[handle].addresses.block());
   std::vector<PeerRef> out;
   out.reserve(std::ranges::size(handles));
   for (const PeerDirectory::Handle handle : handles)

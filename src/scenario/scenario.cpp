@@ -177,7 +177,7 @@ Scenario ScenarioBuilder::build() const {
     for (std::size_t i = 0; i < peers_; ++i) {
       auto dht = std::make_unique<dht::DhtNode>(
           *scenario.endpoints_[i], synthetic_peer_id(i),
-          std::vector<multiformats::Multiaddr>{
+          multiformats::AddressList{
               synthetic_address(static_cast<std::uint32_t>(i))},
           /*shared_store=*/nullptr, scenario.directory_.get());
       dht->force_mode(dht::DhtNode::Mode::kServer);

@@ -45,7 +45,7 @@ List<T> list(std::vector<T>& items, std::size_t min_bytes) {
 // references, and the Writer only reads them.
 
 void fields(auto& io, dht::PeerRef& m) {
-  io(m.id, m.node, list(m.addresses, 4));
+  io(m.id, m.node, m.addresses);  // AddressList: a repeated Multiaddr
 }
 
 void fields(auto& io, dht::ProviderRecord& m) {
@@ -205,6 +205,10 @@ class Writer {
     put(data != nullptr);
     if (data) put(*data);
   }
+  void put(const multiformats::AddressList& addresses) {
+    put(static_cast<std::uint32_t>(addresses.size()));
+    for (const auto& address : addresses) put(address);
+  }
 
   template <std::integral Int>
   void put(Int value) {
@@ -270,6 +274,12 @@ class Reader {
     std::optional<Bytes> bytes;
     get(bytes);
     if (bytes) data = std::make_shared<const Bytes>(std::move(*bytes));
+  }
+  // An address is at least its u32 length prefix.
+  void get(multiformats::AddressList& addresses) {
+    std::vector<multiformats::Multiaddr> items;
+    get(list(items, 4));
+    addresses = multiformats::AddressList(std::move(items));
   }
 
   template <std::integral Int>

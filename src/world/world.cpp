@@ -75,7 +75,8 @@ void World::build_nodes() {
       addresses.push_back(multiformats::make_tcp_multiaddr(ip, 4001));
 
     auto dht = std::make_unique<dht::DhtNode>(
-        endpoint, synthetic_peer_id(i), std::move(addresses),
+        endpoint, synthetic_peer_id(i),
+        multiformats::AddressList(std::move(addresses)),
         /*shared_store=*/nullptr, &directory_);
     dht->force_mode(dht::DhtNode::Mode::kServer);
     dht->attach_to_network();
@@ -114,7 +115,7 @@ void World::build_hydras() {
           0x48595200000000ULL + h * 4096 + head;  // 'HYR' prefix
       auto dht = std::make_unique<dht::DhtNode>(
           endpoint, synthetic_peer_id(identity),
-          std::vector<multiformats::Multiaddr>{
+          multiformats::AddressList{
               multiformats::make_tcp_multiaddr("44.0.0.1", 4001)},
           shared, &directory_);
       dht->force_mode(dht::DhtNode::Mode::kServer);

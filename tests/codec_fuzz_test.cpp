@@ -58,10 +58,10 @@ class Fuzz {
     const std::uint32_t n = u32() % 100000;
     ref.id = scenario::synthetic_peer_id(n);
     ref.node = static_cast<sim::NodeId>(n);
-    const std::size_t addresses = index(3);
-    for (std::size_t i = 0; i < addresses; ++i) {
-      ref.addresses.push_back(scenario::synthetic_address(u32() % 100000));
-    }
+    std::vector<multiformats::Multiaddr> addresses(index(3));
+    for (auto& address : addresses)
+      address = scenario::synthetic_address(u32() % 100000);
+    ref.addresses = multiformats::AddressList(std::move(addresses));
     return ref;
   }
 

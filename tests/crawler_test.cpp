@@ -64,9 +64,8 @@ TEST(CrawlerTest, ReportsDialableAndUndialableSplit) {
 
 TEST(CrawlerTest, ExtractsIpsFromMultiaddrs) {
   dht::PeerRef peer;
-  peer.addresses.push_back(multiformats::make_tcp_multiaddr("1.2.3.4", 4001));
-  peer.addresses.push_back(
-      multiformats::make_quic_multiaddr("5.6.7.8", 4001));
+  peer.addresses = {multiformats::make_tcp_multiaddr("1.2.3.4", 4001),
+                    multiformats::make_quic_multiaddr("5.6.7.8", 4001)};
   const auto ips = extract_ips(peer);
   ASSERT_EQ(ips.size(), 2u);
   EXPECT_EQ(ips[0], "1.2.3.4");

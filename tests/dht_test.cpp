@@ -193,7 +193,16 @@ TEST(RoutingTableTest, RefreshThroughOneTableShowsInAnother) {
   PeerRef ref = make_ref(5);
   ASSERT_TRUE(first.upsert(ref));
   ASSERT_TRUE(second.upsert(ref));
+  ASSERT_EQ(directory.size(), 1u);
 
+  // A reply copies no addresses: its entry shares the directory
+  // record's list block.
+  const auto before = second.all_peers();
+  ASSERT_EQ(before.size(), 1u);
+  ASSERT_FALSE(before[0].addresses.empty());
+  EXPECT_EQ(before[0].addresses.block(), directory[0].addresses.block());
+
+  const PeerRef old = ref;
   ref.node = 99;
   ref.addresses = {synthetic_address(99)};
   ASSERT_TRUE(first.upsert(ref));
@@ -202,6 +211,13 @@ TEST(RoutingTableTest, RefreshThroughOneTableShowsInAnother) {
   EXPECT_EQ(peers[0].id, ref.id);
   EXPECT_EQ(peers[0].node, 99u);
   EXPECT_EQ(peers[0].addresses, ref.addresses);
+  EXPECT_EQ(peers[0].addresses.block(), directory[0].addresses.block());
+
+  // The refresh replaced the shared list and never edited it: the reply
+  // taken before it keeps the old addresses.
+  EXPECT_EQ(before[0].node, old.node);
+  EXPECT_EQ(before[0].addresses, old.addresses);
+  EXPECT_NE(before[0].addresses, peers[0].addresses);
 }
 
 TEST(RoutingTableTest, EntriesSurviveDirectoryGrowth) {
