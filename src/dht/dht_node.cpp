@@ -15,9 +15,7 @@ DhtNode::DhtNode(transport::Transport& transport, multiformats::PeerId id,
       routing_table_(shared_directory != nullptr ? *shared_directory
                                                  : *own_directory_,
                      Key::for_peer(self_.id)),
-      records_(shared_store != nullptr ? shared_store : &own_records_) {
-  schedule_expiry_sweep();
-}
+      records_(shared_store != nullptr ? shared_store : &own_records_) {}
 
 DhtNode::~DhtNode() {
   republish_timer_.cancel();
@@ -200,6 +198,7 @@ bool DhtNode::handle_message(sim::NodeId from, const sim::MessagePtr& message) {
       ProviderRecord record{add_provider->provider,
                             transport_.now()};
       records_->add_provider(add_provider->key, std::move(record));
+      if (!expiry_timer_.active()) schedule_expiry_sweep();
       transport_.metrics().counter("dht.provider_records_stored").inc();
     }
     (void)from;
@@ -345,7 +344,7 @@ void DhtNode::handle_restart() {
   republish_timer_.cancel();
   expiry_timer_.cancel();
   records_->expire_providers(transport_.now());
-  schedule_expiry_sweep();
+  if (records_->provider_key_count() > 0) schedule_expiry_sweep();
   if (!reprovide_keys_.empty()) schedule_republish();
 }
 
@@ -442,7 +441,7 @@ void DhtNode::schedule_expiry_sweep() {
   expiry_timer_ =
       transport_.schedule_daemon_after(kExpirySweepInterval, [this] {
         records_->expire_providers(transport_.now());
-        schedule_expiry_sweep();
+        if (records_->provider_key_count() > 0) schedule_expiry_sweep();
       });
 }
 

@@ -25,7 +25,15 @@ namespace ipfs::dht {
 constexpr int kAutonatThreshold = 3;
 constexpr int kAutonatProbes = 5;
 
-// Periodic sweep for expired provider records.
+// Period of the sweep for expired provider records. A node sweeps only
+// while its store holds records: storing an ADD_PROVIDER arms the sweep
+// if none is queued, and a sweep that leaves the store empty does not
+// re-arm, so a node that never stores a record queues no event for it.
+// A store filled straight through record_store() (the benchmarks' seeded
+// provider records) is swept only after its node stores an ADD_PROVIDER
+// or restarts. RecordStore::providers still prunes expired records on
+// read, and no seeded gateway-day record reaches its 24 h expiry inside
+// the day.
 constexpr sim::Duration kExpirySweepInterval = sim::hours(1);
 
 class DhtNode {
@@ -76,7 +84,8 @@ class DhtNode {
 
   // Re-arms maintenance after a crash, running an immediate expiry sweep
   // first (under repeated crashes the hourly sweep may otherwise never
-  // fire). The caller re-joins the network via bootstrap().
+  // fire), then re-arming the sweep only if the store still holds
+  // records. The caller re-joins the network via bootstrap().
   void handle_restart();
 
   // --- Publication (Section 3.1) -----------------------------------------

@@ -720,6 +720,33 @@ TEST(DhtSwarmTest, ProviderRecordsExpireWithoutRepublish) {
   EXPECT_TRUE(lookup.providers.empty());
 }
 
+TEST(DhtSwarmTest, OnlyAStoreHoldingRecordsIsSwept) {
+  TestSwarm swarm(2);
+  sim::Simulator& sim = swarm.simulator();
+  // Neither store has held a record: no sweep is queued.
+  EXPECT_EQ(sim.next_event_time(), -1);
+
+  const Key key = Key::hash_of(std::vector<std::uint8_t>{0x55});
+  int sent = 0;
+  swarm.node(0).store_provider_records(
+      key, {swarm.ref(1)},
+      [&](DhtNode::StoreBatchResult batch) { sent = batch.sent; });
+  sim.run();
+  ASSERT_EQ(sent, 1);
+  RecordStore& store = swarm.node(1).record_store();
+  const auto records = store.providers(key, sim.now());
+  ASSERT_EQ(records.size(), 1u);
+  const sim::Time received = records[0].received_at;
+
+  // The record expires 24 h after it arrived; a sweep drops it within one
+  // interval, and the emptied store queues nothing more.
+  sim.run_until(received + kProviderExpiry);
+  EXPECT_EQ(store.provider_key_count(), 1u);
+  sim.run_until(received + kProviderExpiry + kExpirySweepInterval);
+  EXPECT_EQ(store.provider_key_count(), 0u);
+  EXPECT_EQ(sim.next_event_time(), -1);
+}
+
 TEST(DhtSwarmTest, RepublishKeepsRecordsAlive) {
   TestSwarm swarm(50);
   const Key key = Key::hash_of(std::vector<std::uint8_t>{0x33});
