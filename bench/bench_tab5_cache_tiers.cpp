@@ -4,8 +4,9 @@
 // The breakdown is derived from the metrics registry the gateway's single
 // accounting point feeds (gateway.tier.<name>.{requests,bytes} counters
 // and gateway.latency.<name> histograms), not from the workload's own
-// request log; the conservation identity sum(tier requests) ==
-// gateway.requests is checked in passing.
+// request log. The conservation identity sum(tier requests) ==
+// gateway.requests is checked in passing; the bench exits 1 when it
+// fails.
 #include <cstdio>
 
 #include "gateway_common.h"
@@ -75,16 +76,15 @@ int main() {
   const std::uint64_t failed =
       registry.counter_value("gateway.tier.failed.requests");
   const std::uint64_t total = registry.counter_value("gateway.requests");
+  const bool conserved = total_served + failed == total &&
+                         total == experiment.gateway->total_requests();
   std::printf("\ntier conservation: %llu served + %llu failed = %llu total "
               "(gateway reports %llu) %s\n",
               static_cast<unsigned long long>(total_served),
               static_cast<unsigned long long>(failed),
               static_cast<unsigned long long>(total_served + failed),
               static_cast<unsigned long long>(total),
-              total_served + failed == total &&
-                      total == experiment.gateway->total_requests()
-                  ? "OK"
-                  : "VIOLATED");
+              conserved ? "OK" : "VIOLATED");
 
   const double hit_requests = static_cast<double>(
       registry.counter_value("gateway.tier.nginx_cache.requests") +
@@ -94,5 +94,5 @@ int main() {
   std::printf("nginx cache evictions: %llu\n",
               static_cast<unsigned long long>(
                   experiment.gateway->nginx_cache().evictions()));
-  return 0;
+  return conserved ? 0 : 1;
 }

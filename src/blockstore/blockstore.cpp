@@ -77,34 +77,34 @@ LruBlockStore::LruBlockStore(std::uint64_t capacity_bytes, LruConfig config)
   if (config.tinylfu) sketch_.emplace(kSketchEntries);
 }
 
-bool LruBlockStore::put(const Cid& cid, BlockData data) {
-  if (data == nullptr || data->size() > capacity_) return false;
+bool LruBlockStore::put(const Cid& cid, std::uint64_t bytes) {
+  if (bytes > capacity_) return false;
 
   const std::uint64_t key_hash = sketch_ ? cid_hash64(cid) : 0;
   if (sketch_) sketch_->record(key_hash);
 
   const auto it = entries_.find(cid);
   if (it != entries_.end()) {
-    // Content is immutable so the bytes are identical: a re-put is a hit
+    // Content is immutable so the size is identical: a re-put is a hit
     // (refresh + promote) and must leave the byte accounting untouched.
     touch(cid, it->second);
     return true;
   }
 
-  if (!make_room(data->size(), key_hash)) return false;
+  if (!make_room(bytes, key_hash)) return false;
 
-  used_ += data->size();
+  used_ += bytes;
   probation_.push_front(cid);
-  entries_.emplace(cid, Entry{std::move(data), probation_.begin(), false});
+  entries_.emplace(cid, Entry{bytes, probation_.begin(), false});
   return true;
 }
 
-BlockData LruBlockStore::get(const Cid& cid) {
+std::optional<std::uint64_t> LruBlockStore::get(const Cid& cid) {
   const auto it = entries_.find(cid);
   if (sketch_) sketch_->record(cid_hash64(cid));
-  if (it == entries_.end()) return nullptr;
+  if (it == entries_.end()) return std::nullopt;
   touch(cid, it->second);
-  return it->second.data;
+  return it->second.bytes;
 }
 
 bool LruBlockStore::has(const Cid& cid) const { return entries_.contains(cid); }
@@ -123,7 +123,7 @@ void LruBlockStore::touch(const Cid& cid, Entry& entry) {
   protected_.push_front(cid);
   entry.recency = protected_.begin();
   entry.protected_segment = true;
-  protected_bytes_ += entry.data->size();
+  protected_bytes_ += entry.bytes;
   while (protected_bytes_ > protected_capacity_ && !protected_.empty()) {
     const Cid demoted = protected_.back();
     Entry& demoted_entry = entries_.find(demoted)->second;
@@ -132,7 +132,7 @@ void LruBlockStore::touch(const Cid& cid, Entry& entry) {
     probation_.push_front(demoted);
     demoted_entry.recency = probation_.begin();
     demoted_entry.protected_segment = false;
-    protected_bytes_ -= demoted_entry.data->size();
+    protected_bytes_ -= demoted_entry.bytes;
     if (demoted == cid) break;  // the promoted entry itself overflowed
   }
 }
@@ -164,8 +164,8 @@ void LruBlockStore::evict_one() {
   const Cid victim = segment.back();
   segment.pop_back();
   const auto it = entries_.find(victim);
-  used_ -= it->second.data->size();
-  if (!from_probation) protected_bytes_ -= it->second.data->size();
+  used_ -= it->second.bytes;
+  if (!from_probation) protected_bytes_ -= it->second.bytes;
   entries_.erase(it);
   ++evictions_;
 }

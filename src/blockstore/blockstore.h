@@ -1,5 +1,6 @@
 // Content-addressed block storage. Every IPFS node owns a BlockStore; the
-// gateway additionally uses an LRU-capped store as its nginx-style cache.
+// gateway additionally keeps an LRU-capped index of object sizes as its
+// nginx-style cache.
 #pragma once
 
 #include <cstdint>
@@ -20,9 +21,8 @@ namespace ipfs::blockstore {
 using multiformats::Cid;
 
 // Shared-ownership block payload. Content is immutable (CID-addressed),
-// so cache tiers — a replica's edge cache and the fleet's shared origin
-// tier — alias one allocation instead of copying half-megabyte objects
-// on every hit.
+// so a store hit, a Bitswap reply and a verified Block alias one
+// allocation instead of copying the block's bytes.
 using BlockData = std::shared_ptr<const std::vector<std::uint8_t>>;
 
 // A block whose CID is the hash of its bytes (Section 2.1). Hashing is
@@ -106,25 +106,29 @@ struct LruConfig {
   bool tinylfu = false;
 };
 
-// Byte-capped segmented-LRU store (the gateway's nginx-style web cache;
-// paper Section 3.4). New blocks enter a probationary segment; a hit
-// promotes to the protected segment, whose overflow demotes back to
-// probation — so scan traffic evicts other scan traffic first. With
-// `LruConfig::tinylfu` the sketch additionally gates admission.
+// Byte-capped segmented-LRU cache of object sizes (the gateway's
+// nginx-style web cache; paper Section 3.4). An entry is a whole
+// object's root CID and its byte count, charged against the capacity as
+// if the bytes were held: every gateway tier reads only the size (its
+// latency and byte accounting), so no tier copies an object. New entries
+// enter a probationary segment; a hit promotes to the protected segment,
+// whose overflow demotes back to probation — so scan traffic evicts
+// other scan traffic first. With `LruConfig::tinylfu` the sketch
+// additionally gates admission.
 class LruBlockStore {
  public:
   explicit LruBlockStore(std::uint64_t capacity_bytes, LruConfig config = {});
 
-  // Inserts (or refreshes) an object under `cid`, evicting probationary
-  // entries until it fits. Objects larger than the capacity are refused,
-  // as are (under TinyLFU) objects colder than every would-be victim.
-  // Shared ownership: edge and origin tiers alias one payload. Not a
-  // Block: the gateway caches a whole object under its root CID.
-  bool put(const Cid& cid, BlockData data);
+  // Inserts (or refreshes) the `bytes`-long object under `cid`, evicting
+  // probationary entries until it fits. Objects larger than the capacity
+  // are refused, as are (under TinyLFU) objects colder than every
+  // would-be victim. Content is immutable, so a resident CID keeps the
+  // size it was inserted with.
+  bool put(const Cid& cid, std::uint64_t bytes);
 
-  // A hit refreshes recency and promotes probation -> protected. O(1):
-  // returns the shared payload, never a copy; nullptr on miss.
-  BlockData get(const Cid& cid);
+  // A hit refreshes recency, promotes probation -> protected and returns
+  // the object's byte count; nullopt on miss.
+  std::optional<std::uint64_t> get(const Cid& cid);
   bool has(const Cid& cid) const;
 
   std::uint64_t capacity_bytes() const { return capacity_; }
@@ -140,7 +144,7 @@ class LruBlockStore {
 
  private:
   struct Entry {
-    BlockData data;
+    std::uint64_t bytes = 0;
     std::list<Cid>::iterator recency;  // position in its segment's list
     bool protected_segment = false;
   };

@@ -100,45 +100,43 @@ void Gateway::drop_transient(const Cid& root) {
 
 void Gateway::serve(const Cid& cid, bool account_tier,
                     std::function<void(GatewayResponse)> done) {
-  // Tier 1: nginx-style edge cache. The hit hands back the shared
-  // payload — O(1), no copy of the object bytes.
+  // Tier 1: nginx-style edge cache; the hit reads the object's size.
   if (const auto cached = nginx_cache_.get(cid)) {
     reply(cid, account_tier,
           {.source = ServedFrom::kNginxCache,
            .latency = kNginxHitLatency,
-           .bytes = cached->size()},
+           .bytes = *cached},
           std::move(done));
     return;
   }
 
-  // Tier 2: the co-located IPFS node's store (pinned content).
-  if (auto local = merkledag::cat(node_.store(), cid)) {
-    const GatewayResponse response{
-        .source = ServedFrom::kNodeStore,
-        .latency = kNodeStoreBaseLatency +
-                   sim::seconds(static_cast<double>(local->size()) /
-                                kNodeStoreBytesPerSec),
-        .bytes = local->size()};
-    auto shared = std::make_shared<const std::vector<std::uint8_t>>(
-        std::move(*local));
-    nginx_cache_.put(cid, shared);
+  // Tier 2: the co-located IPFS node's store (pinned content), only when
+  // it holds the whole DAG.
+  if (const auto local = merkledag::content_size(node_.store(), cid)) {
+    nginx_cache_.put(cid, *local);
     // Write through to the shared origin so spilled requests for this
     // replica's pinned partition stay inside the fleet.
-    if (config_.origin) config_.origin->put(cid, shared);
-    reply(cid, account_tier, response, std::move(done));
+    if (config_.origin) config_.origin->put(cid, *local);
+    reply(cid, account_tier,
+          {.source = ServedFrom::kNodeStore,
+           .latency = kNodeStoreBaseLatency +
+                      sim::seconds(static_cast<double>(*local) /
+                                   kNodeStoreBytesPerSec),
+           .bytes = *local},
+          std::move(done));
     return;
   }
 
   // Tier 3: the fleet's shared origin cache (replicas only).
   if (config_.origin) {
-    if (const auto shared = config_.origin->get(cid)) {
-      nginx_cache_.put(cid, shared);  // aliases the origin's payload
+    if (const auto cached = config_.origin->get(cid)) {
+      nginx_cache_.put(cid, *cached);
       reply(cid, account_tier,
             {.source = ServedFrom::kOriginCache,
              .latency = kOriginHitLatency +
-                        sim::seconds(static_cast<double>(shared->size()) /
+                        sim::seconds(static_cast<double>(*cached) /
                                      kOriginBytesPerSec),
-             .bytes = shared->size()},
+             .bytes = *cached},
             std::move(done));
       return;
     }
@@ -195,13 +193,11 @@ void Gateway::serve(const Cid& cid, bool account_tier,
       // the paper's non-cached tier does (Table 5: 4.04 s median).
       if (trace.provider_node != sim::kInvalidNode)
         node_.disconnect_from(trace.provider_node);
-      auto bytes = merkledag::cat(node_.store(), cid);
-      response.bytes = bytes ? bytes->size() : trace.bytes;
-      if (bytes) {
-        auto shared = std::make_shared<const std::vector<std::uint8_t>>(
-            std::move(*bytes));
-        nginx_cache_.put(cid, shared);
-        if (config_.origin) config_.origin->put(cid, shared);
+      const auto size = merkledag::content_size(node_.store(), cid);
+      response.bytes = size ? *size : trace.bytes;
+      if (size) {
+        nginx_cache_.put(cid, *size);
+        if (config_.origin) config_.origin->put(cid, *size);
         drop_transient(cid);
       }
     }

@@ -4,11 +4,14 @@
 //   1. the nginx-style edge cache (segmented LRU over whole objects,
 //      optional TinyLFU admission)                        — ~0 latency
 //   2. the co-located IPFS node's store (pinned content)  — few ms
-//   3. the fleet's shared origin cache (when configured)  — ~1 ms + copy
+//   3. the fleet's shared origin cache (when configured)  — ~1 ms + transfer
 //   4. the P2P network via the full retrieval pipeline    — seconds
 //
 // Tiers 1, 2 and 4 match the three rows of Table 5; tier 3 exists only
 // when the gateway runs as a GatewayFleet replica (docs/GATEWAY.md).
+// Every tier accounts an object by its size alone: the caches hold byte
+// counts, and tier 2 and the P2P fill walk the DAG with
+// merkledag::content_size, so no tier copies an object's bytes.
 #pragma once
 
 #include <array>
@@ -156,7 +159,8 @@ class Gateway {
   // The co-located node's transport; declared after node_ (load-bearing:
   // initialized from node_.transport()).
   transport::Transport& transport_;
-  blockstore::LruBlockStore nginx_cache_;  // whole objects by root CID
+  // Object sizes by root CID; charged against nginx_cache_bytes.
+  blockstore::LruBlockStore nginx_cache_;
   // Indexed by ServedFrom.
   std::array<TierStats, static_cast<std::size_t>(ServedFrom::kFailed) + 1>
       tier_stats_;

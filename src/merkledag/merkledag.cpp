@@ -174,19 +174,22 @@ ImportResult import_bytes(BlockStore& store,
 
 namespace {
 
-bool cat_recursive(const BlockStore& store, const Cid& cid,
-                   std::vector<std::uint8_t>& out) {
+// Hands `visit` the content bytes below `cid` in order: raw leaf bytes
+// and each dag node's data. False when a block is missing or fails to
+// decode; cat and content_size read the same blocks through it.
+template <typename Visit>
+bool walk_content(const BlockStore& store, const Cid& cid, Visit& visit) {
   const auto block = store.get(cid);
   if (!block) return false;
   if (cid.content_codec() == Multicodec::kRaw) {
-    out.insert(out.end(), block->begin(), block->end());
+    visit(std::span<const std::uint8_t>(*block));
     return true;
   }
   const auto node = DagNode::decode(*block);
   if (!node) return false;
-  out.insert(out.end(), node->data.begin(), node->data.end());
+  visit(std::span<const std::uint8_t>(node->data));
   for (const auto& link : node->links)
-    if (!cat_recursive(store, link.cid, out)) return false;
+    if (!walk_content(store, link.cid, visit)) return false;
   return true;
 }
 
@@ -208,8 +211,21 @@ bool enumerate_recursive(const BlockStore& store, const Cid& cid,
 std::optional<std::vector<std::uint8_t>> cat(const BlockStore& store,
                                              const Cid& root) {
   std::vector<std::uint8_t> out;
-  if (!cat_recursive(store, root, out)) return std::nullopt;
+  auto append = [&out](std::span<const std::uint8_t> bytes) {
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  };
+  if (!walk_content(store, root, append)) return std::nullopt;
   return out;
+}
+
+std::optional<std::uint64_t> content_size(const BlockStore& store,
+                                          const Cid& root) {
+  std::uint64_t total = 0;
+  auto add = [&total](std::span<const std::uint8_t> bytes) {
+    total += bytes.size();
+  };
+  if (!walk_content(store, root, add)) return std::nullopt;
+  return total;
 }
 
 std::optional<std::vector<Cid>> enumerate(const BlockStore& store,

@@ -102,6 +102,13 @@ ImportResult import_bytes(BlockStore& store, std::span<const std::uint8_t> data,
 std::optional<std::vector<std::uint8_t>> cat(const BlockStore& store,
                                              const Cid& root);
 
+// The byte count cat would return, or nullopt where cat fails: the same
+// walk over the same block reads, summing raw leaf bytes and dag node
+// data instead of copying them. For callers that need to know an object
+// is complete, or how large it is, but not its bytes.
+std::optional<std::uint64_t> content_size(const BlockStore& store,
+                                          const Cid& root);
+
 // All block CIDs reachable from `root` (root first, depth-first), or
 // nullopt if the DAG is incomplete in `store`.
 std::optional<std::vector<Cid>> enumerate(const BlockStore& store,

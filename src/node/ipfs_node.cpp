@@ -205,7 +205,7 @@ void IpfsNode::retrieve(const Cid& cid,
                                               cid.to_string());
 
   // Phase 0: the object may be complete locally.
-  if (merkledag::cat(*store_, cid).has_value()) {
+  if (merkledag::content_size(*store_, cid).has_value()) {
     ctx->trace.ok = true;
     ctx->trace.local_hit = true;
     finish(ctx);

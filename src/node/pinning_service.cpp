@@ -24,7 +24,7 @@ void PinningService::pin_bytes(std::span<const std::uint8_t> data,
 void PinningService::pin_cid(const Cid& cid,
                              std::function<void(PinResult)> done) {
   // Already local (e.g. pinned earlier): just (re)announce.
-  if (merkledag::cat(node_.store(), cid).has_value()) {
+  if (merkledag::content_size(node_.store(), cid).has_value()) {
     node_.store().pin(cid);
     announce(cid, std::move(done));
     return;

@@ -11,6 +11,11 @@ std::vector<std::uint8_t> bytes_of(std::string_view s) {
   return std::vector<std::uint8_t>(s.begin(), s.end());
 }
 
+// A distinct CID per name, for the size-only LRU tests.
+Cid cid_of(std::string_view name) {
+  return Cid::from_data(Multicodec::kRaw, bytes_of(name));
+}
+
 TEST(BlockStoreTest, PutGetRoundTrip) {
   BlockStore store;
   const auto block = Block::from_data(Multicodec::kRaw, bytes_of("data"));
@@ -80,76 +85,54 @@ TEST(BlockStoreTest, GarbageCollectionSparesPinnedBlocks) {
 
 TEST(LruBlockStoreTest, EvictsLeastRecentlyUsed) {
   LruBlockStore cache(10);  // bytes
-  const auto a = Block::from_data(Multicodec::kRaw, bytes_of("aaaa"));
-  const auto b = Block::from_data(Multicodec::kRaw, bytes_of("bbbb"));
-  const auto c = Block::from_data(Multicodec::kRaw, bytes_of("cccc"));
-  EXPECT_TRUE(cache.put(a.cid, a.data));
-  EXPECT_TRUE(cache.put(b.cid, b.data));
-  // Touch a so b becomes the LRU entry.
-  EXPECT_NE(cache.get(a.cid), nullptr);
-  EXPECT_TRUE(cache.put(c.cid, c.data));  // 12 bytes > 10: evicts b
-  EXPECT_TRUE(cache.has(a.cid));
-  EXPECT_FALSE(cache.has(b.cid));
-  EXPECT_TRUE(cache.has(c.cid));
+  const Cid a = cid_of("a");
+  const Cid b = cid_of("b");
+  const Cid c = cid_of("c");
+  EXPECT_TRUE(cache.put(a, 3));
+  EXPECT_TRUE(cache.put(b, 4));
+  // Touch a so b becomes the LRU entry; the hit returns a's byte count.
+  EXPECT_EQ(cache.get(a), std::optional<std::uint64_t>(3));
+  EXPECT_TRUE(cache.put(c, 5));  // 12 bytes > 10: evicts b
+  EXPECT_TRUE(cache.has(a));
+  EXPECT_FALSE(cache.has(b));
+  EXPECT_TRUE(cache.has(c));
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.used_bytes(), 8u);
+  EXPECT_EQ(cache.get(c), std::optional<std::uint64_t>(5));
+  EXPECT_EQ(cache.get(b), std::nullopt);
 }
 
 TEST(LruBlockStoreTest, RefusesOversizedBlocks) {
   LruBlockStore cache(4);
-  const auto big = Block::from_data(Multicodec::kRaw, bytes_of("too big"));
-  EXPECT_FALSE(cache.put(big.cid, big.data));
+  EXPECT_FALSE(cache.put(cid_of("too big"), 7));
   EXPECT_EQ(cache.used_bytes(), 0u);
 }
 
 TEST(LruBlockStoreTest, ReinsertRefreshesRecency) {
   LruBlockStore cache(8);
-  const auto a = Block::from_data(Multicodec::kRaw, bytes_of("aaaa"));
-  const auto b = Block::from_data(Multicodec::kRaw, bytes_of("bbbb"));
-  const auto c = Block::from_data(Multicodec::kRaw, bytes_of("cccc"));
-  cache.put(a.cid, a.data);
-  cache.put(b.cid, b.data);
-  cache.put(a.cid, a.data);  // refresh a; b is now LRU
-  cache.put(c.cid, c.data);  // evicts b
-  EXPECT_TRUE(cache.has(a.cid));
-  EXPECT_FALSE(cache.has(b.cid));
+  const Cid a = cid_of("a");
+  const Cid b = cid_of("b");
+  const Cid c = cid_of("c");
+  cache.put(a, 4);
+  cache.put(b, 4);
+  cache.put(a, 4);  // refresh a; b is now LRU
+  cache.put(c, 4);  // evicts b
+  EXPECT_TRUE(cache.has(a));
+  EXPECT_FALSE(cache.has(b));
   EXPECT_EQ(cache.block_count(), 2u);
 }
 
 TEST(LruBlockStoreTest, RePutKeepsUsedBytesExact) {
-  // Regression: a re-put of a resident block must not double-count its
-  // size (content is immutable, so the bytes are identical by CID).
+  // Regression: a re-put of a resident object must not double-count its
+  // size (content is immutable, so the size is identical by CID).
   LruBlockStore cache(64);
-  const auto a = Block::from_data(Multicodec::kRaw, bytes_of("aaaa"));
-  cache.put(a.cid, a.data);
+  const Cid a = cid_of("a");
+  cache.put(a, 4);
   EXPECT_EQ(cache.used_bytes(), 4u);
-  cache.put(a.cid, a.data);
-  EXPECT_EQ(cache.used_bytes(), 4u);
-  // The shared-ownership overload is a refresh too.
-  const auto alias =
-      std::make_shared<const std::vector<std::uint8_t>>(bytes_of("aaaa"));
-  EXPECT_TRUE(cache.put(a.cid, alias));
+  EXPECT_TRUE(cache.put(a, 4));
   EXPECT_EQ(cache.used_bytes(), 4u);
   EXPECT_EQ(cache.block_count(), 1u);
   EXPECT_EQ(cache.evictions(), 0u);
-}
-
-TEST(LruBlockStoreTest, GetReturnsSharedPayloadWithoutCopy) {
-  // Regression: get() used to copy the whole object per tier-1 hit. It
-  // now hands back the stored shared_ptr — every hit aliases the one
-  // allocation made at insert time.
-  LruBlockStore cache(1024);
-  const auto block = Block::from_data(Multicodec::kRaw, bytes_of("payload"));
-  const auto payload =
-      std::make_shared<const std::vector<std::uint8_t>>(*block.data);
-  ASSERT_TRUE(cache.put(block.cid, payload));
-
-  const BlockData first = cache.get(block.cid);
-  const BlockData second = cache.get(block.cid);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first.get(), payload.get());   // no copy: same allocation
-  EXPECT_EQ(second.get(), payload.get());  // ... on every hit
-  EXPECT_EQ(*first, bytes_of("payload"));
 }
 
 TEST(LruBlockStoreTest, InterleavedGetPutEvictsScanTrafficFirst) {
@@ -157,23 +140,23 @@ TEST(LruBlockStoreTest, InterleavedGetPutEvictsScanTrafficFirst) {
   // segment; one-touch scan traffic in probation evicts first, even when
   // the protected entries are older.
   LruBlockStore cache(12);
-  const auto a = Block::from_data(Multicodec::kRaw, bytes_of("aaaa"));
-  const auto b = Block::from_data(Multicodec::kRaw, bytes_of("bbbb"));
-  const auto c = Block::from_data(Multicodec::kRaw, bytes_of("cccc"));
-  const auto d = Block::from_data(Multicodec::kRaw, bytes_of("dddd"));
-  const auto e = Block::from_data(Multicodec::kRaw, bytes_of("eeee"));
-  cache.put(a.cid, a.data);
-  cache.put(b.cid, b.data);
-  cache.put(c.cid, c.data);
-  EXPECT_NE(cache.get(a.cid), nullptr);  // promote a
-  EXPECT_NE(cache.get(c.cid), nullptr);  // promote c
-  cache.put(d.cid, d.data);  // full: evicts b — the only probationary entry
-  EXPECT_FALSE(cache.has(b.cid));
-  cache.put(e.cid, e.data);  // evicts d (probation), not the older-but-hit a/c
-  EXPECT_FALSE(cache.has(d.cid));
-  EXPECT_TRUE(cache.has(a.cid));
-  EXPECT_TRUE(cache.has(c.cid));
-  EXPECT_TRUE(cache.has(e.cid));
+  const Cid a = cid_of("a");
+  const Cid b = cid_of("b");
+  const Cid c = cid_of("c");
+  const Cid d = cid_of("d");
+  const Cid e = cid_of("e");
+  cache.put(a, 4);
+  cache.put(b, 4);
+  cache.put(c, 4);
+  EXPECT_TRUE(cache.get(a).has_value());  // promote a
+  EXPECT_TRUE(cache.get(c).has_value());  // promote c
+  cache.put(d, 4);  // full: evicts b — the only probationary entry
+  EXPECT_FALSE(cache.has(b));
+  cache.put(e, 4);  // evicts d (probation), not the older-but-hit a/c
+  EXPECT_FALSE(cache.has(d));
+  EXPECT_TRUE(cache.has(a));
+  EXPECT_TRUE(cache.has(c));
+  EXPECT_TRUE(cache.has(e));
   EXPECT_EQ(cache.protected_bytes(), 8u);
   EXPECT_EQ(cache.used_bytes(), 12u);
 }
@@ -183,18 +166,18 @@ TEST(LruBlockStoreTest, ProtectedOverflowDemotesBackToProbation) {
   // 4-byte entry fits. Promoting a second hit entry demotes the first
   // back to probation, where it is eviction-eligible again.
   LruBlockStore cache(8);
-  const auto a = Block::from_data(Multicodec::kRaw, bytes_of("aaaa"));
-  const auto b = Block::from_data(Multicodec::kRaw, bytes_of("bbbb"));
-  const auto c = Block::from_data(Multicodec::kRaw, bytes_of("cccc"));
-  cache.put(a.cid, a.data);
-  cache.put(b.cid, b.data);
-  EXPECT_NE(cache.get(a.cid), nullptr);  // a -> protected
-  EXPECT_NE(cache.get(b.cid), nullptr);  // b -> protected, a demoted
+  const Cid a = cid_of("a");
+  const Cid b = cid_of("b");
+  const Cid c = cid_of("c");
+  cache.put(a, 4);
+  cache.put(b, 4);
+  EXPECT_TRUE(cache.get(a).has_value());  // a -> protected
+  EXPECT_TRUE(cache.get(b).has_value());  // b -> protected, a demoted
   EXPECT_EQ(cache.protected_bytes(), 4u);
-  cache.put(c.cid, c.data);  // needs room: evicts a from probation, b survives
-  EXPECT_FALSE(cache.has(a.cid));
-  EXPECT_TRUE(cache.has(b.cid));
-  EXPECT_TRUE(cache.has(c.cid));
+  cache.put(c, 4);  // needs room: evicts a from probation, b survives
+  EXPECT_FALSE(cache.has(a));
+  EXPECT_TRUE(cache.has(b));
+  EXPECT_TRUE(cache.has(c));
 }
 
 TEST(FrequencySketchTest, HalvingIsDeterministic) {
@@ -241,24 +224,24 @@ TEST(LruBlockStoreTest, TinyLfuRefusesColdCandidates) {
   // estimate of the candidate is below the victim's, so the put is
   // refused and counted as an admission rejection.
   LruBlockStore cache(4, LruConfig{.tinylfu = true});
-  const auto hot = Block::from_data(Multicodec::kRaw, bytes_of("hot!"));
-  const auto cold = Block::from_data(Multicodec::kRaw, bytes_of("cold"));
-  ASSERT_TRUE(cache.put(hot.cid, hot.data));
-  for (int i = 0; i < 4; ++i) EXPECT_NE(cache.get(hot.cid), nullptr);
+  const Cid hot = cid_of("hot!");
+  const Cid cold = cid_of("cold");
+  ASSERT_TRUE(cache.put(hot, 4));
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(cache.get(hot).has_value());
 
   // Would evict hot; cold is colder.
-  EXPECT_FALSE(cache.put(cold.cid, cold.data));
-  EXPECT_TRUE(cache.has(hot.cid));
-  EXPECT_FALSE(cache.has(cold.cid));
+  EXPECT_FALSE(cache.put(cold, 4));
+  EXPECT_TRUE(cache.has(hot));
+  EXPECT_FALSE(cache.has(cold));
   EXPECT_EQ(cache.admission_rejections(), 1u);
   EXPECT_EQ(cache.evictions(), 0u);
 
   // Once the candidate has proven itself (repeated misses recorded in
   // the sketch), admission goes through and the old resident is evicted.
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(cache.get(cold.cid), nullptr);
-  EXPECT_TRUE(cache.put(cold.cid, cold.data));
-  EXPECT_TRUE(cache.has(cold.cid));
-  EXPECT_FALSE(cache.has(hot.cid));
+  for (int i = 0; i < 8; ++i) EXPECT_FALSE(cache.get(cold).has_value());
+  EXPECT_TRUE(cache.put(cold, 4));
+  EXPECT_TRUE(cache.has(cold));
+  EXPECT_FALSE(cache.has(hot));
   EXPECT_EQ(cache.evictions(), 1u);
 }
 

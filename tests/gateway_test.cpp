@@ -62,6 +62,31 @@ TEST_F(GatewayTest, PinnedContentServesFromNodeStoreInMilliseconds) {
   EXPECT_GT(response.latency, 0);
 }
 
+TEST_F(GatewayTest, NodeStoreTierNeedsTheWholeDag) {
+  // A pinned object that lost one leaf is not served from the node
+  // store: the request falls through to the P2P network, where the
+  // publisher holds the same bytes, and is served whole.
+  const auto data = random_bytes(700 * 1024, 15);
+  gateway_->pin_object(data);
+  node::PublishTrace publish_trace;
+  publisher_->publish(data, [&](node::PublishTrace t) { publish_trace = t; });
+  swarm_.simulator().run();
+  ASSERT_TRUE(publish_trace.ok);
+  auto& store = gateway_->node().store();
+  const auto cids = merkledag::enumerate(store, publish_trace.cid);
+  ASSERT_TRUE(cids.has_value());
+  ASSERT_TRUE(store.remove(cids->back()));
+
+  GatewayResponse response;
+  gateway_->handle_get(publish_trace.cid,
+                       [&](GatewayResponse r) { response = r; });
+  swarm_.simulator().run();
+
+  EXPECT_EQ(response.source, ServedFrom::kP2p);
+  EXPECT_EQ(response.bytes, data.size());
+  EXPECT_EQ(gateway_->stats(ServedFrom::kNodeStore).requests, 0u);
+}
+
 TEST_F(GatewayTest, SecondRequestHitsNginxCache) {
   const auto data = random_bytes(256 * 1024, 2);
   gateway_->pin_object(data);

@@ -65,6 +65,8 @@ TEST(ImportTest, SingleChunkBecomesRawBlock) {
   EXPECT_EQ(result.new_blocks, 1u);
   EXPECT_EQ(result.root.content_codec(), multiformats::Multicodec::kRaw);
   EXPECT_EQ(cat(store, result.root), data);
+  EXPECT_EQ(content_size(store, result.root),
+            std::optional<std::uint64_t>(data.size()));
 }
 
 TEST(ImportTest, MultiChunkBuildsDag) {
@@ -120,6 +122,8 @@ TEST(ImportTest, WideDagGetsMultipleLevels) {
   const auto result = import_bytes(store, data, chunk_size);
   EXPECT_EQ(result.chunk_count, kMaxLinkDegree + 10);
   EXPECT_EQ(cat(store, result.root), data);
+  EXPECT_EQ(content_size(store, result.root),
+            std::optional<std::uint64_t>(data.size()));
 
   const auto cids = enumerate(store, result.root);
   ASSERT_TRUE(cids.has_value());
@@ -133,9 +137,13 @@ TEST(CatTest, FailsOnMissingBlocks) {
   const auto result = import_bytes(store, data);
   const auto cids = enumerate(store, result.root);
   ASSERT_TRUE(cids.has_value());
-  // Remove one leaf; cat must fail rather than return partial data.
+  ASSERT_EQ(content_size(store, result.root),
+            std::optional<std::uint64_t>(data.size()));
+  // Remove one leaf; cat must fail rather than return partial data, and
+  // content_size must not count a partial DAG.
   store.remove(cids->back());
   EXPECT_FALSE(cat(store, result.root).has_value());
+  EXPECT_EQ(content_size(store, result.root), std::nullopt);
   EXPECT_FALSE(enumerate(store, result.root).has_value());
 }
 
