@@ -118,9 +118,10 @@ BENCHMARK(BM_ChunkAndBuildDag);
 
 // --- event core -----------------------------------------------------
 //
-// The three workloads that dominate simulation runs: pure scheduling
+// The workloads that dominate simulation runs: pure scheduling
 // throughput, schedule-then-cancel churn (every network timeout that
-// never fires), and full drain in timestamp order.
+// never fires), full drain in timestamp order, and self-rescheduling
+// daemon timers (peer churn, most of a census's events).
 
 void BM_SchedulerSchedule(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -177,6 +178,43 @@ void BM_SchedulerDrain(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SchedulerDrain)
+    ->Arg(100'000)
+    ->Unit(benchmark::kMillisecond);
+
+// sim::ChurnProcess's shape: every managed peer keeps one daemon timer
+// that reschedules itself from its own callback, capturing
+// [this, index, online] (24 bytes).
+class DaemonChurn {
+ public:
+  DaemonChurn(sim::Simulator& simulator, std::size_t peers)
+      : simulator_(simulator), rng_(14) {
+    for (std::size_t i = 0; i < peers; ++i) arm(i, /*online=*/true);
+  }
+
+ private:
+  void arm(std::size_t index, bool online) {
+    simulator_.schedule_daemon_after(
+        sim::milliseconds(rng_.uniform(1.0, 30'000.0)),
+        [this, index, online] { arm(index, !online); });
+  }
+
+  sim::Simulator& simulator_;
+  sim::Rng rng_;
+};
+
+// Steady state: the timers are armed once, then each iteration runs
+// 30 simulated seconds (about 2 transitions per timer) with run_until.
+void BM_SchedulerDaemonChurn(benchmark::State& state) {
+  sim::Simulator simulator;
+  DaemonChurn churn(simulator, static_cast<std::size_t>(state.range(0)));
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    events += static_cast<std::int64_t>(
+        simulator.run_until(simulator.now() + sim::seconds(30)));
+  }
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_SchedulerDaemonChurn)
     ->Arg(100'000)
     ->Unit(benchmark::kMillisecond);
 

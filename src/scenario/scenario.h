@@ -119,8 +119,9 @@ class Scenario {
   // Shared by every DHT server's routing table; null without servers.
   std::unique_ptr<dht::PeerDirectory> directory_;
   std::vector<std::unique_ptr<dht::DhtNode>> dht_nodes_;
-  // Declared after dht_nodes_ so engines (holding Timer handles) are
-  // destroyed before the fabric members above them.
+  // Declared after dht_nodes_ so engines (holding Timer handles, which
+  // read simulator_ when cancelled) are destroyed before the fabric
+  // members above them.
   std::vector<std::unique_ptr<pubsub::Pubsub>> pubsub_nodes_;
   std::vector<std::unique_ptr<indexer::Indexer>> indexers_;
   std::vector<dht::PeerRef> refs_;

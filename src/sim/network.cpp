@@ -158,7 +158,8 @@ void Network::connect(NodeId from, NodeId to, DialCallback cb) {
     // latency differs. Model both as a connection after the setup time,
     // with an extra round of coordination when the punch succeeds.
     const Duration setup = via_relay + (upgraded ? one_way(from, to) * 2 : 0);
-    simulator_.post(setup, [this, from, to, epoch, cb, start, dial_span] {
+    simulator_.schedule_after(setup, [this, from, to, epoch, cb, start,
+                                      dial_span] {
       // The dial outcome is real telemetry even when the requester has
       // since churned out, so the span ends before the liveness check.
       const bool ok = online_[to] != 0;
@@ -190,7 +191,8 @@ void Network::connect(NodeId from, NodeId to, DialCallback cb) {
         rng_.chance(kFastFailProbability)) {
       fail_after = one_way(from, to) * 2;  // one round trip to the RST
     }
-    simulator_.post(fail_after, [this, from, epoch, cb, start, dial_span] {
+    simulator_.schedule_after(fail_after, [this, from, epoch, cb, start,
+                                           dial_span] {
       metrics_.end_span(dial_span, false);
       if (!callback_alive(from, epoch)) return;
       cb(false, now() - start);
@@ -200,7 +202,8 @@ void Network::connect(NodeId from, NodeId to, DialCallback cb) {
 
   const Duration rtt = one_way(from, to) * 2;
   const Duration handshake = rtt * handshake_round_trips(transport);
-  simulator_.post(handshake, [this, from, to, epoch, cb, start, dial_span] {
+  simulator_.schedule_after(handshake, [this, from, to, epoch, cb, start,
+                                        dial_span] {
     const bool ok = online_[to] != 0;
     metrics_.end_span(dial_span, ok);
     if (!callback_alive(from, epoch)) return;
@@ -243,8 +246,9 @@ void Network::send(NodeId from, NodeId to, MessagePtr message,
     hot_counter(c_rx_bytes_, "transport.rx.bytes").inc(bytes);
     if (message_handlers_[to]) message_handlers_[to](from, message);
   };
-  if (duplicate) simulator_.post(delay + milliseconds(1), deliver);
-  simulator_.post(delay, std::move(deliver));
+  if (duplicate)
+    simulator_.schedule_after(delay + milliseconds(1), deliver);
+  simulator_.schedule_after(delay, std::move(deliver));
 }
 
 void Network::request(NodeId from, NodeId to, MessagePtr request,
@@ -313,8 +317,8 @@ void Network::request(NodeId from, NodeId to, MessagePtr request,
       Duration back =
           one_way(to, from) + queued_transfer_delay(to, from, bytes);
       if (injector_ != nullptr) back += injector_->reorder_delay(to, from);
-      simulator_.post(back, [this, request_id, bytes,
-                             response = std::move(response)] {
+      simulator_.schedule_after(back, [this, request_id, bytes,
+                                       response = std::move(response)] {
         const auto it = pending_.find(request_id);
         if (it == pending_.end()) return;  // already timed out
         hot_counter(c_rx_messages_, "transport.rx.messages").inc();
@@ -333,8 +337,9 @@ void Network::request(NodeId from, NodeId to, MessagePtr request,
   // finds the pending entry consumed and is ignored, but the responder's
   // side effects (ledger counts, record stores) happen twice — exactly
   // the at-least-once delivery real retransmissions produce.
-  if (duplicate) simulator_.post(delay + milliseconds(1), deliver);
-  simulator_.post(delay, std::move(deliver));
+  if (duplicate)
+    simulator_.schedule_after(delay + milliseconds(1), deliver);
+  simulator_.schedule_after(delay, std::move(deliver));
 }
 
 void Network::reset_connection(NodeId a, NodeId b) {
@@ -355,9 +360,11 @@ void Network::reset_connection(NodeId a, NodeId b) {
     entry.timeout_timer.cancel();
     hot_counter(c_rpc_resets_, "net.rpc_resets").inc();
     metrics_.end_span(entry.span, false);
-    simulator_.post(0, [this, entry]() {
-      if (!callback_alive(entry.from, entry.from_epoch)) return;
-      entry.cb(RpcStatus::kReset, nullptr);
+    simulator_.schedule_after(0, [this, from = entry.from,
+                                  epoch = entry.from_epoch,
+                                  cb = std::move(entry.cb)] {
+      if (!callback_alive(from, epoch)) return;
+      cb(RpcStatus::kReset, nullptr);
     });
   }
 }

@@ -253,17 +253,21 @@ class Network {
     return simulator_.foreground_pending();
   }
   std::size_t pending_events() const { return simulator_.pending_events(); }
-  Timer schedule_at(Time when, std::function<void()> fn) {
-    return simulator_.schedule_at(when, std::move(fn));
+  template <typename F>
+  Timer schedule_at(Time when, F&& fn) {
+    return simulator_.schedule_at(when, std::forward<F>(fn));
   }
-  Timer schedule_after(Duration delay, std::function<void()> fn) {
-    return simulator_.schedule_after(delay, std::move(fn));
+  template <typename F>
+  Timer schedule_after(Duration delay, F&& fn) {
+    return simulator_.schedule_after(delay, std::forward<F>(fn));
   }
-  Timer schedule_daemon_at(Time when, std::function<void()> fn) {
-    return simulator_.schedule_daemon_at(when, std::move(fn));
+  template <typename F>
+  Timer schedule_daemon_at(Time when, F&& fn) {
+    return simulator_.schedule_daemon_at(when, std::forward<F>(fn));
   }
-  Timer schedule_daemon_after(Duration delay, std::function<void()> fn) {
-    return simulator_.schedule_daemon_after(delay, std::move(fn));
+  template <typename F>
+  Timer schedule_daemon_after(Duration delay, F&& fn) {
+    return simulator_.schedule_daemon_after(delay, std::forward<F>(fn));
   }
 
   // Per-simulation observability substrate. The fabric instruments its own

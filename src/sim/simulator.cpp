@@ -7,26 +7,15 @@ namespace ipfs::sim {
 
 namespace {
 
-// Min-heap comparator over (when, seq): std::push_heap et al. build a
-// max-heap, so "after" inverts the order.
-struct After {
-  template <typename Item>
-  bool operator()(const Item& a, const Item& b) const {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
-  }
-};
-
-}  // namespace
-
-void Timer::cancel() {
-  if (!state_ || !state_->alive) return;
-  state_->alive = false;
-  if (!state_->daemon && state_->foreground_pending != nullptr)
-    --*state_->foreground_pending;
+// The heap's order: (when, seq) is a strict total order, because seq is
+// unique, so every heap shape pops the same event next.
+template <typename Item>
+bool before(const Item& a, const Item& b) {
+  if (a.when != b.when) return a.when < b.when;
+  return a.seq < b.seq;
 }
 
-bool Timer::active() const { return state_ && state_->alive; }
+}  // namespace
 
 std::uint32_t Simulator::enqueue(Time when, bool daemon) {
   assert(when >= now_ && "cannot schedule into the past");
@@ -43,53 +32,65 @@ std::uint32_t Simulator::enqueue(Time when, bool daemon) {
       free_slots_.push_back(slot + i);
   }
   if (!daemon) ++foreground_pending_;
-  heap_.push_back(Item{when, next_seq_++, slot});
-  std::push_heap(heap_.begin(), heap_.end(), After{});
+  const std::uint64_t seq = next_seq_++;
+  Event& event = at(slot);
+  event.seq = seq;
+  event.daemon = daemon;
+  heap_push(Item{when, seq, slot});
   return slot;
 }
 
-void Simulator::release(std::uint32_t slot) {
+void Simulator::cancel(std::uint32_t slot, std::uint64_t seq) {
   Event& event = at(slot);
-  event.task.reset();
-  event.state.reset();
+  if (event.seq != seq) return;  // fired, cancelled, or a stale handle
+  event.seq = kNoEvent;
+  if (!event.daemon) --foreground_pending_;
+}
+
+void Simulator::heap_push(Item item) {
+  std::size_t hole = heap_.size();
+  heap_.push_back(item);
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / kHeapArity;
+    if (!before(item, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = item;
+}
+
+void Simulator::heap_pop() {
+  const Item last = heap_.back();
+  heap_.pop_back();
+  const std::size_t size = heap_.size();
+  if (size == 0) return;
+  // Sift the hole left at the top down to where `last` belongs.
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = kHeapArity * hole + 1;
+    if (first >= size) break;
+    const std::size_t end = std::min(first + kHeapArity, size);
+    std::size_t child = first;
+    for (std::size_t c = first + 1; c < end; ++c)
+      if (before(heap_[c], heap_[child])) child = c;
+    if (!before(heap_[child], last)) break;
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = last;
+}
+
+void Simulator::release(std::uint32_t slot) {
+  at(slot).task.reset();
   free_slots_.push_back(slot);
-}
-
-Timer Simulator::schedule_event(Time when, std::function<void()> fn,
-                                bool daemon) {
-  auto state = std::make_shared<Timer::State>();
-  state->daemon = daemon;
-  state->foreground_pending = &foreground_pending_;
-  Event& event = at(enqueue(when, daemon));
-  event.state = state;
-  event.task.bind(std::move(fn));
-  return Timer(std::move(state));
-}
-
-Timer Simulator::schedule_at(Time when, std::function<void()> fn) {
-  return schedule_event(when, std::move(fn), /*daemon=*/false);
-}
-
-Timer Simulator::schedule_after(Duration delay, std::function<void()> fn) {
-  return schedule_event(now_ + delay, std::move(fn), /*daemon=*/false);
-}
-
-Timer Simulator::schedule_daemon_at(Time when, std::function<void()> fn) {
-  return schedule_event(when, std::move(fn), /*daemon=*/true);
-}
-
-Timer Simulator::schedule_daemon_after(Duration delay,
-                                       std::function<void()> fn) {
-  return schedule_event(now_ + delay, std::move(fn), /*daemon=*/true);
 }
 
 bool Simulator::has_live_event() {
   while (!heap_.empty()) {
-    const Event& head = at(heap_.front().slot);
-    if (head.state == nullptr || head.state->alive) return true;
-    const std::uint32_t slot = heap_.front().slot;
-    std::pop_heap(heap_.begin(), heap_.end(), After{});
-    heap_.pop_back();
+    const Item& top = heap_.front();
+    if (live(top.slot, top.seq)) return true;
+    const std::uint32_t slot = top.slot;
+    heap_pop();
     release(slot);  // cancelled: prune lazily
   }
   return false;
@@ -101,15 +102,10 @@ Time Simulator::next_event_time() {
 
 void Simulator::execute_next() {
   const Item top = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), After{});
-  heap_.pop_back();
+  heap_pop();
   Event& event = at(top.slot);
-  if (event.state == nullptr) {
-    --foreground_pending_;
-  } else {
-    event.state->alive = false;  // consumed
-    if (!event.state->daemon) --foreground_pending_;
-  }
+  event.seq = kNoEvent;  // consumed: active() is false from here on
+  if (!event.daemon) --foreground_pending_;
   now_ = top.when;
   event.task();
   // Release the slot only after the callback returns. The slab's chunks

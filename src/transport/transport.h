@@ -19,9 +19,11 @@
 //                     timers run on its own sim::Simulator, stepped to the
 //                     wall clock by poll_once().
 //
-// Both backends schedule on a sim::Simulator and hand out its Timer, so
-// a backend must outlive every object holding one of its foreground
-// timers, exactly as a Simulator must.
+// Both backends schedule on a sim::Simulator and hand out its Timer, whose
+// cancel() and active() read that Simulator. So a backend must outlive
+// every object that cancels or queries any of its timers, daemon timers
+// included (the destructors of DhtNode, Pubsub and Indexer cancel
+// theirs), exactly as a Simulator must.
 //
 // The vocabulary types (Message, MessagePtr, RpcStatus, the handler
 // signatures) are shared with the simulator so protocol structs need no

@@ -1,6 +1,8 @@
 #include "workload/gateway_workload.h"
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "gateway/fleet.h"
@@ -42,13 +44,20 @@ GatewayWorkload::GatewayWorkload(const GatewayWorkloadConfig& config,
 std::vector<std::uint8_t> GatewayWorkload::object_bytes(
     std::size_t rank) const {
   // Deterministic pseudo-random content: same rank, same bytes, so the
-  // CID computed anywhere matches.
+  // CID computed anywhere matches. Each whole 8 bytes hold one RNG word,
+  // least significant byte first; a ragged tail stays zero.
   sim::Rng content(0xC0FFEEu + static_cast<std::uint64_t>(rank) * 7919);
   std::vector<std::uint8_t> out(catalog_[rank].size);
-  for (std::size_t i = 0; i + 8 <= out.size(); i += 8) {
-    const std::uint64_t word = content.next();
-    for (int b = 0; b < 8; ++b)
-      out[i + b] = static_cast<std::uint8_t>(word >> (8 * b));
+  // Whole-word stores through a local pointer: byte stores through out[]
+  // may alias the vector's own data pointer, which makes the compiler
+  // reload it before every byte.
+  std::uint8_t* const data = out.data();
+  const std::size_t words = out.size() / 8;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t word = content.next();
+    if constexpr (std::endian::native == std::endian::big)
+      word = __builtin_bswap64(word);
+    std::memcpy(data + 8 * w, &word, sizeof word);
   }
   return out;
 }

@@ -99,6 +99,8 @@ class World {
   void start_churn();
 
   WorldConfig config_;
+  // Declared before the engines: their destructors cancel timers, which
+  // reads the simulator, so it must be destroyed after them.
   sim::Simulator simulator_;
   sim::LatencyModel latency_;
   std::unique_ptr<sim::Network> network_;

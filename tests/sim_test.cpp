@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <list>
 #include <map>
+#include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -157,7 +160,7 @@ TEST(SimulatorTest, LargeCapturesFallBackToTheHeapPath) {
   std::array<std::uint64_t, 24> big{};  // 192 bytes of capture
   big[23] = 7;
   std::uint64_t seen = 0;
-  simulator.post(seconds(1), [&seen, big] { seen = big[23]; });
+  simulator.schedule_after(seconds(1), [&seen, big] { seen = big[23]; });
   EXPECT_EQ(simulator.foreground_pending(), 1u);
   simulator.run();
   EXPECT_EQ(seen, 7u);
@@ -240,6 +243,145 @@ TEST(SimulatorTest, CancelledFarFutureEventsDoNotFire) {
   EXPECT_EQ(simulator.now(), seconds(1));
 }
 
+// --------------------------------------------------------------------------
+// Timer handles: a Timer names its event's slab slot and seq. A slot is
+// reused once its event has fired, or been cancelled and pruned off the
+// heap, and the core takes every free slot before it grows the slab, so
+// scheduling more events than it has slots puts one in the old slot.
+// --------------------------------------------------------------------------
+
+// Schedules `count` foreground events at +1 s that count their firings.
+std::vector<Timer> schedule_counted(Simulator& simulator, int count,
+                                    int& fired) {
+  std::vector<Timer> timers;
+  for (int i = 0; i < count; ++i)
+    timers.push_back(
+        simulator.schedule_after(seconds(1), [&fired] { ++fired; }));
+  return timers;
+}
+
+constexpr int kMoreThanTheSlab = 1000;
+
+TEST(SimulatorTest, StaleHandleOfAFiredEventMissesTheSlotsNextEvent) {
+  Simulator simulator;
+  Timer stale = simulator.schedule_after(seconds(1), [] {});
+  simulator.run();
+  ASSERT_EQ(simulator.pending_events(), 0u);
+
+  int fired = 0;
+  const std::vector<Timer> reused =
+      schedule_counted(simulator, kMoreThanTheSlab, fired);
+  EXPECT_FALSE(stale.active());
+  stale.cancel();
+  EXPECT_FALSE(stale.active());
+  EXPECT_EQ(simulator.foreground_pending(),
+            static_cast<std::size_t>(kMoreThanTheSlab));
+  for (const Timer& timer : reused) EXPECT_TRUE(timer.active());
+  simulator.run();
+  EXPECT_EQ(fired, kMoreThanTheSlab);
+}
+
+TEST(SimulatorTest, StaleHandleOfAPrunedEventMissesTheSlotsNextEvent) {
+  Simulator simulator;
+  Timer stale = simulator.schedule_after(seconds(1), [] { FAIL(); });
+  stale.cancel();
+  // next_event_time() prunes the cancelled record, freeing its slot.
+  EXPECT_EQ(simulator.next_event_time(), -1);
+  ASSERT_EQ(simulator.pending_events(), 0u);
+
+  int fired = 0;
+  const std::vector<Timer> reused =
+      schedule_counted(simulator, kMoreThanTheSlab, fired);
+  EXPECT_FALSE(stale.active());
+  stale.cancel();
+  EXPECT_EQ(simulator.foreground_pending(),
+            static_cast<std::size_t>(kMoreThanTheSlab));
+  for (const Timer& timer : reused) EXPECT_TRUE(timer.active());
+  simulator.run();
+  EXPECT_EQ(fired, kMoreThanTheSlab);
+}
+
+TEST(SimulatorTest, TimerIsInactiveInsideItsOwnCallback) {
+  Simulator simulator;
+  Timer foreground;
+  Timer daemon;
+  int inactive_inside = 0;
+  foreground = simulator.schedule_after(seconds(1), [&] {
+    if (!foreground.active()) ++inactive_inside;
+    foreground.cancel();  // a no-op: must not touch the pending count
+  });
+  daemon = simulator.schedule_daemon_after(seconds(1), [&] {
+    if (!daemon.active()) ++inactive_inside;
+    daemon.cancel();
+  });
+  simulator.schedule_after(seconds(2), [] {});
+  EXPECT_EQ(simulator.foreground_pending(), 2u);
+  simulator.run();
+  EXPECT_EQ(inactive_inside, 2);
+  EXPECT_EQ(simulator.foreground_pending(), 0u);
+}
+
+TEST(SimulatorTest, CopiesOfOneHandleAgree) {
+  Simulator simulator;
+  const Timer original = simulator.schedule_after(seconds(1), [] { FAIL(); });
+  Timer copy = original;
+  EXPECT_TRUE(original.active());
+  EXPECT_TRUE(copy.active());
+  copy.cancel();
+  EXPECT_FALSE(original.active());
+  EXPECT_FALSE(copy.active());
+  Timer second_copy = original;
+  second_copy.cancel();  // already cancelled: a no-op
+  EXPECT_EQ(simulator.foreground_pending(), 0u);
+
+  const Timer fires = simulator.schedule_after(seconds(1), [] {});
+  const Timer fires_copy = fires;
+  simulator.run();
+  EXPECT_FALSE(fires.active());
+  EXPECT_FALSE(fires_copy.active());
+}
+
+// Drains events due at `whens` (scheduled in that order) and returns
+// their indices in firing order, next to the order the contract asks
+// for: by time, ties in scheduling order.
+std::pair<std::vector<std::size_t>, std::vector<std::size_t>> drain_order(
+    const std::vector<Time>& whens) {
+  Simulator simulator;
+  std::vector<std::size_t> fired;
+  for (std::size_t i = 0; i < whens.size(); ++i)
+    simulator.schedule_at(whens[i], [&fired, i] { fired.push_back(i); });
+  simulator.run();
+  std::vector<std::size_t> expected(whens.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = i;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return whens[a] < whens[b];
+                   });
+  return {fired, expected};
+}
+
+TEST(SimulatorTest, SmallDrainsMatchASortByTimeThenSeq) {
+  Rng rng(34);
+  for (std::size_t size = 0; size <= 9; ++size) {
+    for (int shape = 0; shape < 20; ++shape) {
+      std::vector<Time> whens(size);
+      for (Time& when : whens) when = seconds(rng.uniform_int(0, 3));
+      const auto [fired, expected] = drain_order(whens);
+      EXPECT_EQ(fired, expected) << "size " << size << ", shape " << shape;
+    }
+  }
+}
+
+TEST(SimulatorTest, LargeDrainWithHeavyTiesMatchesASortByTimeThenSeq) {
+  Rng rng(35);
+  std::vector<Time> whens(100'000);
+  // 100 distinct timestamps: about 1,000 events tie on each.
+  for (Time& when : whens) when = milliseconds(rng.uniform_int(0, 99));
+  const auto [fired, expected] = drain_order(whens);
+  ASSERT_EQ(fired.size(), whens.size());
+  EXPECT_EQ(fired, expected);
+}
+
 // Test-local reference model of the event core's contract: a list kept
 // sorted by (when, seq) with a cancel flag per entry, executed front to
 // back. Deliberately naive, so that the core's order is checked against
@@ -251,59 +393,84 @@ class ReferenceScheduler {
     std::uint64_t seq;
     std::function<void()> fn;
     bool cancelled = false;
+    bool fired = false;
   };
-  // Valid until the entry fires.
+  // Shares its entry with the list, so it stays valid after the entry
+  // fires; cancelling then is a no-op, as on a sim::Timer.
   class Handle {
    public:
-    explicit Handle(Entry* entry) : entry_(entry) {}
+    explicit Handle(std::shared_ptr<Entry> entry) : entry_(std::move(entry)) {}
     void cancel() { entry_->cancelled = true; }
+    bool active() const { return !entry_->cancelled && !entry_->fired; }
 
    private:
-    Entry* entry_;
+    std::shared_ptr<Entry> entry_;
   };
 
   Time now() const { return now_; }
 
   Handle schedule_after(Duration delay, std::function<void()> fn) {
-    Entry entry{now_ + delay, next_seq_++, std::move(fn)};
+    auto entry = std::make_shared<Entry>(
+        Entry{now_ + delay, next_seq_++, std::move(fn)});
     // seq only grows, so the first later timestamp is the insert point.
-    const auto pos =
-        std::find_if(entries_.begin(), entries_.end(),
-                     [&](const Entry& e) { return e.when > entry.when; });
-    return Handle(&*entries_.insert(pos, std::move(entry)));
+    const auto pos = std::find_if(
+        entries_.begin(), entries_.end(),
+        [&](const std::shared_ptr<Entry>& e) { return e->when > entry->when; });
+    entries_.insert(pos, entry);
+    return Handle(std::move(entry));
   }
 
   void run() {
     while (!entries_.empty()) {
-      Entry entry = std::move(entries_.front());
+      const std::shared_ptr<Entry> entry = std::move(entries_.front());
       entries_.pop_front();
-      if (entry.cancelled) continue;
-      now_ = entry.when;
-      entry.fn();
+      if (entry->cancelled) continue;
+      now_ = entry->when;
+      entry->fired = true;
+      entry->fn();
     }
   }
 
  private:
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::list<Entry> entries_;
+  std::list<std::shared_ptr<Entry>> entries_;
+};
+
+// What a seeded schedule observed: every firing as (time, id), and every
+// cancel as (time, timer index, whether the timer was active just before).
+struct ScheduleLog {
+  std::vector<std::pair<Time, int>> fired;
+  std::vector<std::tuple<Time, std::size_t, bool>> cancels;
 };
 
 // Drives one randomized schedule (bursty timestamps, ties, cancellations,
-// re-entrant scheduling) and records every firing as (time, id).
+// re-entrant scheduling) and logs it. Callbacks also cancel timers picked
+// from every one scheduled so far: some are pending, some already fired
+// (their slots in the core reused by later events), some already
+// cancelled.
 template <typename Scheduler>
-std::vector<std::pair<Time, int>> run_seeded_schedule(Scheduler& scheduler) {
+ScheduleLog run_seeded_schedule(Scheduler& scheduler) {
   Rng rng(2024);
-  std::vector<std::pair<Time, int>> fired;
+  ScheduleLog log;
   std::vector<decltype(scheduler.schedule_after(0, [] {}))> timers;
   int next_id = 0;
   std::function<void(int)> fire = [&](int id) {
-    fired.emplace_back(scheduler.now(), id);
+    log.fired.emplace_back(scheduler.now(), id);
     // A third of firings reschedule follow-up work, like RPC chains.
     if (rng.uniform(0.0, 1.0) < 0.33 && next_id < 3000) {
       const int child = next_id++;
-      scheduler.schedule_after(microseconds(rng.uniform_int(0, 500'000)),
-                               [&fire, child] { fire(child); });
+      timers.push_back(scheduler.schedule_after(
+          microseconds(rng.uniform_int(0, 500'000)),
+          [&fire, child] { fire(child); }));
+    }
+    // A fifth cancel a timer, like a response cancelling its timeout.
+    if (rng.uniform(0.0, 1.0) < 0.2) {
+      const auto index = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(timers.size()) - 1));
+      log.cancels.emplace_back(scheduler.now(), index,
+                               timers[index].active());
+      timers[index].cancel();
     }
   };
   for (int i = 0; i < 2000; ++i) {
@@ -315,16 +482,24 @@ std::vector<std::pair<Time, int>> run_seeded_schedule(Scheduler& scheduler) {
   }
   for (std::size_t i = 0; i < timers.size(); i += 7) timers[i].cancel();
   scheduler.run();
-  return fired;
+  return log;
 }
 
 TEST(SimulatorTest, MatchesReferenceModelOnSeededSchedules) {
   Simulator simulator;
   ReferenceScheduler reference;
-  const auto core = run_seeded_schedule(simulator);
-  const auto model = run_seeded_schedule(reference);
-  ASSERT_EQ(core.size(), model.size());
-  EXPECT_EQ(core, model);
+  const ScheduleLog core = run_seeded_schedule(simulator);
+  const ScheduleLog model = run_seeded_schedule(reference);
+  ASSERT_EQ(core.fired.size(), model.fired.size());
+  EXPECT_EQ(core.fired, model.fired);
+  EXPECT_EQ(core.cancels, model.cancels);
+  EXPECT_EQ(simulator.foreground_pending(), 0u);
+  // The schedule cancels both pending and spent timers.
+  const auto live = std::count_if(
+      model.cancels.begin(), model.cancels.end(),
+      [](const auto& cancel) { return std::get<2>(cancel); });
+  EXPECT_GT(live, 0);
+  EXPECT_LT(static_cast<std::size_t>(live), model.cancels.size());
 }
 
 // --------------------------------------------------------------------------

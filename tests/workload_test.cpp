@@ -2,6 +2,10 @@
 // Section 4.3 performance-experiment driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
+#include "crypto/sha256.h"
 #include "workload/gateway_workload.h"
 #include "stats/stats.h"
 #include "workload/perf_experiment.h"
@@ -39,6 +43,38 @@ TEST(GatewayWorkloadTest, ObjectBytesAreDeterministicAndSized) {
       512, std::min(bytes_a.size(), bytes_c.size()));
   EXPECT_TRUE(std::equal(bytes_a.begin(), bytes_a.begin() + prefix,
                          bytes_c.begin()));
+}
+
+// Pins the bytes of several catalog objects, the ragged tail included:
+// each 8-byte step takes one RNG word, least significant byte first, and
+// the last size % 8 bytes of an object stay zero. The digest was taken on
+// the byte-at-a-time writer the word writer replaced.
+TEST(GatewayWorkloadTest, ObjectBytesMatchPinnedDigest) {
+  GatewayWorkloadConfig config;
+  config.catalog_size = 8;
+  config.size_median_bytes = 3000;
+  GatewayWorkload workload(config, sim::Rng(5));
+  crypto::Sha256 hash;
+  std::size_t ragged = 0;
+  for (std::size_t rank = 0; rank < config.catalog_size; ++rank) {
+    const std::vector<std::uint8_t> bytes = workload.object_bytes(rank);
+    ASSERT_EQ(bytes.size(), workload.catalog()[rank].size);
+    const std::size_t tail = bytes.size() % 8;
+    if (tail != 0) {
+      ++ragged;
+      EXPECT_TRUE(std::all_of(bytes.end() - static_cast<std::ptrdiff_t>(tail),
+                              bytes.end(),
+                              [](std::uint8_t b) { return b == 0; }));
+    }
+    std::array<std::uint8_t, 8> size{};
+    for (std::size_t b = 0; b < size.size(); ++b)
+      size[b] = static_cast<std::uint8_t>(bytes.size() >> (8 * b));
+    hash.update(size);
+    hash.update(bytes);
+  }
+  EXPECT_GT(ragged, 0u);
+  EXPECT_EQ(crypto::to_hex(hash.finish()),
+            "becd25961944e7b77b2385c96351c5bcede64d52a7b1a1323571a907f2ac99ae");
 }
 
 TEST(GatewayWorkloadTest, DiurnalRateVariesOverTheDay) {
